@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .curves import YieldCurve
-from .errors import HorizonMismatchError, InputError
+import numpy as np
 
-_WEIGHT_TOL = 1e-12
+from .curves import YieldCurve
+from .distributions import validated_weights
+from .errors import HorizonMismatchError, InputError
 
 
 @dataclass(frozen=True)
@@ -25,17 +26,7 @@ class CashFlowScenario:
     flows: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        flows = tuple(float(f) for f in self.flows)
-        if len(flows) < 2:
-            raise InputError("a scenario needs flows F_0..F_T with T >= 1")
-        for t, f in enumerate(flows):
-            if not math.isfinite(f):
-                raise InputError(f"flow at t={t} is not finite: {f!r}")
-        if flows[0] > 0.0:
-            raise InputError(
-                f"F_0 must be the initial outlay (<= 0), got {flows[0]}"
-            )
-        object.__setattr__(self, "flows", flows)
+        object.__setattr__(self, "flows", tuple(_flow_array([tuple(self.flows)])[0].tolist()))
 
     @property
     def horizon(self) -> int:
@@ -117,51 +108,66 @@ def present_value(flows: Sequence[float] | Iterable[float], curve: YieldCurve) -
     return math.fsum(f / curve.growth_factor(t) for t, f in enumerate(values, start=1))
 
 
-@dataclass(frozen=True)
+def _flow_array(rows: Iterable[Sequence[float]] | np.ndarray) -> np.ndarray:
+    """Validated float copy of flow rows F_0..F_T, shape (N, T+1)."""
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise HorizonMismatchError(
+                    f"scenario {i} has horizon {len(row) - 1}, expected {len(rows[0]) - 1}"
+                )
+    flows = np.array(rows, dtype=float)
+    if flows.ndim != 2 or len(flows) == 0:
+        raise InputError("a scenario set needs at least one scenario")
+    if flows.shape[1] < 2:
+        raise InputError("a scenario needs flows F_0..F_T with T >= 1")
+    bad = np.argwhere(~np.isfinite(flows))
+    if bad.size:
+        i, t = bad[0]
+        raise InputError(f"scenario {i}: flow at t={t} is not finite: {float(flows[i, t])!r}")
+    bad = np.flatnonzero(flows[:, 0] > 0.0)
+    if bad.size:
+        raise InputError(
+            f"scenario {bad[0]}: F_0 must be the initial outlay (<= 0), got {float(flows[bad[0], 0])}"
+        )
+    return flows
+
+
+@dataclass(frozen=True, eq=False)
 class ScenarioSet:
-    """Weighted collection of scenarios sharing one horizon."""
+    """Weighted scenarios sharing one horizon, stored as columns.
+
+    ``flows`` is a read-only (N, T+1) array whose row i holds F_0..F_T of
+    scenario i; ``weights`` is a read-only (N,) array of probabilities
+    (uniform when given as None).
+    """
 
     project_id: str
-    scenarios: tuple[CashFlowScenario, ...]
-    weights: tuple[float, ...]
+    flows: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        scenarios = tuple(self.scenarios)
-        if not scenarios:
-            raise InputError("a scenario set needs at least one scenario")
-        horizon = scenarios[0].horizon
-        for i, scenario in enumerate(scenarios):
-            if scenario.horizon != horizon:
-                raise HorizonMismatchError(
-                    f"scenario {i} has horizon {scenario.horizon}, expected {horizon}"
-                )
-        weights = tuple(float(w) for w in self.weights)
-        if len(weights) != len(scenarios):
-            raise InputError(
-                f"{len(weights)} weights for {len(scenarios)} scenarios"
-            )
-        for i, w in enumerate(weights):
-            if not math.isfinite(w) or w < 0.0:
-                raise InputError(f"weight {i} must be finite and >= 0, got {w}")
-        total = math.fsum(weights)
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise InputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
-        object.__setattr__(self, "scenarios", scenarios)
-        object.__setattr__(self, "weights", weights)
+        flows = _flow_array(self.flows)
+        weights = validated_weights(self.weights, len(flows))
+        for name, array in (("flows", flows), ("weights", weights)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def uniform(
-        cls, project_id: str, scenarios: Iterable[CashFlowScenario]
+        cls, project_id: str, flows: Iterable[Sequence[float]] | np.ndarray
     ) -> "ScenarioSet":
-        items = tuple(scenarios)
-        n = len(items)
-        if n == 0:
-            raise InputError("a scenario set needs at least one scenario")
-        return cls(project_id=project_id, scenarios=items, weights=(1.0 / n,) * n)
+        return cls(project_id, flows, None)
+
+    @property
+    def scenarios(self) -> tuple[CashFlowScenario, ...]:
+        """The rows as scalar scenarios, for the single-scenario reference path."""
+        return tuple(CashFlowScenario(tuple(row)) for row in self.flows.tolist())
 
     @property
     def horizon(self) -> int:
-        return self.scenarios[0].horizon
+        return self.flows.shape[1] - 1
 
     def __len__(self) -> int:
-        return len(self.scenarios)
+        return len(self.flows)

@@ -88,9 +88,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_scenarios(scenario_set, out)
     slot = spec.slot
-    stats = summarize(
-        EmpiricalDistribution([s.flows[slot] for s in scenario_set.scenarios])
-    )
+    stats = summarize(EmpiricalDistribution(scenario_set.flows[:, slot]))
     skew = "n/a" if stats.skewness is None else f"{stats.skewness:.4f}"
     std = "n/a" if stats.std_dev is None else f"{stats.std_dev:.4f}"
     print(f"wrote {len(scenario_set)} scenarios to {out}")
@@ -107,14 +105,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_evaluation_csv(results, out_dir / "evaluation.csv")
-    npv_stats = summarize(
-        EmpiricalDistribution([r.npv for r in results], scenario_set.weights)
-    )
-    mu_stats = summarize(
-        EmpiricalDistribution([r.annualized_return for r in results], scenario_set.weights)
-    )
+    npv_stats = summarize(EmpiricalDistribution(results.npv, scenario_set.weights))
+    mu_stats = summarize(EmpiricalDistribution(results.annualized_return, scenario_set.weights))
     write_summary_csv({"npv": npv_stats, "mu": mu_stats}, out_dir / "summary.csv")
-    print(f"evaluated {len(results)} scenarios of {scenario_set.project_id!r}")
+    print(f"evaluated {len(scenario_set)} scenarios of {scenario_set.project_id!r}")
     npv_skew = "n/a" if npv_stats.skewness is None else f"{npv_stats.skewness:.2f}"
     mu_skew = "n/a" if mu_stats.skewness is None else f"{mu_stats.skewness:.2f}"
     npv_std = "n/a" if npv_stats.std_dev is None else f"{npv_stats.std_dev:.0f}"

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,20 +18,33 @@ from .errors import InputError, TenorOutOfRangeError
 
 @dataclass(frozen=True)
 class YieldCurve:
-    """Annualized riskless zero rates r_t on contiguous integer tenors 1..horizon."""
+    """Annualized riskless zero rates r_t on contiguous integer tenors 1..horizon.
+
+    ``growth_factors`` holds (1+r_t)^t for t = 1..horizon, computed once here.
+    """
 
     rates: tuple[float, ...]
+    growth_factors: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rates = tuple(float(r) for r in self.rates)
         if not rates:
             raise InputError("yield curve needs at least one tenor")
+        growth = []
         for t, r in enumerate(rates, start=1):
             if not math.isfinite(r):
                 raise InputError(f"rate at tenor {t} is not finite: {r!r}")
             if r <= -1.0:
                 raise InputError(f"rate at tenor {t} must exceed -1, got {r}")
+            try:
+                g = (1.0 + r) ** t
+            except OverflowError:
+                g = math.inf
+            if not 0.0 < g < math.inf:
+                raise InputError(f"growth factor (1+r_t)^t at tenor {t} is out of range: {g!r}")
+            growth.append(g)
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "growth_factors", tuple(growth))
 
     @classmethod
     def flat(cls, rate: float, horizon: int) -> "YieldCurve":
@@ -85,7 +97,7 @@ class YieldCurve:
         if t == 0:
             return 1.0
         self._check_tenor(t)
-        return _growth_factors(self)[t - 1]
+        return self.growth_factors[t - 1]
 
     def cumulative_rate(self, t: int) -> float:
         """Cumulative (non-annualized) rate R_t = (1+r_t)^t - 1."""
@@ -113,11 +125,6 @@ class YieldCurve:
             for t in range(1, horizon + 1)
         )
         return ForwardCurve(horizon=horizon, rates_from=rates_from)
-
-
-@lru_cache(maxsize=64)
-def _growth_factors(curve: YieldCurve) -> tuple[float, ...]:
-    return tuple((1.0 + r) ** t for t, r in enumerate(curve.rates, start=1))
 
 
 @dataclass(frozen=True)

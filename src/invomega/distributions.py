@@ -9,7 +9,6 @@ order samples were supplied in.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,9 +16,26 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import InputError
 
 _WEIGHT_TOL = 1e-12
+
+
+def validated_weights(weights: Sequence[float] | None, n: int) -> np.ndarray:
+    """A new array of ``n`` probabilities, finite, >= 0 and summing to 1 (uniform when None)."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    wts = np.array(weights, dtype=float)
+    if wts.shape != (n,):
+        raise InputError(f"{wts.size} weights for {n} samples")
+    bad = np.flatnonzero(~(np.isfinite(wts) & (wts >= 0.0)))
+    if bad.size:
+        raise InputError(f"weight {bad[0]} must be finite and >= 0, got {float(wts[bad[0]])}")
+    total = math.fsum(wts.tolist())
+    if abs(total - 1.0) > _WEIGHT_TOL:
+        raise InputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
+    return wts
 
 
 class EmpiricalDistribution:
@@ -33,20 +49,10 @@ class EmpiricalDistribution:
             raise InputError("distribution needs a non-empty 1-D sample sequence")
         if not np.all(np.isfinite(vals)):
             raise InputError("samples must be finite")
-        if weights is None:
-            wts = np.full(vals.size, 1.0 / vals.size)
-        else:
-            wts = np.asarray(weights, dtype=float)
-            if wts.shape != vals.shape:
-                raise InputError(f"{wts.size} weights for {vals.size} samples")
-            if not np.all(np.isfinite(wts)) or np.any(wts < 0.0):
-                raise InputError("weights must be finite and >= 0")
-            total = math.fsum(wts.tolist())
-            if abs(total - 1.0) > _WEIGHT_TOL:
-                raise InputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
+        wts = validated_weights(weights, vals.size)
         order = np.argsort(vals, kind="stable")
         self._values = vals.copy()
-        self._weights = wts.copy()
+        self._weights = wts
         self._sorted_values = vals[order]
         self._sorted_weights = wts[order]
         for arr in (self._values, self._weights, self._sorted_values, self._sorted_weights):
@@ -246,41 +252,30 @@ def crossing(
     )
 
 
-def _fmt(value: float | None) -> str:
-    return repr(float(value)) if value is not None else "nan"
-
-
 def write_omega_curve_csv(
     results: Sequence[OmegaResult], target: str | Path | IO[str]
 ) -> None:
     """Write ``threshold,call,put,omega`` rows (omega printed as inf/nan when flagged)."""
-
-    def _write(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["threshold", "call", "put", "omega"])
-        for r in results:
-            writer.writerow([repr(r.threshold), repr(r.call), repr(r.put), repr(r.omega)])
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="") as handle:
-            _write(handle)
-    else:
-        _write(target)
+    write_csv(
+        target,
+        ["threshold", "call", "put", "omega"],
+        ([r.threshold, r.call, r.put, r.omega] for r in results),
+    )
 
 
 def write_summary_csv(
     summaries: Mapping[str, SummaryStats], target: str | Path | IO[str]
 ) -> None:
-    """Write ``metric,mean,median,std,skewness`` rows, one per metric."""
+    """Write ``metric,mean,median,std,skewness`` rows, one per metric (nan when undefined)."""
+    write_csv(
+        target,
+        ["metric", "mean", "median", "std", "skewness"],
+        (
+            [name, s.mean, s.median, _or_nan(s.std_dev), _or_nan(s.skewness)]
+            for name, s in summaries.items()
+        ),
+    )
 
-    def _write(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["metric", "mean", "median", "std", "skewness"])
-        for name, s in summaries.items():
-            writer.writerow([name, repr(s.mean), repr(s.median), _fmt(s.std_dev), _fmt(s.skewness)])
 
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="") as handle:
-            _write(handle)
-    else:
-        _write(target)
+def _or_nan(value: float | None) -> float:
+    return math.nan if value is None else float(value)

@@ -9,13 +9,15 @@ translate between an annualized-return floor and its NPV equivalent.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
-from .cashflows import CashFlowScenario, ReplicationDecomposition, ScenarioSet, replicate, split
+import numpy as np
+
+from .cashflows import CashFlowScenario, ScenarioSet
+from .csvio import write_csv
 from .curves import YieldCurve
 from .errors import (
     DomainError,
@@ -30,16 +32,23 @@ HURDLE_KINDS = ("delta_mu", "mu_star", "npv_star", "profit_star")
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """All per-scenario characteristics plus the replication behind them."""
+    """Per-scenario characteristics: arrays over a set, or floats for one scenario.
 
-    npv: float
-    terminal_profit: float
-    terminal_return: float
-    annualized_return: float
-    profitability_index: float
-    premium_npv: float
-    premium_return: float
-    replication: ReplicationDecomposition
+    ``total_outlay`` is the initial outlay plus the riskless cost of covering
+    the later outflows, the threshold basis of the hurdle conversions.
+    """
+
+    npv: np.ndarray | float
+    terminal_profit: np.ndarray | float
+    terminal_return: np.ndarray | float
+    annualized_return: np.ndarray | float
+    profitability_index: np.ndarray | float
+    premium_return: np.ndarray | float
+    total_outlay: np.ndarray | float
+
+    def row(self, i: int) -> "EvaluationResult":
+        """Scenario ``i`` of a set result, as Python floats."""
+        return EvaluationResult(*(float(getattr(self, f.name)[i]) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -65,48 +74,58 @@ class ThresholdSet:
     basis_outlay: float
 
 
+def _evaluate_flows(flows: np.ndarray, curve: YieldCurve) -> EvaluationResult:
+    """The evaluation kernel over flow rows F_0..F_T, shape (N, T+1).
+
+    Later flows are priced by their riskless replication: outflows by the
+    zero-coupon outlays covering them, inflows by the bonds paying them. The
+    inflows reinvested at the locked forwards reach the horizon as
+    FV+ = PV+ (1+r_T)^T, which gives the terminal and annualized returns.
+    """
+    horizon = flows.shape[1] - 1
+    if curve.horizon < horizon:
+        raise HorizonMismatchError(
+            f"curve covers tenors 1..{curve.horizon} but the scenario needs tenor {horizon}"
+        )
+    growth = np.array(curve.growth_factors[:horizon])
+    pv = flows[:, 1:] / growth
+    pv_plus = np.maximum(pv, 0.0).sum(axis=1)
+    total_outlay = -flows[:, 0] + np.maximum(-pv, 0.0).sum(axis=1)
+    zero = np.flatnonzero(total_outlay <= 0.0)
+    if zero.size:
+        raise ZeroOutlayError(
+            f"scenario {zero[0]}: total outlay is zero: returns and PI are undefined"
+        )
+    growth_T = growth[-1]
+    fv_plus = pv_plus * growth_T
+    npv = pv_plus - total_outlay
+    ratio = fv_plus / total_outlay
+    pi = npv / total_outlay
+    return EvaluationResult(
+        npv=npv,
+        terminal_profit=fv_plus - total_outlay,
+        terminal_return=ratio - 1.0,
+        # ratio >= 0; no inflows at all gives the total-loss return -1
+        annualized_return=ratio ** (1.0 / horizon) - 1.0,
+        profitability_index=pi,
+        premium_return=growth_T * pi,
+        total_outlay=total_outlay,
+    )
+
+
 def evaluate(scenario: CashFlowScenario, curve: YieldCurve) -> EvaluationResult:
-    """Compute NPV, terminal profit/return, annualized return, PI and premiums.
+    """Compute NPV, terminal profit/return, annualized return, PI and premium return.
 
     Raises ZeroOutlayError when the total outlay is zero (returns and PI are
     undefined in that case). A scenario with no inflows at all yields an
     annualized return of -1 (total loss), not an error.
     """
-    if curve.horizon < scenario.horizon:
-        raise HorizonMismatchError(
-            f"curve covers tenors 1..{curve.horizon} but the scenario needs "
-            f"tenor {scenario.horizon}"
-        )
-    horizon = scenario.horizon
-    rep = replicate(scenario, curve)
-    total_outlay = rep.total_outlay
-    if total_outlay <= 0.0:
-        raise ZeroOutlayError("total outlay is zero: returns and PI are undefined")
-    parts = split(scenario)
-    fv_plus = curve.forward_curve(horizon).future_value(parts.positive)
-    growth_T = curve.growth_factor(horizon)
-
-    npv = rep.certainty_equivalent_outlay - total_outlay
-    ratio = fv_plus / total_outlay
-    terminal_return = ratio - 1.0
-    annualized = ratio ** (1.0 / horizon) - 1.0 if ratio > 0.0 else -1.0
-    pi = npv / total_outlay
-    return EvaluationResult(
-        npv=npv,
-        terminal_profit=fv_plus - total_outlay,
-        terminal_return=terminal_return,
-        annualized_return=annualized,
-        profitability_index=pi,
-        premium_npv=npv,
-        premium_return=growth_T * pi,
-        replication=rep,
-    )
+    return _evaluate_flows(np.array([scenario.flows]), curve).row(0)
 
 
-def evaluate_set(
-    scenario_set: ScenarioSet, curve: YieldCurve
-) -> tuple[EvaluationResult, ...]:
-    return tuple(evaluate(s, curve) for s in scenario_set.scenarios)
+def evaluate_set(scenario_set: ScenarioSet, curve: YieldCurve) -> EvaluationResult:
+    """evaluate() for every scenario of the set at once, as arrays in row order."""
+    return _evaluate_flows(scenario_set.flows, curve)
 
 
 def mu_from_npv(npv: float, basis_outlay: float, curve: YieldCurve, horizon: int) -> float:
@@ -165,22 +184,21 @@ def thresholds(
     return ThresholdSet(mu_star=mu_star, npv_star=npv_star, basis_outlay=basis_outlay)
 
 
-def mirr(scenario: CashFlowScenario, reinvest_rate: float, finance_rate: float) -> float:
-    """Modified internal rate of return with flat reinvestment/financing rates.
+def mirr(flows: Sequence[float], reinvest_rate: float, finance_rate: float) -> float:
+    """Modified internal rate of return of F_0..F_T with flat reinvestment/financing rates.
 
     Inflows compound at the reinvestment rate to the horizon; outflows
     (including the initial outlay) discount at the financing rate to t = 0.
     """
     if reinvest_rate <= -1.0 or finance_rate <= -1.0:
         raise InputError("rates must exceed -1")
-    parts = split(scenario)
-    horizon = scenario.horizon
+    horizon = len(flows) - 1
     compounded = math.fsum(
-        f * (1.0 + reinvest_rate) ** (horizon - t)
-        for t, f in enumerate(parts.positive, start=1)
+        max(f, 0.0) * (1.0 + reinvest_rate) ** (horizon - t)
+        for t, f in enumerate(flows[1:], start=1)
     )
-    financed = parts.initial_outlay + math.fsum(
-        f / (1.0 + finance_rate) ** t for t, f in enumerate(parts.negative, start=1)
+    financed = max(-flows[0], 0.0) + math.fsum(
+        max(-f, 0.0) / (1.0 + finance_rate) ** t for t, f in enumerate(flows[1:], start=1)
     )
     if financed <= 0.0:
         raise DomainError(
@@ -203,36 +221,17 @@ EVALUATION_COLUMNS = (
 )
 
 
-def write_evaluation_csv(
-    results: Sequence[EvaluationResult], target: str | Path | IO[str]
-) -> None:
-    """Write one row per scenario in the standard evaluation-report layout."""
+def write_evaluation_csv(results: EvaluationResult, target: str | Path | IO[str]) -> None:
+    """Write one row per scenario of a set result in the standard evaluation-report layout.
 
-    def _write(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(EVALUATION_COLUMNS)
-        for i, r in enumerate(results):
-            writer.writerow(
-                [
-                    i,
-                    repr(r.npv),
-                    repr(r.terminal_profit),
-                    repr(r.terminal_return),
-                    repr(r.annualized_return),
-                    repr(r.profitability_index),
-                    repr(r.premium_npv),
-                    repr(r.premium_return),
-                    repr(r.replication.total_outlay),
-                ]
-            )
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="") as handle:
-            _write(handle)
-    else:
-        _write(target)
+    The ``premium_npv`` column equals ``npv``; it stays for layout compatibility.
+    """
+    r = results
+    columns = (r.npv, r.terminal_profit, r.terminal_return, r.annualized_return,
+               r.profitability_index, r.npv, r.premium_return, r.total_outlay)
+    write_csv(target, EVALUATION_COLUMNS, zip(range(len(r.npv)), *(c.tolist() for c in columns)))
 
 
-def mean_basis_outlay(results: Iterable[EvaluationResult], weights: Sequence[float]) -> float:
+def mean_basis_outlay(results: EvaluationResult, weights: np.ndarray) -> float:
     """Weighted mean of the per-scenario total outlays (threshold basis)."""
-    return math.fsum(w * r.replication.total_outlay for r, w in zip(results, weights))
+    return math.fsum((weights * results.total_outlay).tolist())

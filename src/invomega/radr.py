@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cashflows import CashFlowScenario, ScenarioSet
+import numpy as np
+
+from .cashflows import ScenarioSet
 from .errors import DomainError, InputError, NonCanonicalFlowError
 from .metrics import mirr
 
@@ -48,13 +50,13 @@ class RadrInput:
 
 
 def _check_canonical(scenario_set: ScenarioSet) -> None:
-    for i, scenario in enumerate(scenario_set.scenarios):
-        for t, flow in enumerate(scenario.flows[1:], start=1):
-            if flow < 0.0:
-                raise NonCanonicalFlowError(
-                    f"scenario {i} has negative flow {flow} at t={t}; "
-                    "only a t=0 outlay may be negative"
-                )
+    negative = np.argwhere(scenario_set.flows[:, 1:] < 0.0)
+    if negative.size:
+        i, t = negative[0][0], negative[0][1] + 1
+        raise NonCanonicalFlowError(
+            f"scenario {i} has negative flow {float(scenario_set.flows[i, t])} at t={t}; "
+            "only a t=0 outlay may be negative"
+        )
 
 
 @dataclass(frozen=True)
@@ -82,14 +84,8 @@ class RadrResult:
 
 def vertical_average(scenario_set: ScenarioSet) -> tuple[float, ...]:
     """Weighted per-tenor mean of the flows, including the t=0 outlay."""
-    horizon = scenario_set.horizon
-    return tuple(
-        math.fsum(
-            w * s.flows[t]
-            for s, w in zip(scenario_set.scenarios, scenario_set.weights)
-        )
-        for t in range(horizon + 1)
-    )
+    weighted = scenario_set.weights[:, None] * scenario_set.flows
+    return tuple(math.fsum(column) for column in weighted.T.tolist())
 
 
 def _flat_npv(flows: Sequence[float], rate: float) -> float:
@@ -110,15 +106,15 @@ def radr_valuation(radr_input: RadrInput) -> RadrResult:
     horizon = len(means) - 1
     alpha = tuple(((1.0 + r) / (1.0 + k)) ** t for t in range(1, horizon + 1))
     npv_at_k = _flat_npv(means, k)
-    mean_npv_at_r = math.fsum(
-        w * _flat_npv(s.flows, r)
-        for s, w in zip(radr_input.scenario_set.scenarios, radr_input.scenario_set.weights)
-    )
+    flows, weights = radr_input.scenario_set.flows, radr_input.scenario_set.weights
+    growth = np.array([(1.0 + r) ** t for t in range(1, horizon + 1)])
+    npv_at_r = flows[:, 0] + (flows[:, 1:] / growth).sum(axis=1)
+    mean_npv_at_r = math.fsum((weights * npv_at_r).tolist())
     lambda_radr = math.fsum(
         (1.0 - a) * f / (1.0 + r) ** t
         for t, (a, f) in enumerate(zip(alpha, means[1:]), start=1)
     )
-    mirr_at_k = mirr(CashFlowScenario(means), k, k)
+    mirr_at_k = mirr(means, k, k)
     return RadrResult(
         mean_flows=means,
         npv_at_k=npv_at_k,

@@ -9,18 +9,19 @@ ranking flips can be localized exactly.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
 from .cashflows import ScenarioSet
+from .csvio import write_csv
 from .curves import YieldCurve
 from .distributions import (
     EmpiricalDistribution,
     OmegaResult,
     SummaryStats,
+    _check_grid,
     crossing_on_grid,
     omega,
     summarize,
@@ -53,9 +54,7 @@ def evaluate_project(
     if metric not in METRICS:
         raise InputError(f"unknown metric {metric!r}, expected one of {METRICS}")
     results = evaluate_set(scenario_set, curve)
-    samples = [
-        r.npv if metric == "npv" else r.annualized_return for r in results
-    ]
+    samples = results.npv if metric == "npv" else results.annualized_return
     return ProjectEvaluation(
         project_id=scenario_set.project_id,
         metric=metric,
@@ -219,11 +218,7 @@ def omega_vs_hurdle(
     For the npv metric each mu* is first converted to its NPV threshold on the
     project's outlay basis; either way the curve is nonincreasing in mu*.
     """
-    if len(mu_grid) == 0:
-        raise InputError("hurdle grid is empty")
-    for lo, hi in zip(mu_grid, mu_grid[1:]):
-        if not hi > lo:
-            raise InputError(f"grid must be strictly increasing, got {lo} then {hi}")
+    _check_grid(mu_grid)
     points = []
     for mu_star in mu_grid:
         lam, _ = metric_threshold(project, HurdleSpec("mu_star", mu_star), curve)
@@ -281,25 +276,11 @@ def rank_with_crossings(
 
 def write_ranking_csv(report: RankingReport, target: str | Path | IO[str]) -> None:
     """Tabular ranking: ``rank,project,omega,call,put,threshold,accept``."""
-
-    def _write(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rank", "project", "omega", "call", "put", "threshold", "accept"])
-        for position, entry in enumerate(report.entries, start=1):
-            writer.writerow(
-                [
-                    position,
-                    entry.project_id,
-                    repr(entry.result.omega),
-                    repr(entry.result.call),
-                    repr(entry.result.put),
-                    repr(entry.threshold),
-                    entry.accept,
-                ]
-            )
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="") as handle:
-            _write(handle)
-    else:
-        _write(target)
+    write_csv(
+        target,
+        ["rank", "project", "omega", "call", "put", "threshold", "accept"],
+        (
+            [i, e.project_id, e.result.omega, e.result.call, e.result.put, e.threshold, e.accept]
+            for i, e in enumerate(report.entries, start=1)
+        ),
+    )

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from .cashflows import CashFlowScenario, ScenarioSet
+from .cashflows import ScenarioSet
+from .csvio import write_csv
 from .errors import DomainError, HorizonMismatchError, InputError, ScenarioParseError
 
 FAMILIES = ("shifted_lognormal", "mirrored_shifted_lognormal", "normal", "discrete")
@@ -259,15 +260,10 @@ def generate(spec: GeneratorSpec, project_id: str = "generated") -> ScenarioSet:
         spec.family, spec.target_mean, spec.target_std, spec.target_skewness
     )
     stream = SeededStream(spec.seed)
-    samples = matched.sample(stream, np.arange(spec.n_scenarios, dtype=np.uint64))
-    template = list(spec.flow_template)
-    slot = spec.slot
-    scenarios = []
-    for x in samples.tolist():
-        flows = template.copy()
-        flows[slot] = x
-        scenarios.append(CashFlowScenario(tuple(flows)))
-    return ScenarioSet.uniform(project_id, scenarios)
+    template = [0.0 if f is None else f for f in spec.flow_template]
+    flows = np.tile(template, (spec.n_scenarios, 1))
+    flows[:, spec.slot] = matched.sample(stream, np.arange(spec.n_scenarios, dtype=np.uint64))
+    return ScenarioSet.uniform(project_id, flows)
 
 
 def load_scenarios(
@@ -295,8 +291,8 @@ def load_scenarios(
                 f"{path}: file horizon {file_horizon} does not match expected {horizon}"
             )
         n_cols = len(header)
-        scenarios: list[CashFlowScenario] = []
-        weights: list[float] = []
+        rows: list[list[str]] = []
+        linenos: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -304,23 +300,21 @@ def load_scenarios(
                 raise ScenarioParseError(
                     f"{path}: row {lineno}: expected {n_cols} columns, got {len(row)}"
                 )
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                bad = next(c for c in row if not _is_float(c))
-                raise ScenarioParseError(
-                    f"{path}: row {lineno}: non-numeric value {bad!r}"
-                ) from None
-            if has_weights:
-                weights.append(values[0])
-                values = values[1:]
-            scenarios.append(CashFlowScenario(tuple(values)))
-    if not scenarios:
+            rows.append(row)
+            linenos.append(lineno)
+    if not rows:
         raise ScenarioParseError(f"{path}: no scenario rows")
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError:
+        i, bad = next((i, c) for i, row in enumerate(rows) for c in row if not _is_float(c))
+        raise ScenarioParseError(
+            f"{path}: row {linenos[i]}: non-numeric value {bad!r}"
+        ) from None
     pid = project_id if project_id is not None else path.stem
     if has_weights:
-        return ScenarioSet(project_id=pid, scenarios=tuple(scenarios), weights=tuple(weights))
-    return ScenarioSet.uniform(pid, scenarios)
+        return ScenarioSet(pid, table[:, 1:], table[:, 0])
+    return ScenarioSet.uniform(pid, table)
 
 
 def _is_float(cell: str) -> bool:
@@ -333,22 +327,13 @@ def _is_float(cell: str) -> bool:
 
 def write_scenarios(scenario_set: ScenarioSet, target: str | Path | IO[str]) -> None:
     """Write the standard scenario CSV (weight column only when non-uniform)."""
-    n = len(scenario_set)
-    uniform = all(w == 1.0 / n for w in scenario_set.weights)
-
-    def _write(handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        names = [f"t{i}" for i in range(scenario_set.horizon + 1)]
-        writer.writerow(names if uniform else ["weight"] + names)
-        for scenario, weight in zip(scenario_set.scenarios, scenario_set.weights):
-            flows = [repr(f) for f in scenario.flows]
-            writer.writerow(flows if uniform else [repr(weight)] + flows)
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="") as handle:
-            _write(handle)
+    names = [f"t{i}" for i in range(scenario_set.horizon + 1)]
+    weights = scenario_set.weights
+    if np.all(weights == 1.0 / len(weights)):
+        write_csv(target, names, scenario_set.flows.tolist())
     else:
-        _write(target)
+        table = np.column_stack((weights, scenario_set.flows))
+        write_csv(target, ["weight", *names], table.tolist())
 
 
 def load_project(

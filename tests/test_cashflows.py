@@ -149,24 +149,24 @@ class TestScenarioValidation:
 
 class TestScenarioSet:
     def test_uniform_weights(self):
-        scenarios = [CashFlowScenario((-1.0, 1.0)) for _ in range(4)]
+        scenarios = [(-1.0, 1.0) for _ in range(4)]
         ss = ScenarioSet.uniform("p", scenarios)
-        assert ss.weights == (0.25,) * 4
+        assert ss.weights.tolist() == [0.25] * 4
         assert len(ss) == 4
         assert ss.horizon == 1
 
     def test_weights_must_sum_to_one(self):
-        scenarios = (CashFlowScenario((-1.0, 1.0)), CashFlowScenario((-1.0, 2.0)))
+        scenarios = ((-1.0, 1.0), (-1.0, 2.0))
         with pytest.raises(InputError, match="sum to 1"):
             ScenarioSet("p", scenarios, (0.3, 0.3))
 
     def test_negative_weight(self):
-        scenarios = (CashFlowScenario((-1.0, 1.0)), CashFlowScenario((-1.0, 2.0)))
+        scenarios = ((-1.0, 1.0), (-1.0, 2.0))
         with pytest.raises(InputError):
             ScenarioSet("p", scenarios, (-0.5, 1.5))
 
     def test_mixed_horizons_rejected(self):
-        scenarios = (CashFlowScenario((-1.0, 1.0)), CashFlowScenario((-1.0, 1.0, 2.0)))
+        scenarios = ((-1.0, 1.0), (-1.0, 1.0, 2.0))
         with pytest.raises(HorizonMismatchError):
             ScenarioSet.uniform("p", scenarios)
 
@@ -176,5 +176,5 @@ class TestScenarioSet:
 
     def test_large_uniform_set_passes_weight_check(self):
         n = 99999
-        scenarios = [CashFlowScenario((-1.0, 1.0))] * n
+        scenarios = [(-1.0, 1.0)] * n
         assert len(ScenarioSet.uniform("p", scenarios)) == n

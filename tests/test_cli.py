@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import invomega
 from invomega.cli import main
 
 
@@ -118,8 +122,9 @@ class TestEvaluate:
             "premium_return",
             "total_outlay",
         ]
-        npv = float(rows[1].split(",")[1])
-        assert npv == 350.0 / 1.05 - (200.0 + 100.0 / 1.05**2)  # full precision
+        cells = rows[1].split(",")
+        assert float(cells[1]) == 350.0 / 1.05 - (200.0 + 100.0 / 1.05**2)  # full precision
+        assert cells[header.index("premium_npv")] == cells[1]
         summary = (out_dir / "summary.csv").read_text().splitlines()
         assert summary[0] == "metric,mean,median,std,skewness"
         assert summary[1].startswith("npv,")
@@ -139,6 +144,31 @@ class TestEvaluate:
         )
         assert code == 2
         assert "tenor 2" in capsys.readouterr().err
+
+    def test_overflowing_curve_exit_2_without_traceback(self, workspace):
+        rows = "".join(f"{t},0.8\n" for t in range(1, 1301))
+        (workspace / "steep.csv").write_text("tenor,rate\n" + rows)
+        src = Path(invomega.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "invomega.cli",
+                "evaluate",
+                "--project",
+                str(workspace / "single.json"),
+                "--curve",
+                str(workspace / "steep.csv"),
+                "--out-dir",
+                str(workspace / "r"),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "growth factor" in proc.stderr
 
     def test_stdout_summary(self, workspace, capsys):
         main(

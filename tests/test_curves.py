@@ -142,6 +142,17 @@ class TestValidation:
         with pytest.raises(InputError):
             YieldCurve((math.nan,))
 
+    def test_growth_factor_overflow(self):
+        with pytest.raises(InputError, match="tenor 1208"):
+            YieldCurve.flat(0.8, 1300)
+
+    def test_growth_factors_are_python_powers(self):
+        rng = random.Random(9)
+        curve = random_curve(rng, 30)
+        assert curve.growth_factors == tuple(
+            (1.0 + r) ** t for t, r in enumerate(curve.rates, start=1)
+        )
+
     def test_forward_curve_maturity_leg_enforced(self):
         with pytest.raises(InputError):
             ForwardCurve(horizon=2, rates_from=(0.05, 0.01))

@@ -54,7 +54,6 @@ class TestEvaluate:
             assert (1.0 + r.annualized_return) ** horizon == pytest.approx(
                 1.0 + r.terminal_return, rel=1e-10
             )
-            assert r.premium_npv == r.npv
             assert r.premium_return == pytest.approx(
                 growth_T * r.profitability_index, rel=1e-10
             )
@@ -66,7 +65,7 @@ class TestEvaluate:
                 curve.forward_curve(horizon).future_value(
                     tuple(max(f, 0.0) for f in scenario.flows[1:])
                 )
-                - r.replication.total_outlay,
+                - r.total_outlay,
                 rel=1e-8,
                 abs=1e-8,
             )
@@ -83,7 +82,6 @@ class TestEvaluate:
         flows += [b * curve.growth_factor(t) for t, b in enumerate(notionals, start=1)]
         r = evaluate(CashFlowScenario(tuple(flows)), curve)
         assert r.npv == pytest.approx(0.0, abs=1e-10)
-        assert r.premium_npv == pytest.approx(0.0, abs=1e-10)
         assert r.premium_return == pytest.approx(0.0, abs=1e-12)
         assert r.annualized_return == pytest.approx(curve.annual_rate(3), rel=1e-12)
 
@@ -211,7 +209,7 @@ def test_threshold_equivalence_per_trajectory(flat5):
         r = evaluate(scenario, curve)
         ts = thresholds(
             HurdleSpec("delta_mu", rng.uniform(0.0, 0.3)),
-            r.replication.total_outlay,
+            r.total_outlay,
             curve,
             horizon,
         )
@@ -231,25 +229,25 @@ def test_npv_sweep_across_threshold(flat5):
 
 class TestMirr:
     def test_reference_streams(self, flat5):
-        right = mirr(CashFlowScenario((-200.0, 350.0, -100.0)), 0.15, 0.15)
+        right = mirr((-200.0, 350.0, -100.0), 0.15, 0.15)
         oracle = math.sqrt(350.0 * 1.15 / (200.0 + 100.0 / 1.15**2)) - 1.0
         assert right == pytest.approx(oracle, rel=1e-14)
         assert right == pytest.approx(0.2085, abs=1e-4)
-        left = mirr(CashFlowScenario((-200.0, 355.0, -100.0)), 0.15, 0.15)
+        left = mirr((-200.0, 355.0, -100.0), 0.15, 0.15)
         assert left == pytest.approx(0.2171, abs=1e-4)
 
     def test_single_flow(self):
-        scenario = CashFlowScenario((-100.0, 110.0))
-        assert mirr(scenario, 0.15, 0.15) == pytest.approx(0.10, abs=1e-12)
-        assert mirr(scenario, 0.02, 0.40) == pytest.approx(0.10, abs=1e-12)
+        flows = (-100.0, 110.0)
+        assert mirr(flows, 0.15, 0.15) == pytest.approx(0.10, abs=1e-12)
+        assert mirr(flows, 0.02, 0.40) == pytest.approx(0.10, abs=1e-12)
 
     def test_zero_denominator(self):
         with pytest.raises(DomainError):
-            mirr(CashFlowScenario((0.0, 100.0)), 0.1, 0.1)
+            mirr((0.0, 100.0), 0.1, 0.1)
 
     def test_rate_bounds(self, mixed_stream):
         with pytest.raises(InputError):
-            mirr(mixed_stream, -1.0, 0.1)
+            mirr(mixed_stream.flows, -1.0, 0.1)
 
     def test_flat_curve_mu_equals_mirr(self):
         rng = random.Random(41)
@@ -259,4 +257,4 @@ class TestMirr:
             curve = YieldCurve.flat(rate, horizon)
             scenario = random_mixed_scenario(rng, horizon)
             mu = evaluate(scenario, curve).annualized_return
-            assert mu == pytest.approx(mirr(scenario, rate, rate), rel=1e-10, abs=1e-12)
+            assert mu == pytest.approx(mirr(scenario.flows, rate, rate), rel=1e-10, abs=1e-12)

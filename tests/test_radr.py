@@ -4,7 +4,6 @@ import random
 import pytest
 
 from invomega import (
-    CashFlowScenario,
     InputError,
     NonCanonicalFlowError,
     RadrInput,
@@ -17,7 +16,7 @@ from invomega.radr import MODE_CANONICAL, MODE_TABLE4
 
 
 def single(flows, project_id="p") -> ScenarioSet:
-    return ScenarioSet.uniform(project_id, [CashFlowScenario(flows)])
+    return ScenarioSet.uniform(project_id, [flows])
 
 
 def random_canonical_set(rng: random.Random) -> ScenarioSet:
@@ -27,7 +26,7 @@ def random_canonical_set(rng: random.Random) -> ScenarioSet:
     for _ in range(n):
         flows = [-rng.uniform(10, 500)]
         flows += [rng.uniform(0, 300) for _ in range(horizon)]
-        scenarios.append(CashFlowScenario(tuple(flows)))
+        scenarios.append(flows)
     return ScenarioSet.uniform("p", scenarios)
 
 
@@ -36,8 +35,8 @@ class TestVerticalAverage:
         ss = ScenarioSet.uniform(
             "p",
             [
-                CashFlowScenario((-200.0, 300.0, -100.0)),
-                CashFlowScenario((-200.0, 400.0, -100.0)),
+                (-200.0, 300.0, -100.0),
+                (-200.0, 400.0, -100.0),
             ],
         )
         assert vertical_average(ss) == (-200.0, 350.0, -100.0)
@@ -49,7 +48,7 @@ class TestVerticalAverage:
     def test_weighted(self):
         ss = ScenarioSet(
             "p",
-            (CashFlowScenario((-100.0, 0.0)), CashFlowScenario((-100.0, 400.0))),
+            ((-100.0, 0.0), (-100.0, 400.0)),
             (0.75, 0.25),
         )
         assert vertical_average(ss) == (-100.0, 100.0)

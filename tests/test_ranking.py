@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from invomega import (
-    CashFlowScenario,
     EmpiricalDistribution,
     GeneratorSpec,
     HurdleSpec,
@@ -49,7 +48,7 @@ class TestEvaluateProject:
     def test_npv_metric_collects_npvs(self, flat5):
         ss = ScenarioSet.uniform(
             "p",
-            [CashFlowScenario((-200.0, 350.0, -100.0)), CashFlowScenario((-200.0, 300.0, -100.0))],
+            [(-200.0, 350.0, -100.0), (-200.0, 300.0, -100.0)],
         )
         project = evaluate_project(ss, flat5, "npv")
         outlay = 200.0 + 100.0 / 1.05**2
@@ -59,7 +58,7 @@ class TestEvaluateProject:
         assert project.horizon == 2
 
     def test_unknown_metric(self, flat5):
-        ss = ScenarioSet.uniform("p", [CashFlowScenario((-1.0, 2.0))])
+        ss = ScenarioSet.uniform("p", [(-1.0, 2.0)])
         with pytest.raises(InputError):
             evaluate_project(ss, flat5, "irr")
 
@@ -179,7 +178,7 @@ class TestOmegaVsHurdle:
         # a pure replication has a point-mass mu distribution at r_T
         notionals = (10.0, 20.0)
         flows = [-30.0] + [b * flat5.growth_factor(t) for t, b in enumerate(notionals, 1)]
-        ss = ScenarioSet.uniform("riskless", [CashFlowScenario(tuple(flows))] * 2)
+        ss = ScenarioSet.uniform("riskless", [flows] * 2)
         project = evaluate_project(ss, flat5, "mu")
         points = omega_vs_hurdle(project, flat5, [0.03, 0.07])
         assert points[0].result.is_infinite  # below r_T
@@ -188,7 +187,7 @@ class TestOmegaVsHurdle:
     def test_riskless_point_mass_exact_on_zero_curve(self):
         # at zero rates the replication round-trips exactly, so mu == r_T == 0
         curve = YieldCurve.flat(0.0, 2)
-        ss = ScenarioSet.uniform("riskless", [CashFlowScenario((-30.0, 10.0, 20.0))] * 2)
+        ss = ScenarioSet.uniform("riskless", [(-30.0, 10.0, 20.0)] * 2)
         project = evaluate_project(ss, curve, "mu")
         points = omega_vs_hurdle(project, curve, [-0.01, 0.0, 0.01])
         assert points[0].result.is_infinite
