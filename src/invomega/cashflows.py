@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -122,16 +122,23 @@ def _flow_array(rows: Iterable[Sequence[float]] | np.ndarray) -> np.ndarray:
         raise InputError("a scenario set needs at least one scenario")
     if flows.shape[1] < 2:
         raise InputError("a scenario needs flows F_0..F_T with T >= 1")
+    check_flow_rows(flows)
+    return flows
+
+
+def check_flow_rows(
+    flows: np.ndarray, where: Callable[[int], str] = lambda i: f"scenario {i}"
+) -> None:
+    """Every flow finite and F_0 <= 0; ``where(i)`` names row i in the error."""
     bad = np.argwhere(~np.isfinite(flows))
     if bad.size:
         i, t = bad[0]
-        raise InputError(f"scenario {i}: flow at t={t} is not finite: {float(flows[i, t])!r}")
+        raise InputError(f"{where(i)}: flow at t={t} is not finite: {float(flows[i, t])!r}")
     bad = np.flatnonzero(flows[:, 0] > 0.0)
     if bad.size:
         raise InputError(
-            f"scenario {bad[0]}: F_0 must be the initial outlay (<= 0), got {float(flows[bad[0], 0])}"
+            f"{where(bad[0])}: F_0 must be the initial outlay (<= 0), got {float(flows[bad[0], 0])}"
         )
-    return flows
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,12 @@ partial moments are exact weighted sums over the samples, with no binning or
 smoothing. Construction sorts once (stable, ties broken by original index) and
 every reduction runs over the sorted view, so results do not depend on the
 order samples were supplied in.
+
+Construction also accumulates both partial moments at every sample, in a form
+whose terms are all >= 0 (put(L) is the integral of F below L, call(L) the
+integral of 1 - F above L), with a compensated cumulative sum. Omega at any
+threshold is then two binary searches and one linear step from the nearest
+sample: O(log N) instead of a pass over all samples.
 """
 
 from __future__ import annotations
@@ -22,8 +28,15 @@ from .errors import InputError
 _WEIGHT_TOL = 1e-12
 
 
-def validated_weights(weights: Sequence[float] | None, n: int) -> np.ndarray:
-    """A new array of ``n`` probabilities, finite, >= 0 and summing to 1 (uniform when None)."""
+def validated_weights(
+    weights: Sequence[float] | None,
+    n: int,
+    where: Callable[[int], str] = lambda i: f"weight {i}",
+) -> np.ndarray:
+    """A new array of ``n`` probabilities, finite, >= 0 and summing to 1 (uniform when None).
+
+    ``where(i)`` names weight i in the error.
+    """
     if weights is None:
         return np.full(n, 1.0 / n)
     wts = np.array(weights, dtype=float)
@@ -31,17 +44,38 @@ def validated_weights(weights: Sequence[float] | None, n: int) -> np.ndarray:
         raise InputError(f"{wts.size} weights for {n} samples")
     bad = np.flatnonzero(~(np.isfinite(wts) & (wts >= 0.0)))
     if bad.size:
-        raise InputError(f"weight {bad[0]} must be finite and >= 0, got {float(wts[bad[0]])}")
+        raise InputError(f"{where(bad[0])} must be finite and >= 0, got {float(wts[bad[0]])}")
     total = math.fsum(wts.tolist())
     if abs(total - 1.0) > _WEIGHT_TOL:
         raise InputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
     return wts
 
 
-class EmpiricalDistribution:
-    """Immutable weighted sample set with a sorted view."""
+def _cumsum(terms: np.ndarray) -> np.ndarray:
+    """Running sums of ``terms``, each corrected by the rounding errors of its steps.
 
-    __slots__ = ("_values", "_weights", "_sorted_values", "_sorted_weights")
+    ``np.cumsum`` adds in sequence, so TwoSum recovers every step's rounding
+    error exactly; the errors are summed alongside and added back.
+    """
+    sums = np.cumsum(terms)
+    before = np.concatenate(([0.0], sums[:-1]))
+    added = sums - before
+    errors = (before - (sums - added)) + (terms - added)
+    return sums + np.cumsum(errors)
+
+
+class EmpiricalDistribution:
+    """Immutable weighted sample set with a sorted view and its partial-moment sums.
+
+    Over the sorted samples x_0 <= ... <= x_{N-1} with weights w_i, for k = 0..N:
+    W_k = sum_{i<k} w_i, V_k = sum_{i>=k} w_i, and for k < N:
+    P_k = sum_{i<k} w_i (x_k - x_i), C_k = sum_{i>=k} w_i (x_i - x_k).
+    """
+
+    __slots__ = (
+        "_values", "_weights", "_sorted_values", "_sorted_weights",
+        "_below", "_above", "_put_at", "_call_at",
+    )
 
     def __init__(self, values: Sequence[float], weights: Sequence[float] | None = None):
         vals = np.asarray(values, dtype=float)
@@ -53,10 +87,16 @@ class EmpiricalDistribution:
         order = np.argsort(vals, kind="stable")
         self._values = vals.copy()
         self._weights = wts
-        self._sorted_values = vals[order]
-        self._sorted_weights = wts[order]
-        for arr in (self._values, self._weights, self._sorted_values, self._sorted_weights):
-            arr.setflags(write=False)
+        self._sorted_values = x = vals[order]
+        self._sorted_weights = w = wts[order]
+        gaps = np.diff(x)
+        self._below = np.concatenate(([0.0], _cumsum(w)))  # W
+        self._above = np.concatenate((_cumsum(w[::-1])[::-1], [0.0]))  # V
+        # P_k = P_{k-1} + W_k (x_k - x_{k-1}), C_k = C_{k+1} + V_{k+1} (x_{k+1} - x_k)
+        self._put_at = np.concatenate(([0.0], _cumsum(self._below[1:-1] * gaps)))
+        self._call_at = np.concatenate((_cumsum((self._above[1:-1] * gaps)[::-1])[::-1], [0.0]))
+        for name in self.__slots__:
+            getattr(self, name).setflags(write=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -146,20 +186,50 @@ class OmegaResult:
         return math.isnan(self.omega)
 
 
+def partial_moments(
+    dist: EmpiricalDistribution, thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """call(L) = E[max(X - L, 0)] and put(L) = E[max(L - X, 0)] at each threshold L.
+
+    With x_{k-1} < L <= x_k, put = P_{k-1} + (L - x_{k-1}) W_k (0 when k = 0);
+    with x_{j-1} <= L < x_j, call = C_j + (x_j - L) V_j (0 when j = N). Every
+    term is >= 0, so nothing cancels.
+    """
+    x = dist.sorted_values
+    last = x.size - 1
+    k = np.searchsorted(x, thresholds, side="left")
+    j = np.searchsorted(x, thresholds, side="right")
+    lo = np.maximum(k - 1, 0)
+    hi = np.minimum(j, last)
+    put = np.where(k > 0, dist._put_at[lo] + (thresholds - x[lo]) * dist._below[k], 0.0)
+    call = np.where(j <= last, dist._call_at[hi] + (x[hi] - thresholds) * dist._above[j], 0.0)
+    return call, put
+
+
+def _omega_at(
+    dist: EmpiricalDistribution, thresholds: Sequence[float]
+) -> tuple[OmegaResult, ...]:
+    """Omega at each threshold (any order), from one partial-moment lookup."""
+    lam = np.array(thresholds, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(lam))
+    if bad.size:
+        raise InputError(f"threshold must be finite, got {thresholds[bad[0]]!r}")
+    call, put = partial_moments(dist, lam)
+    return tuple(
+        OmegaResult(threshold=t, call=c, put=p, omega=_ratio(c, p))
+        for t, c, p in zip(thresholds, call.tolist(), put.tolist())
+    )
+
+
+def _ratio(call: float, put: float) -> float:
+    if put > 0.0:
+        return call / put
+    return math.inf if call > 0.0 else math.nan
+
+
 def omega(dist: EmpiricalDistribution, threshold: float) -> OmegaResult:
     """Omega at ``threshold``: expected excess above it over expected shortfall below."""
-    if not math.isfinite(threshold):
-        raise InputError(f"threshold must be finite, got {threshold!r}")
-    diff = dist.sorted_values - threshold
-    call = float(np.sum(dist.sorted_weights * np.maximum(diff, 0.0)))
-    put = float(np.sum(dist.sorted_weights * np.maximum(-diff, 0.0)))
-    if put > 0.0:
-        value = call / put
-    elif call > 0.0:
-        value = math.inf
-    else:
-        value = math.nan
-    return OmegaResult(threshold=threshold, call=call, put=put, omega=value)
+    return _omega_at(dist, [threshold])[0]
 
 
 def omega_curve(
@@ -167,7 +237,7 @@ def omega_curve(
 ) -> tuple[OmegaResult, ...]:
     """Omega at each point of a strictly increasing threshold grid."""
     _check_grid(grid)
-    return tuple(omega(dist, lam) for lam in grid)
+    return _omega_at(dist, grid)
 
 
 def _check_grid(grid: Sequence[float]) -> None:

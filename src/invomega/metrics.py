@@ -149,7 +149,11 @@ def npv_from_mu(mu: float, basis_outlay: float, curve: YieldCurve, horizon: int)
         raise ZeroOutlayError(f"basis outlay must be positive, got {basis_outlay}")
     if mu <= -1.0:
         raise ReturnUndefinedError(f"annualized return must exceed -1, got {mu}")
-    return ((1.0 + mu) ** horizon / curve.growth_factor(horizon) - 1.0) * basis_outlay
+    try:
+        growth = (1.0 + mu) ** horizon
+    except OverflowError:
+        raise InputError(f"annualized return {mu} overflows (1+mu)^{horizon}") from None
+    return (growth / curve.growth_factor(horizon) - 1.0) * basis_outlay
 
 
 def npv_from_profit(

@@ -45,6 +45,14 @@ class RadrInput:
             raise InputError("rates must exceed -1")
         if k < r:
             raise InputError(f"risk-adjusted rate {k} must be >= riskless rate {r}")
+        horizon = self.scenario_set.horizon
+        for name, rate in (("r", r), ("k", k)):
+            try:
+                growth = (1.0 + rate) ** horizon
+            except OverflowError:
+                growth = math.inf
+            if not 0.0 < growth < math.inf:
+                raise InputError(f"growth factor (1+{name})^{horizon} is out of range: {growth!r}")
         if self.mode == MODE_CANONICAL:
             _check_canonical(self.scenario_set)
 

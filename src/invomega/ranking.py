@@ -22,6 +22,7 @@ from .distributions import (
     OmegaResult,
     SummaryStats,
     _check_grid,
+    _omega_at,
     crossing_on_grid,
     omega,
     summarize,
@@ -219,11 +220,12 @@ def omega_vs_hurdle(
     project's outlay basis; either way the curve is nonincreasing in mu*.
     """
     _check_grid(mu_grid)
-    points = []
-    for mu_star in mu_grid:
-        lam, _ = metric_threshold(project, HurdleSpec("mu_star", mu_star), curve)
-        points.append(HurdleCurvePoint(mu_star=mu_star, result=omega(project.distribution, lam)))
-    return tuple(points)
+    results = _omega_at(project.distribution, [_threshold_at(project, curve, m) for m in mu_grid])
+    return tuple(HurdleCurvePoint(mu_star=m, result=r) for m, r in zip(mu_grid, results))
+
+
+def _threshold_at(project: ProjectEvaluation, curve: YieldCurve, mu_star: float) -> float:
+    return metric_threshold(project, HurdleSpec("mu_star", mu_star), curve)[0]
 
 
 def hurdle_crossings(
@@ -231,17 +233,24 @@ def hurdle_crossings(
     project_b: ProjectEvaluation,
     curve: YieldCurve,
     mu_grid: Sequence[float],
+    omega_a: Sequence[OmegaResult] | None = None,
+    omega_b: Sequence[OmegaResult] | None = None,
 ) -> list[tuple[float, float]]:
-    """Hurdle intervals (width <= grid step / 1024) where the pair's ranking flips."""
+    """Hurdle intervals (width <= grid step / 1024) where the pair's ranking flips.
+
+    ``omega_a``/``omega_b`` are the projects' Omega along ``mu_grid`` when
+    already known; bisection midpoints are single Omega lookups.
+    """
 
     def _eval(project: ProjectEvaluation):
         def at(mu_star: float) -> OmegaResult:
-            lam, _ = metric_threshold(project, HurdleSpec("mu_star", mu_star), curve)
-            return omega(project.distribution, lam)
+            return omega(project.distribution, _threshold_at(project, curve, mu_star))
 
         return at
 
-    return crossing_on_grid(list(mu_grid), _eval(project_a), _eval(project_b))
+    return crossing_on_grid(
+        list(mu_grid), _eval(project_a), _eval(project_b), curve_a=omega_a, curve_b=omega_b
+    )
 
 
 def rank_with_crossings(
@@ -251,12 +260,18 @@ def rank_with_crossings(
     curve: YieldCurve,
     mu_grid: Sequence[float],
 ) -> RankingReport:
-    """rank() plus pairwise ranking-flip brackets over a shared mu* grid."""
+    """rank() plus pairwise ranking-flip brackets over a shared mu* grid.
+
+    Each project's Omega along the grid is computed once and shared by its pairs.
+    """
     report = rank(projects, hurdle, metric, curve)
+    curves = [[p.result for p in omega_vs_hurdle(project, curve, mu_grid)] for project in projects]
     pairs = []
     for i in range(len(projects)):
         for j in range(i + 1, len(projects)):
-            brackets = hurdle_crossings(projects[i], projects[j], curve, mu_grid)
+            brackets = hurdle_crossings(
+                projects[i], projects[j], curve, mu_grid, omega_a=curves[i], omega_b=curves[j]
+            )
             pairs.append(
                 PairCrossings(
                     project_a=projects[i].project_id,

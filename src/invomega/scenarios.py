@@ -16,11 +16,10 @@ from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtri
 
-from .cashflows import ScenarioSet
+from .cashflows import ScenarioSet, check_flow_rows
 from .csvio import write_csv
+from .distributions import validated_weights
 from .errors import DomainError, HorizonMismatchError, InputError, ScenarioParseError
 
 FAMILIES = ("shifted_lognormal", "mirrored_shifted_lognormal", "normal", "discrete")
@@ -58,6 +57,9 @@ class SeededStream:
         return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
     def normals(self, indices: Sequence[int] | np.ndarray, draw: int = 0) -> np.ndarray:
+        # imported here so that commands which generate nothing never load scipy
+        from scipy.special import ndtri
+
         return ndtri(self.uniforms(indices, draw))
 
 
@@ -127,16 +129,16 @@ MatchedDistribution = ShiftedLognormal | MatchedNormal | MatchedTwoPoint
 
 
 def _lognormal_w(skew_abs: float) -> float:
-    """Solve (w+2)*sqrt(w-1) = skew for w = exp(sigma_log^2) by bracketed root finding."""
-    def f(w: float) -> float:
-        return (w + 2.0) * math.sqrt(w - 1.0) - skew_abs
+    """Solve (w+2)*sqrt(w-1) = skew for w = exp(sigma_log^2).
 
-    lo, hi = 1.0 + 1e-15, 2.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError(f"no lognormal solution for skewness {skew_abs}")
-    return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    With y = sqrt(w-1) this is the depressed cubic y^3 + 3y - skew = 0, whose
+    one real root is y = 2 sinh(asinh(skew/2) / 3).
+    """
+    y = 2.0 * math.sinh(math.asinh(skew_abs / 2.0) / 3.0)
+    w = 1.0 + y * y
+    if w > 1e12:
+        raise DomainError(f"no lognormal solution for skewness {skew_abs}")
+    return w
 
 
 def moment_match(family: str, mean: float, std: float, skew: float) -> MatchedDistribution:
@@ -311,10 +313,16 @@ def load_scenarios(
         raise ScenarioParseError(
             f"{path}: row {linenos[i]}: non-numeric value {bad!r}"
         ) from None
+
+    def where(i: int) -> str:
+        return f"{path}: row {linenos[i]}"
+
+    flows, weights = (table[:, 1:], table[:, 0]) if has_weights else (table, None)
+    check_flow_rows(flows, where)
+    if weights is not None:
+        weights = validated_weights(weights, len(table), lambda i: f"{where(i)}: weight")
     pid = project_id if project_id is not None else path.stem
-    if has_weights:
-        return ScenarioSet(pid, table[:, 1:], table[:, 0])
-    return ScenarioSet.uniform(pid, table)
+    return ScenarioSet(pid, flows, weights)
 
 
 def _is_float(cell: str) -> bool:

@@ -43,6 +43,17 @@ def workspace(tmp_path: Path) -> Path:
     return tmp_path
 
 
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI as a child process, so that an uncaught exception shows as a traceback."""
+    src = Path(invomega.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "invomega.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
 class TestSimulate:
     def test_byte_identical_runs(self, workspace, capsys):
         out_a = workspace / "a.csv"
@@ -148,23 +159,14 @@ class TestEvaluate:
     def test_overflowing_curve_exit_2_without_traceback(self, workspace):
         rows = "".join(f"{t},0.8\n" for t in range(1, 1301))
         (workspace / "steep.csv").write_text("tenor,rate\n" + rows)
-        src = Path(invomega.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "invomega.cli",
-                "evaluate",
-                "--project",
-                str(workspace / "single.json"),
-                "--curve",
-                str(workspace / "steep.csv"),
-                "--out-dir",
-                str(workspace / "r"),
-            ],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+        proc = run_cli(
+            "evaluate",
+            "--project",
+            str(workspace / "single.json"),
+            "--curve",
+            str(workspace / "steep.csv"),
+            "--out-dir",
+            str(workspace / "r"),
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -287,6 +289,24 @@ class TestRank:
         )
         assert code == 0
         assert json.loads(out.read_text())["metric"] == "mu"
+
+    def test_overflowing_hurdle_exit_2_without_traceback(self, workspace):
+        proc = run_cli(
+            "rank",
+            "--projects",
+            str(workspace / "mean_right.json"),
+            "--curve",
+            str(workspace / "curve.csv"),
+            "--metric",
+            "npv",
+            "--mu-star",
+            "1e200",
+            "--out",
+            str(workspace / "rank.json"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "overflows" in proc.stderr
 
     def test_hurdle_flags_are_exclusive(self, workspace):
         with pytest.raises(SystemExit) as exc:
@@ -473,6 +493,24 @@ class TestRadrCompare:
             ]
         )
         assert code == 2
+
+    def test_overflowing_rates_exit_2_without_traceback(self, workspace):
+        proc = run_cli(
+            "radr-compare",
+            "--project",
+            str(workspace / "mean_right.json"),
+            "--r",
+            "1e200",
+            "--k",
+            "1e200",
+            "--mode",
+            "paper-table4",
+            "--out",
+            str(workspace / "radr.json"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "growth factor" in proc.stderr
 
 
 def test_version_flag(capsys):

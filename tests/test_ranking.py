@@ -18,6 +18,7 @@ from invomega import (
     rank,
     rank_with_crossings,
 )
+from invomega.distributions import crossing_on_grid
 from invomega.ranking import ProjectEvaluation, metric_threshold, write_ranking_csv
 
 
@@ -263,6 +264,36 @@ class TestHurdleCrossings:
         assert len(report.crossings[0].brackets) == 1
         # below the flip the narrow project must rank first
         assert report.order[0] == "narrow"
+
+    @pytest.mark.parametrize("metric", ["mu", "npv"])
+    def test_shared_curves_give_the_per_pair_brackets(self, metric):
+        # rank_with_crossings computes each project's Omega curve once; a pair
+        # recomputed on its own through callables must bracket identically
+        curve = YieldCurve.flat(0.05, 1)
+        specs = [
+            ("narrow", mu_project("narrow", 110.0, 1.0, n=3000, seed=31)),
+            ("wide", mu_project("wide", 112.0, 6.0, n=3000, seed=32)),
+            ("medium", mu_project("medium", 111.0, 3.0, n=3000, seed=33)),
+            (
+                "two-point",
+                GeneratorSpec("discrete", 111.5, 4.0, 0.5, (-100.0, None), 3000, 34),
+            ),
+        ]
+        projects = [evaluate_project(generate(spec, pid), curve, metric) for pid, spec in specs]
+        grid = np.arange(0.06, 0.161, 0.005).tolist()
+        report = rank_with_crossings(projects, HurdleSpec("mu_star", 0.08), metric, curve, grid)
+
+        def at(project):
+            return lambda m: omega(
+                project.distribution, metric_threshold(project, HurdleSpec("mu_star", m), curve)[0]
+            )
+
+        pairs = [(a, b) for i, a in enumerate(projects) for b in projects[i + 1:]]
+        assert len(report.crossings) == len(pairs)
+        for pair, (a, b) in zip(report.crossings, pairs):
+            assert (pair.project_a, pair.project_b) == (a.project_id, b.project_id)
+            assert list(pair.brackets) == crossing_on_grid(grid, at(a), at(b))
+        assert sum(len(pair.brackets) for pair in report.crossings) >= 3
 
 
 def test_ranking_csv_layout(tmp_path, flat5):

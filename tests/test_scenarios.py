@@ -1,5 +1,10 @@
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,9 @@ from invomega import (
     summarize,
     write_scenarios,
 )
-from invomega.scenarios import generator_spec_from_dict
+import invomega
+from invomega import DomainError
+from invomega.scenarios import _lognormal_w, generator_spec_from_dict
 
 
 def spec_right(n=100, seed=555) -> GeneratorSpec:
@@ -156,6 +163,43 @@ class TestMomentMatch:
         assert np.sqrt(var) == pytest.approx(40.0, rel=1e-6)
         assert third / var**1.5 == pytest.approx(2.7, rel=1e-5)
 
+    def test_lognormal_w_closed_form_against_brentq(self):
+        # the bracketed root finder that the closed form replaced, as the reference
+        from scipy.optimize import brentq
+
+        def residual(w, skew):
+            return (w + 2.0) * math.sqrt(w - 1.0) - skew
+
+        eps = float(np.finfo(float).eps)
+        for skew in np.logspace(-6, 8, 141).tolist():
+            hi = 2.0
+            while residual(hi, skew) < 0.0:
+                hi *= 2.0
+            reference = brentq(residual, 1.0 + 1e-15, hi, args=(skew,), xtol=1e-300, rtol=8.9e-16)
+            w = _lognormal_w(skew)
+            assert abs(residual(w, skew)) <= abs(residual(reference, skew)) + 16 * eps * skew
+        for skew in (1.5, 2.0, 2.7, 3.0):
+            hi = 2.0
+            reference = brentq(residual, 1.0 + 1e-15, hi, args=(skew,), xtol=1e-300, rtol=8.9e-16)
+            assert _lognormal_w(skew) == reference
+
+    def test_lognormal_w_out_of_range(self):
+        with pytest.raises(DomainError, match="no lognormal solution"):
+            moment_match("shifted_lognormal", 0.0, 1.0, 1e19)
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(invomega.__file__).resolve().parents[1]
+    code = "import sys, invomega.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.strip() == "[]"
+
 
 class TestGenerate:
     def test_single_scenario_deterministic(self):
@@ -252,6 +296,22 @@ class TestScenarioCsv:
         path.write_text("t0,t1,t2\n-200,350,-100\n-200,300\n")
         with pytest.raises(ScenarioParseError, match="row 3"):
             load_scenarios(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("t0,t1\n-1,2\n\n3,4\n", "row 4: F_0 must be the initial outlay"),
+            ("t0,t1\n-1,2\n-1,inf\n", "row 3: flow at t=1 is not finite"),
+            ("t0,t1\n-1,nan\n", "row 2: flow at t=1 is not finite"),
+            ("weight,t0,t1\n0.5,-1,2\nnan,-1,3\n", "row 3: weight must be finite and >= 0"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as exc:
+            load_scenarios(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "s.csv"
