@@ -109,15 +109,21 @@ def present_value(flows: Sequence[float] | Iterable[float], curve: YieldCurve) -
 
 
 def _flow_array(rows: Iterable[Sequence[float]] | np.ndarray) -> np.ndarray:
-    """Validated float copy of flow rows F_0..F_T, shape (N, T+1)."""
-    if not isinstance(rows, np.ndarray):
+    """Validated float flow rows F_0..F_T, shape (N, T+1).
+
+    An array already marked read-only is kept as it is, without a copy;
+    anything else is copied.
+    """
+    if isinstance(rows, np.ndarray):
+        flows = rows.astype(float, copy=rows.flags.writeable)
+    else:
         rows = list(rows)
         for i, row in enumerate(rows):
             if len(row) != len(rows[0]):
                 raise HorizonMismatchError(
                     f"scenario {i} has horizon {len(row) - 1}, expected {len(rows[0]) - 1}"
                 )
-    flows = np.array(rows, dtype=float)
+        flows = np.array(rows, dtype=float)
     if flows.ndim != 2 or len(flows) == 0:
         raise InputError("a scenario set needs at least one scenario")
     if flows.shape[1] < 2:

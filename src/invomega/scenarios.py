@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -57,10 +58,82 @@ class SeededStream:
         return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
     def normals(self, indices: Sequence[int] | np.ndarray, draw: int = 0) -> np.ndarray:
-        # imported here so that commands which generate nothing never load scipy
-        from scipy.special import ndtri
+        """Standard normal draws: the Cephes normal quantile of ``uniforms`` (numpy only)."""
+        return _ndtri(self.uniforms(indices, draw))
 
-        return ndtri(self.uniforms(indices, draw))
+
+# Cephes ndtri (S. L. Moshier, "Methods and Programs for Mathematical
+# Functions", 1989): sqrt(2 pi), exp(-2), and the rational approximations for
+# |y - 1/2| <= 3/8 (P0/Q0), for z = sqrt(-2 log y) in [2, 8) (P1/Q1) and in
+# [8, 64] (P2/Q2), highest power first; the Q tables omit their leading 1.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coefs: Sequence[float]) -> np.ndarray:
+    """Cephes ``polevl``: the polynomial in Horner order, highest power first."""
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _p1evl(x: np.ndarray, coefs: Sequence[float]) -> np.ndarray:
+    """Cephes ``p1evl``: ``polevl`` with an implied leading coefficient 1."""
+    return _polevl(x, (1.0, *coefs))
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log; numpy's SIMD np.log may differ in the last bit
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each u, ported from Cephes ``ndtri``.
+
+    Same branches, tables and evaluation order as the C code, with libm logs,
+    so the result is bitwise that of ``scipy.special.ndtri``: -inf at 0, +inf
+    at 1, nan outside [0, 1].
+    """
+    u = np.asarray(u, dtype=np.float64)
+    x = np.full(u.shape, np.nan)
+    x[u == 0.0] = -np.inf
+    x[u == 1.0] = np.inf
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    inside = (u > 0.0) & (u < 1.0)
+    central = inside & (y > _EXP_M2)
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    x[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    tail = inside & ~central
+    s = np.sqrt(-2.0 * _libm_log(y[tail]))
+    s0 = s - _libm_log(s) / s
+    z = 1.0 / s
+    s1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    far = s >= 8.0  # y <= exp(-32)
+    zf = z[far]
+    s1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+    d = s0 - s1
+    x[tail] = np.where(upper[tail], d, -d)
+    return x
 
 
 @dataclass(frozen=True)
@@ -274,11 +347,10 @@ def load_scenarios(
     """Load a scenario CSV (header ``t0,...,tT`` with optional leading ``weight``)."""
     path = Path(path)
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
+        first = handle.readline()
+        if not first:
             raise ScenarioParseError(f"{path}: empty file")
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in next(csv.reader([first]), [])]
         has_weights = bool(header) and header[0] == "weight"
         flow_names = header[1:] if has_weights else header
         expected = [f"t{i}" for i in range(len(flow_names))]
@@ -293,36 +365,62 @@ def load_scenarios(
                 f"{path}: file horizon {file_horizon} does not match expected {horizon}"
             )
         n_cols = len(header)
-        rows: list[list[str]] = []
-        linenos: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != n_cols:
-                raise ScenarioParseError(
-                    f"{path}: row {lineno}: expected {n_cols} columns, got {len(row)}"
-                )
-            rows.append(row)
-            linenos.append(lineno)
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2, dtype=float)
+            if len(table) and table.shape[1] != n_cols:
+                raise ValueError  # the scan names the line with the wrong column count
+        except ValueError:
+            table = _scan_table(path, n_cols)
+    if not len(table):
         raise ScenarioParseError(f"{path}: no scenario rows")
-    try:
-        table = np.array(rows, dtype=float)
-    except ValueError:
-        i, bad = next((i, c) for i, row in enumerate(rows) for c in row if not _is_float(c))
-        raise ScenarioParseError(
-            f"{path}: row {linenos[i]}: non-numeric value {bad!r}"
-        ) from None
+
+    linenos: list[int] = []  # file line of each data row, found only when an error needs it
 
     def where(i: int) -> str:
+        if not linenos:
+            linenos.extend(lineno for lineno, _ in _data_rows(path))
         return f"{path}: row {linenos[i]}"
 
+    table.setflags(write=False)  # so that the ScenarioSet keeps it without a copy
     flows, weights = (table[:, 1:], table[:, 0]) if has_weights else (table, None)
     check_flow_rows(flows, where)
     if weights is not None:
         weights = validated_weights(weights, len(table), lambda i: f"{where(i)}: weight")
     pid = project_id if project_id is not None else path.stem
     return ScenarioSet(pid, flows, weights)
+
+
+def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line, cells) of each data row of a scenario CSV, blank rows skipped."""
+    with open(path, newline="") as handle:
+        handle.readline()
+        for lineno, row in enumerate(csv.reader(handle), start=2):
+            if any(cell.strip() for cell in row):
+                yield lineno, row
+
+
+def _scan_table(path: Path, n_cols: int) -> np.ndarray:
+    # np.loadtxt refuses a few inputs that the csv grammar accepts (whitespace-only
+    # lines, all-empty rows such as ",,", quoted cells); this row-by-row scan parses
+    # those and names the file and line of the first bad row in any other refusal.
+    rows: list[list[str]] = []
+    linenos: list[int] = []
+    for lineno, row in _data_rows(path):
+        if len(row) != n_cols:
+            raise ScenarioParseError(
+                f"{path}: row {lineno}: expected {n_cols} columns, got {len(row)}"
+            )
+        rows.append(row)
+        linenos.append(lineno)
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        i, bad = next((i, c) for i, row in enumerate(rows) for c in row if not _is_float(c))
+        raise ScenarioParseError(
+            f"{path}: row {linenos[i]}: non-numeric value {bad!r}"
+        ) from None
 
 
 def _is_float(cell: str) -> bool:

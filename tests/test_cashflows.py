@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from invomega import (
@@ -173,6 +174,14 @@ class TestScenarioSet:
     def test_empty(self):
         with pytest.raises(InputError):
             ScenarioSet.uniform("p", [])
+
+    def test_read_only_flows_kept_writeable_flows_copied(self):
+        flows = np.array([[-1.0, 1.0], [-1.0, 2.0]])
+        copied = ScenarioSet.uniform("p", flows)
+        assert not np.shares_memory(copied.flows, flows) and flows.flags.writeable
+        flows.setflags(write=False)
+        assert ScenarioSet.uniform("p", flows).flows is flows
+        assert ScenarioSet.uniform("p", flows.astype(np.float32)).flows.dtype == np.float64
 
     def test_large_uniform_set_passes_weight_check(self):
         n = 99999

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from invomega import (
 )
 import invomega
 from invomega import DomainError
-from invomega.scenarios import _lognormal_w, generator_spec_from_dict
+from invomega.scenarios import _lognormal_w, _ndtri, _scan_table, generator_spec_from_dict
 
 
 def spec_right(n=100, seed=555) -> GeneratorSpec:
@@ -78,6 +80,37 @@ class TestSeededStream:
     def test_seed_must_be_int(self):
         with pytest.raises(InputError):
             SeededStream(1.5)
+
+
+class TestNdtri:
+    """The Cephes port against scipy.special.ndtri, which wraps the C original."""
+
+    @staticmethod
+    def assert_bitwise(u):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        ours, ref = _ndtri(u), ndtri(u)
+        assert ours.dtype == np.float64 and ours.shape == ref.shape
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+    def test_counter_draws(self):
+        self.assert_bitwise(SeededStream(2).uniforms(np.arange(1_000_000)))
+
+    def test_branch_edges(self):
+        e = math.exp(-2.0)
+        points = [e, 1.0 - e, math.exp(-32.0), 0.5, 2.0**-54, 1.0 - 2.0**-53, 5e-324]
+        for p in points[:3]:
+            points += [np.nextafter(p, 0.0), np.nextafter(p, 1.0)]
+        self.assert_bitwise(np.array(points))
+
+    def test_log_spaced_sweep(self):
+        # reaches the far tail (u < exp(-32)), which counter draws almost never hit
+        u = np.geomspace(5e-324, 0.5, 20_000)
+        self.assert_bitwise(np.concatenate((u, 1.0 - u)))
+
+    def test_outside_the_open_interval(self):
+        z = _ndtri(np.array([0.0, 1.0, -0.0, -1e-300, 1.0 + 2.0**-52, -np.inf, np.inf, np.nan]))
+        assert z[:3].tolist() == [-np.inf, np.inf, -np.inf]
+        assert np.isnan(z[3:]).all()
 
 
 class TestMomentMatch:
@@ -188,17 +221,34 @@ class TestMomentMatch:
             moment_match("shifted_lognormal", 0.0, 1.0, 1e19)
 
 
-def test_cli_import_loads_no_scipy():
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+GENERATING_COMMANDS = [
+    ["simulate", "--spec", str(DEMO / "project_right.json"), "--n", "1000", "--out", "right.csv"],
+    [
+        "rank", "--projects", str(DEMO / "project_left.json"), str(DEMO / "project_right.json"),
+        "--curve", str(DEMO / "curve_flat5.csv"), "--delta-mu", "0.10", "--out", "rank.json",
+    ],
+]
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
     src = Path(invomega.__file__).resolve().parents[1]
-    code = "import sys, invomega.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.stdout.strip() == "[]"
+    for commands in ([], GENERATING_COMMANDS):
+        code = (
+            "import sys\n"
+            "from invomega.cli import main\n"
+            f"assert [main(argv) for argv in {commands!r}] == {[0] * len(commands)!r}\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout.splitlines()[-1] == "[]", commands
 
 
 class TestGenerate:
@@ -304,14 +354,72 @@ class TestScenarioCsv:
             ("t0,t1\n-1,2\n-1,inf\n", "row 3: flow at t=1 is not finite"),
             ("t0,t1\n-1,nan\n", "row 2: flow at t=1 is not finite"),
             ("weight,t0,t1\n0.5,-1,2\nnan,-1,3\n", "row 3: weight must be finite and >= 0"),
+            # a blank line before the bad row, on the single-parse and the csv-scan paths
+            ("t0,t1\n-1,2\n\n-1,abc\n", "row 4: non-numeric value 'abc'"),
+            ("t0,t1\n-1,2\n  \n-1\n", "row 4: expected 2 columns, got 1"),
+            ("t0,t1\r\n-1,2\r\n\r\n-1,2,3\r\n", "row 4: expected 2 columns, got 3"),
+            ('t0,t1\n"-1",2\n\n5,1\n', "row 4: F_0 must be the initial outlay"),
+            ("weight,t0,t1\r\n0.5,-1,2\r\n\r\n-0.5,-1,3\r\n", "row 4: weight must be"),
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, text, message):
         path = tmp_path / "s.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         with pytest.raises(InputError) as exc:
             load_scenarios(path)
         assert str(exc.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t0,t1\n-1,2\n   \n-1,3\n",
+            "t0,t1,t2\n-1,2,3\n,,\n-1,3,4\n",
+            't0,t1\n"-1","2"\n-1,3\n',
+            "weight,t0,t1\r\n0.25,-1,2\r\n0.75,-1,3\r\n",
+            "weight,t0,t1\n0.25,-1,2\n\n0.75,-1,3",
+        ],
+        ids=["whitespace-line", "empty-row", "quoted", "crlf", "blank-line"],
+    )
+    def test_loads_as_the_csv_scan(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        ss = load_scenarios(path)
+        weighted = text.startswith("weight")
+        table = _scan_table(path, ss.horizon + 1 + weighted)
+        assert len(ss) == 2
+        assert ss.flows.tolist() == table[:, weighted:].tolist()
+        if weighted:
+            assert ss.weights.tolist() == table[:, 0].tolist()
+
+    def test_header_only(self, tmp_path, capfd):
+        path = tmp_path / "s.csv"
+        path.write_text("t0,t1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioParseError, match="no scenario rows"):
+                load_scenarios(path)
+        assert capfd.readouterr().err == ""
+
+    def test_weighted_load_peak_memory(self, tmp_path):
+        # the parse used to hold every cell as a Python string (about 10x the table)
+        rng = np.random.default_rng(3)
+        n, horizon = 10_000, 30
+        weights = rng.uniform(0.5, 1.5, n)
+        weights /= math.fsum(weights.tolist())
+        flows = rng.normal(100.0, 40.0, (n, horizon + 1)).round(2)
+        flows[:, 0] = -1000.0
+        lines = ["weight," + ",".join(f"t{t}" for t in range(horizon + 1))]
+        lines += [",".join(map(repr, [w, *row])) for w, row in zip(weights.tolist(), flows.tolist())]
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            ss = load_scenarios(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ss.flows.tolist() == flows.tolist()
+        assert peak < 2 * (ss.flows.nbytes + ss.weights.nbytes)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "s.csv"
