@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .curves import YieldCurve
 from .distributions import EmpiricalDistribution, summarize, write_omega_curve_csv, write_summary_csv
-from .errors import DomainError, EngineError, InputError
+from .errors import DomainError, EngineError, InputError, decoding
 from .metrics import HurdleSpec, evaluate_set, write_evaluation_csv
 from .radr import MODE_CANONICAL, MODES, RadrInput, radr_valuation
 from .ranking import (
@@ -33,6 +34,8 @@ from .scenarios import (
 )
 from . import __version__
 
+MAX_GRID_POINTS = 1_000_000
+
 
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
@@ -42,15 +45,30 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise InputError(f"grid must be numeric lo:hi:step, got {text!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step, hi - lo))):
+        raise InputError(f"grid lo, hi, step and hi - lo must be finite, got {text!r}")
     if step <= 0.0 or hi <= lo:
         raise InputError(f"grid needs hi > lo and step > 0, got {text!r}")
-    count = int((hi - lo) / step + 1e-9) + 1
-    return [lo + i * step for i in range(count)]
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise InputError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return [lo + i * step for i in range(int(steps) + 1)]
+
+
+def _strict(value):
+    """``value`` with each non-finite float spelled as in the CSVs: "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _write_json(payload: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _percent(x: float) -> str:
@@ -60,7 +78,8 @@ def _percent(x: float) -> str:
 def _load_spec_file(path: Path):
     """Accept either a project descriptor with a generator block or a bare block."""
     try:
-        data = json.loads(path.read_text())
+        with decoding(path):
+            data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

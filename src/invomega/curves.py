@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import InputError, TenorOutOfRangeError
+from .errors import InputError, TenorOutOfRangeError, decoding
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class YieldCurve:
     def from_csv(cls, path: str | Path) -> "YieldCurve":
         """Load a curve from CSV with header ``tenor,rate`` and tenors 1..T."""
         rows: list[tuple[int, float]] = []
-        with open(path, newline="") as handle:
+        with decoding(path), open(path, newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header[:2]] != ["tenor", "rate"]:

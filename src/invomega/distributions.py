@@ -206,6 +206,12 @@ def partial_moments(
     return call, put
 
 
+def omega_values(call: np.ndarray, put: np.ndarray) -> np.ndarray:
+    """Omega = call / put, +inf where only upside mass remains, nan where neither side has any."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(put > 0.0, call / put, np.where(call > 0.0, np.inf, np.nan))
+
+
 def _omega_at(
     dist: EmpiricalDistribution, thresholds: Sequence[float]
 ) -> tuple[OmegaResult, ...]:
@@ -215,16 +221,8 @@ def _omega_at(
     if bad.size:
         raise InputError(f"threshold must be finite, got {thresholds[bad[0]]!r}")
     call, put = partial_moments(dist, lam)
-    return tuple(
-        OmegaResult(threshold=t, call=c, put=p, omega=_ratio(c, p))
-        for t, c, p in zip(thresholds, call.tolist(), put.tolist())
-    )
-
-
-def _ratio(call: float, put: float) -> float:
-    if put > 0.0:
-        return call / put
-    return math.inf if call > 0.0 else math.nan
+    columns = zip(thresholds, call.tolist(), put.tolist(), omega_values(call, put).tolist())
+    return tuple(OmegaResult(threshold=t, call=c, put=p, omega=o) for t, c, p, o in columns)
 
 
 def omega(dist: EmpiricalDistribution, threshold: float) -> OmegaResult:
@@ -248,78 +246,46 @@ def _check_grid(grid: Sequence[float]) -> None:
             raise InputError(f"grid must be strictly increasing, got {lo} then {hi}")
 
 
-def _compare(a: OmegaResult, b: OmegaResult) -> int:
-    """Sign of Omega_a - Omega_b; infinities above all finite values,
-    indeterminate points treated as incomparable (sign 0)."""
-    if a.is_indeterminate or b.is_indeterminate:
-        return 0
-    if a.is_infinite and b.is_infinite:
-        return 0
-    if a.is_infinite:
-        return 1
-    if b.is_infinite:
-        return -1
-    diff = a.omega - b.omega
-    return (diff > 0) - (diff < 0)
+def _signs(omega_a: np.ndarray, omega_b: np.ndarray) -> np.ndarray:
+    """Sign of Omega_a - Omega_b: +inf ranks above every finite value; 0 at a tie,
+    where either Omega is indeterminate (nan) and where both are +inf."""
+    with np.errstate(invalid="ignore"):
+        diff = omega_a - omega_b
+    return np.where(np.isnan(diff), 0.0, np.sign(diff))
 
 
 def crossing_on_grid(
     grid: Sequence[float],
-    eval_a: Callable[[float], OmegaResult],
-    eval_b: Callable[[float], OmegaResult],
-    curve_a: Sequence[OmegaResult] | None = None,
-    curve_b: Sequence[OmegaResult] | None = None,
+    omega_a: Callable[[np.ndarray], np.ndarray],
+    omega_b: Callable[[np.ndarray], np.ndarray],
 ) -> list[tuple[float, float]]:
     """Brackets where the ranking of two Omega curves flips along ``grid``.
 
-    Each flip between adjacent grid points is refined by bisection (re-evaluating
-    both curves at midpoints) until the bracket is no wider than the local grid
-    step divided by 1024.
+    ``omega_a`` and ``omega_b`` map an array of points to the curves' Omega
+    there. A flip is a change of sign between two grid points whose signs are
+    non-zero and which have only zeros between them. Its bracket lies in the
+    grid step that ends at the first of those zeros, or in the step between
+    the two points when there are none. So (+, 0, -) gives one bracket in the
+    first step, while (+, 0, +) and a run of zeros at either end of the grid
+    give none. All brackets are bisected together, with one call of each
+    curve per step at the midpoints of the brackets still open, until each is
+    no wider than its grid step divided by 1024.
     """
     _check_grid(grid)
-    if curve_a is None:
-        curve_a = [eval_a(x) for x in grid]
-    if curve_b is None:
-        curve_b = [eval_b(x) for x in grid]
-    if len(curve_a) != len(grid) or len(curve_b) != len(grid):
-        raise InputError("curves and grid must have equal length")
-    signs = [_compare(a, b) for a, b in zip(curve_a, curve_b)]
-    brackets: list[tuple[float, float]] = []
-    for i in range(len(grid) - 1):
-        s_lo, s_hi = signs[i], signs[i + 1]
-        if s_lo * s_hi >= 0:
-            continue
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        limit = (hi - lo) / 1024.0
-        while hi - lo > limit:
-            mid = 0.5 * (lo + hi)
-            s_mid = _compare(eval_a(mid), eval_b(mid))
-            if s_mid == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        brackets.append((lo, hi))
-    return brackets
-
-
-def crossing(
-    curve_a: Sequence[OmegaResult],
-    curve_b: Sequence[OmegaResult],
-    dist_a: EmpiricalDistribution,
-    dist_b: EmpiricalDistribution,
-) -> list[tuple[float, float]]:
-    """Ranking flips between two Omega curves evaluated on one threshold grid."""
-    grid_a = [r.threshold for r in curve_a]
-    grid_b = [r.threshold for r in curve_b]
-    if grid_a != grid_b:
-        raise InputError("curves were evaluated on different threshold grids")
-    return crossing_on_grid(
-        grid_a,
-        lambda lam: omega(dist_a, lam),
-        lambda lam: omega(dist_b, lam),
-        curve_a=curve_a,
-        curve_b=curve_b,
-    )
+    points = np.array(grid, dtype=float)
+    signs = _signs(omega_a(points), omega_b(points))
+    nonzero = np.flatnonzero(signs)
+    flips = nonzero[:-1][signs[nonzero[:-1]] != signs[nonzero[1:]]]
+    lo, hi, side = points[flips], points[flips + 1], signs[flips]
+    limit = (hi - lo) / 1024.0
+    open_ = np.flatnonzero(hi - lo > limit)
+    while open_.size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        stay = _signs(omega_a(mid), omega_b(mid)) == side[open_]
+        lo[open_[stay]] = mid[stay]
+        hi[open_[~stay]] = mid[~stay]
+        open_ = open_[hi[open_] - lo[open_] > limit[open_]]
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def write_omega_curve_csv(

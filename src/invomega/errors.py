@@ -7,6 +7,10 @@ covers computations that are undefined for otherwise valid data (exit 1).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
+
 
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
@@ -42,3 +46,12 @@ class ReturnUndefinedError(DomainError):
 
 class NonCanonicalFlowError(DomainError):
     """An operation restricted to canonical flows met a negative flow."""
+
+
+@contextmanager
+def decoding(path: str | Path) -> Iterator[None]:
+    """Report text in ``path`` that does not decode as an InputError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid {exc.encoding} text: {exc.reason}") from None

@@ -10,9 +10,12 @@ ranking flips can be localized exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import IO, Sequence
+
+import numpy as np
 
 from .cashflows import ScenarioSet
 from .csvio import write_csv
@@ -25,10 +28,14 @@ from .distributions import (
     _omega_at,
     crossing_on_grid,
     omega,
+    omega_values,
+    partial_moments,
     summarize,
 )
 from .errors import InputError
-from .metrics import HurdleSpec, ThresholdSet, evaluate_set, mean_basis_outlay, thresholds
+from .metrics import (
+    HurdleSpec, ThresholdSet, evaluate_set, mean_basis_outlay, npv_from_mu, thresholds,
+)
 
 METRICS = ("npv", "mu")
 
@@ -220,12 +227,31 @@ def omega_vs_hurdle(
     project's outlay basis; either way the curve is nonincreasing in mu*.
     """
     _check_grid(mu_grid)
-    results = _omega_at(project.distribution, [_threshold_at(project, curve, m) for m in mu_grid])
+    results = _omega_at(project.distribution, _thresholds_at(project, curve, mu_grid).tolist())
     return tuple(HurdleCurvePoint(mu_star=m, result=r) for m, r in zip(mu_grid, results))
 
 
-def _threshold_at(project: ProjectEvaluation, curve: YieldCurve, mu_star: float) -> float:
-    return metric_threshold(project, HurdleSpec("mu_star", mu_star), curve)[0]
+def _thresholds_at(
+    project: ProjectEvaluation, curve: YieldCurve, mu_stars: Sequence[float]
+) -> np.ndarray:
+    """The project's metric threshold at each mu* hurdle: mu* itself, or its NPV
+    equivalent from ``npv_from_mu`` point by point (Python floats, libm ``pow``).
+
+    ``npv_from_mu`` is increasing in mu*, so on the mu metric converting only
+    the smallest and the largest mu* rejects the same hurdles as converting all.
+    """
+    mus = np.array(mu_stars, dtype=float)
+    on_mu = project.metric == "mu"
+    points = [float(mus.min()), float(mus.max())] if on_mu else mus.tolist()
+    npv = [npv_from_mu(m, project.basis_outlay, curve, project.horizon) for m in points]
+    return mus if on_mu else np.array(npv)
+
+
+def _hurdle_omega(
+    project: ProjectEvaluation, curve: YieldCurve, mu_stars: np.ndarray
+) -> np.ndarray:
+    call, put = partial_moments(project.distribution, _thresholds_at(project, curve, mu_stars))
+    return omega_values(call, put)
 
 
 def hurdle_crossings(
@@ -233,24 +259,10 @@ def hurdle_crossings(
     project_b: ProjectEvaluation,
     curve: YieldCurve,
     mu_grid: Sequence[float],
-    omega_a: Sequence[OmegaResult] | None = None,
-    omega_b: Sequence[OmegaResult] | None = None,
 ) -> list[tuple[float, float]]:
-    """Hurdle intervals (width <= grid step / 1024) where the pair's ranking flips.
-
-    ``omega_a``/``omega_b`` are the projects' Omega along ``mu_grid`` when
-    already known; bisection midpoints are single Omega lookups.
-    """
-
-    def _eval(project: ProjectEvaluation):
-        def at(mu_star: float) -> OmegaResult:
-            return omega(project.distribution, _threshold_at(project, curve, mu_star))
-
-        return at
-
-    return crossing_on_grid(
-        list(mu_grid), _eval(project_a), _eval(project_b), curve_a=omega_a, curve_b=omega_b
-    )
+    """Hurdle intervals (width <= grid step / 1024) where the pair's ranking flips."""
+    omega_a, omega_b = (partial(_hurdle_omega, p, curve) for p in (project_a, project_b))
+    return crossing_on_grid(mu_grid, omega_a, omega_b)
 
 
 def rank_with_crossings(
@@ -260,33 +272,15 @@ def rank_with_crossings(
     curve: YieldCurve,
     mu_grid: Sequence[float],
 ) -> RankingReport:
-    """rank() plus pairwise ranking-flip brackets over a shared mu* grid.
-
-    Each project's Omega along the grid is computed once and shared by its pairs.
-    """
+    """rank() plus pairwise ranking-flip brackets over a shared mu* grid."""
     report = rank(projects, hurdle, metric, curve)
-    curves = [[p.result for p in omega_vs_hurdle(project, curve, mu_grid)] for project in projects]
-    pairs = []
-    for i in range(len(projects)):
-        for j in range(i + 1, len(projects)):
-            brackets = hurdle_crossings(
-                projects[i], projects[j], curve, mu_grid, omega_a=curves[i], omega_b=curves[j]
-            )
-            pairs.append(
-                PairCrossings(
-                    project_a=projects[i].project_id,
-                    project_b=projects[j].project_id,
-                    brackets=tuple(brackets),
-                )
-            )
-    return RankingReport(
-        hurdle=report.hurdle,
-        metric=report.metric,
-        entries=report.entries,
-        order=report.order,
-        excluded=report.excluded,
-        crossings=tuple(pairs),
+    _check_grid(mu_grid)
+    pairs = tuple(
+        PairCrossings(a.project_id, b.project_id, tuple(hurdle_crossings(a, b, curve, mu_grid)))
+        for i, a in enumerate(projects)
+        for b in projects[i + 1:]
     )
+    return replace(report, crossings=pairs)
 
 
 def write_ranking_csv(report: RankingReport, target: str | Path | IO[str]) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from .cashflows import ScenarioSet, check_flow_rows
 from .csvio import write_csv
 from .distributions import validated_weights
-from .errors import DomainError, HorizonMismatchError, InputError, ScenarioParseError
+from .errors import DomainError, HorizonMismatchError, InputError, ScenarioParseError, decoding
 
 FAMILIES = ("shifted_lognormal", "mirrored_shifted_lognormal", "normal", "discrete")
 
@@ -346,7 +346,7 @@ def load_scenarios(
 ) -> ScenarioSet:
     """Load a scenario CSV (header ``t0,...,tT`` with optional leading ``weight``)."""
     path = Path(path)
-    with open(path, newline="") as handle:
+    with decoding(path), open(path, newline="") as handle:
         first = handle.readline()
         if not first:
             raise ScenarioParseError(f"{path}: empty file")
@@ -455,7 +455,8 @@ def load_project(
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        with decoding(path):
+            data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

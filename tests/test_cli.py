@@ -43,7 +43,7 @@ def workspace(tmp_path: Path) -> Path:
     return tmp_path
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
+def run_cli(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     """The CLI as a child process, so that an uncaught exception shows as a traceback."""
     src = Path(invomega.__file__).resolve().parents[1]
     return subprocess.run(
@@ -51,7 +51,24 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
+        **kwargs,
     )
+
+
+def cap_address_space() -> None:
+    """Limit the child to 1 GiB of address space, so that a runaway allocation fails fast."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def strict_json(text: str):
+    """json.loads that refuses the bare Infinity, -Infinity and NaN constants."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestSimulate:
@@ -267,10 +284,39 @@ class TestRank:
             ]
         )
         assert code == 0
-        report = json.loads(out.read_text())  # json parses Infinity back to inf
+        report = json.loads(out.read_text())
         assert report["order"][0] == "sure"
-        assert report["entries"][0]["omega"] == float("inf")
+        assert report["entries"][0]["omega"] == "inf"  # the CSV spelling, not bare Infinity
         assert ",inf," in out_csv.read_text()
+
+    def test_report_is_strict_json(self, workspace):
+        # an infinite Omega, a crossing sweep and an undefined skewness in one report
+        (workspace / "sure.csv").write_text("t0,t1,t2\n-100.0,0.0,200.0\n")
+        (workspace / "sure.json").write_text(
+            json.dumps({"id": "sure", "horizon": 2, "scenario_file": "sure.csv"})
+        )
+        out = workspace / "strict.json"
+        code = main(
+            [
+                "rank",
+                "--projects",
+                str(workspace / "sure.json"),
+                str(workspace / "right.json"),
+                "--curve",
+                str(workspace / "curve.csv"),
+                "--mu-star",
+                "0.10",
+                "--grid",
+                "0.0:0.3:0.05",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        report = strict_json(out.read_text())
+        assert report["entries"][0]["omega"] == "inf"
+        assert report["entries"][0]["summary"]["skewness"] is None
+        assert "crossings" in report
 
     def test_metric_defaults_to_mu(self, workspace):
         out = workspace / "default_metric.json"
@@ -428,6 +474,66 @@ class TestOmegaCurve:
         )
         assert code == 2
         assert "grid" in capsys.readouterr().err
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize(
+        "grid",
+        ["0:inf:0.1", "0:nan:0.1", "-inf:1:0.1", "0:1:inf", "-1e308:1e308:1e306", "0:1:1e-12"],
+    )
+    def test_bad_grid_exit_2_without_traceback(self, workspace, grid):
+        # the child's address space is capped: 0:1:1e-12 must be refused before any point is built
+        proc = run_cli(
+            "rank",
+            "--projects",
+            str(workspace / "mean_right.json"),
+            "--curve",
+            str(workspace / "curve.csv"),
+            "--mu-star",
+            "0.1",
+            f"--grid={grid}",
+            "--out",
+            str(workspace / "rank.json"),
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "grid" in proc.stderr
+
+    def test_grid_point_cap(self):
+        from invomega.cli import MAX_GRID_POINTS, _parse_grid
+
+        assert len(_parse_grid("0:0.999999:0.000001")) == MAX_GRID_POINTS
+        with pytest.raises(invomega.InputError, match="more than"):
+            _parse_grid("0:1:0.000001")
+
+    @pytest.mark.parametrize("bad", ["scenario", "curve", "descriptor"])
+    def test_non_utf8_input_exit_2_naming_the_file(self, workspace, bad):
+        (workspace / "bad.csv").write_bytes(b"t0,t1,t2\n-200.0,3\xff0.0,-100.0\n")
+        (workspace / "bad_curve.csv").write_bytes(b"tenor,rate\n1,0.05\n2,0.0\xff5\n")
+        (workspace / "bad.json").write_bytes(
+            b'{"id": "bad", "horizon": 2, "scenario_file": "bad.csv"}'
+        )
+        (workspace / "bad_id.json").write_bytes(
+            b'{"id": "\xff", "horizon": 2, "scenario_file": "single.csv"}'
+        )
+        project, curve, named = {
+            "scenario": ("bad.json", "curve.csv", "bad.csv"),
+            "curve": ("single.json", "bad_curve.csv", "bad_curve.csv"),
+            "descriptor": ("bad_id.json", "curve.csv", "bad_id.json"),
+        }[bad]
+        proc = run_cli(
+            "evaluate",
+            "--project",
+            str(workspace / project),
+            "--curve",
+            str(workspace / curve),
+            "--out-dir",
+            str(workspace / "r"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
 
 
 class TestRadrCompare:

@@ -8,13 +8,20 @@ import pytest
 from invomega import (
     EmpiricalDistribution,
     InputError,
-    crossing,
+    OmegaResult,
     crossing_on_grid,
     omega,
     omega_curve,
     summarize,
 )
-from invomega.distributions import write_omega_curve_csv, write_summary_csv
+from invomega.distributions import (
+    omega_values,
+    partial_moments,
+    write_omega_curve_csv,
+    write_summary_csv,
+)
+
+import reference
 
 
 def random_dist(rng: random.Random, n: int | None = None) -> EmpiricalDistribution:
@@ -249,13 +256,25 @@ class TestOmegaCurve:
             omega_curve(dist, [2.0, 1.0])
 
 
+def omega_of(dist: EmpiricalDistribution):
+    """The distribution's Omega as an array callable, the form crossing_on_grid takes."""
+    return lambda points: omega_values(*partial_moments(dist, points))
+
+
+def flat(value: float):
+    return lambda points: np.full(points.shape, value)
+
+
+def as_result(value: float) -> OmegaResult:
+    """A scalar lookup for the reference solver; only the Omega value matters there."""
+    return OmegaResult(threshold=0.0, call=0.0, put=0.0, omega=value)
+
+
 class TestCrossing:
     def test_identical_distributions(self):
         dist = EmpiricalDistribution([0.0, 50.0, 100.0])
         grid = [10.0, 30.0, 70.0]
-        curve_a = omega_curve(dist, grid)
-        curve_b = omega_curve(dist, grid)
-        assert crossing(curve_a, curve_b, dist, dist) == []
+        assert crossing_on_grid(grid, omega_of(dist), omega_of(dist)) == []
 
     def test_two_point_pair_crosses_at_common_mean(self):
         # omega of {0,100} and {40,60} are equal exactly at 50; the ranking
@@ -263,9 +282,7 @@ class TestCrossing:
         dist_a = EmpiricalDistribution([0.0, 100.0])
         dist_b = EmpiricalDistribution([40.0, 60.0])
         grid = [41.0, 45.0, 49.0, 53.0, 57.0]
-        curve_a = omega_curve(dist_a, grid)
-        curve_b = omega_curve(dist_b, grid)
-        brackets = crossing(curve_a, curve_b, dist_a, dist_b)
+        brackets = crossing_on_grid(grid, omega_of(dist_a), omega_of(dist_b))
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert lo <= 50.0 <= hi
@@ -279,27 +296,91 @@ class TestCrossing:
         dist_a = EmpiricalDistribution([0.0, 1.0])
         dist_b = EmpiricalDistribution([10.0, 11.0])
         grid = [2.0, 4.0, 6.0, 9.0]
-        brackets = crossing(
-            omega_curve(dist_a, grid), omega_curve(dist_b, grid), dist_a, dist_b
-        )
-        assert brackets == []
-
-    def test_grid_mismatch(self):
-        dist = EmpiricalDistribution([0.0, 100.0])
-        curve_a = omega_curve(dist, [10.0, 20.0])
-        curve_b = omega_curve(dist, [10.0, 30.0])
-        with pytest.raises(InputError, match="grid"):
-            crossing(curve_a, curve_b, dist, dist)
+        assert crossing_on_grid(grid, omega_of(dist_a), omega_of(dist_b)) == []
 
     def test_crossing_on_grid_with_callables(self):
         dist_a = EmpiricalDistribution([0.0, 100.0])
         dist_b = EmpiricalDistribution([40.0, 60.0])
         brackets = crossing_on_grid(
-            [45.0, 55.0], lambda x: omega(dist_a, x), lambda x: omega(dist_b, x)
+            [45.0, 55.0],
+            lambda x: np.array([omega(dist_a, v).omega for v in x]),
+            lambda x: np.array([omega(dist_b, v).omega for v in x]),
         )
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert lo <= 50.0 <= hi and hi - lo <= 10.0 / 1024.0
+
+
+class TestZeroSigns:
+    """Grid signs of 0 (ties, indeterminate points, both curves +inf) between flips."""
+
+    def test_flip_through_a_tie_on_the_grid(self):
+        # signs (+, 0, -): one bracket, in the step that ends at the tie
+        brackets = crossing_on_grid([0.0, 1.0, 2.0], lambda x: 2.0 - x, flat(1.0))
+        assert brackets == [(1.0 - 1.0 / 1024.0, 1.0)]
+
+    def test_flip_through_a_run_of_ties(self):
+        # signs (+, 0, 0, -): the bracket goes in the step that ends at the first 0
+        a = lambda x: np.where(x < 1.0, 2.0, np.where(x <= 2.0, 1.0, 0.5))
+        (lo, hi), = crossing_on_grid([0.0, 1.0, 2.0, 3.0], a, flat(1.0))
+        assert 0.0 <= lo < hi == 1.0 and hi - lo <= 1.0 / 1024.0
+
+    def test_touch_without_flip(self):
+        # signs (+, 0, +): the curves meet at the grid point but do not swap
+        assert crossing_on_grid([0.0, 1.0, 2.0], lambda x: 1.0 + (x - 1.0) ** 2, flat(1.0)) == []
+
+    def test_zero_runs_at_the_ends(self):
+        # both curves +inf, then a flip, then both indeterminate: signs (0, 0, +, -, 0)
+        grid = [0.0, 1.0, 2.0, 3.0, 4.0]
+        a = lambda x: np.where(x < 1.5, np.inf, np.where(x < 3.5, 3.0 - x, np.nan))
+        b = lambda x: np.where(x < 1.5, np.inf, np.where(x < 3.5, 0.5, np.nan))
+        (lo, hi), = crossing_on_grid(grid, a, b)
+        assert 2.0 <= lo <= 2.5 <= hi <= 3.0 and hi - lo <= 1.0 / 1024.0
+        assert crossing_on_grid(grid[:2], a, b) == []
+        assert crossing_on_grid(grid[:3], a, b) == []  # (0, 0, +)
+        assert crossing_on_grid(grid[3:], a, b) == []
+
+    def test_adjacent_flip_is_bracketed_as_before(self):
+        # signs (+, +, -): no zero in between, so the bracket is that of the scalar loop
+        grid = [0.0, 0.75, 2.0]
+        brackets = crossing_on_grid(grid, lambda x: 2.0 - x, flat(1.0))
+        assert brackets == reference.crossing_on_grid(
+            grid, lambda x: as_result(2.0 - x), lambda x: as_result(1.0)
+        )
+        (lo, hi), = brackets
+        assert 0.75 <= lo < 1.0 <= hi <= 2.0 and hi - lo <= 1.25 / 1024.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_signs_match_the_scalar_reference(self, seed):
+        # step curves on a few levels, so that ties and runs of zeros are common
+        rng = np.random.default_rng(seed)
+        grid = np.cumsum(rng.uniform(0.5, 1.5, 12))
+        levels = np.array([0.5, 1.0, 2.0, np.inf, np.nan])
+        a, b = rng.choice(levels, 12), rng.choice(levels, 12)
+
+        def step(values):
+            return lambda x: values[np.searchsorted(grid, x, side="right") - 1]
+
+        got = crossing_on_grid(grid.tolist(), step(a), step(b))
+        scalar = reference.crossing_on_grid(
+            grid.tolist(),
+            lambda x: as_result(float(step(a)(x))),
+            lambda x: as_result(float(step(b)(x))),
+        )
+        assert got == scalar
+
+    def test_one_call_per_curve_per_bisection_step(self):
+        calls = []
+
+        def counted(points):
+            calls.append(points.size)
+            return np.cos(points)
+
+        grid = np.linspace(0.0, 20.0, 41).tolist()
+        brackets = crossing_on_grid(grid, counted, flat(0.0))
+        assert len(brackets) == 6  # the zeros of cos in (0, 20)
+        assert calls[0] == 41
+        assert len(calls) <= 1 + 11 and calls[1] == 6
 
 
 class TestCsvOutput:

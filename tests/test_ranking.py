@@ -8,6 +8,7 @@ from invomega import (
     GeneratorSpec,
     HurdleSpec,
     InputError,
+    ReturnUndefinedError,
     ScenarioSet,
     YieldCurve,
     evaluate_project,
@@ -18,8 +19,9 @@ from invomega import (
     rank,
     rank_with_crossings,
 )
-from invomega.distributions import crossing_on_grid
 from invomega.ranking import ProjectEvaluation, metric_threshold, write_ranking_csv
+
+import reference
 
 
 def project_from_dist(pid, values, basis=100.0, horizon=2, metric="npv", weights=None):
@@ -214,6 +216,17 @@ class TestOmegaVsHurdle:
             finite = [p.result.omega for p in points if not p.result.is_infinite]
             assert finite == sorted(finite, reverse=True)
 
+    @pytest.mark.parametrize("metric", ["mu", "npv"])
+    def test_both_metrics_reject_the_same_hurdles(self, flat5, metric):
+        # mu* <= -1 has no NPV equivalent and (1+mu*)^T overflows at 1e200, on either metric
+        a = project_from_dist("a", [0.0, 1.0], metric=metric)
+        b = project_from_dist("b", [0.5, 0.6], metric=metric)
+        for grid, error in (([-2.0, 0.1], ReturnUndefinedError), ([0.1, 1e200], InputError)):
+            with pytest.raises(error):
+                omega_vs_hurdle(a, flat5, grid)
+            with pytest.raises(error):
+                hurdle_crossings(a, b, flat5, grid)
+
     def test_grid_validation(self, flat5):
         project = project_from_dist("p", [0.0, 1.0], metric="mu")
         with pytest.raises(InputError):
@@ -267,8 +280,8 @@ class TestHurdleCrossings:
 
     @pytest.mark.parametrize("metric", ["mu", "npv"])
     def test_shared_curves_give_the_per_pair_brackets(self, metric):
-        # rank_with_crossings computes each project's Omega curve once; a pair
-        # recomputed on its own through callables must bracket identically
+        # the report's brackets, from the array solver, must equal those of the
+        # scalar reference, which makes one Omega lookup per point and project
         curve = YieldCurve.flat(0.05, 1)
         specs = [
             ("narrow", mu_project("narrow", 110.0, 1.0, n=3000, seed=31)),
@@ -292,7 +305,7 @@ class TestHurdleCrossings:
         assert len(report.crossings) == len(pairs)
         for pair, (a, b) in zip(report.crossings, pairs):
             assert (pair.project_a, pair.project_b) == (a.project_id, b.project_id)
-            assert list(pair.brackets) == crossing_on_grid(grid, at(a), at(b))
+            assert list(pair.brackets) == reference.crossing_on_grid(grid, at(a), at(b))
         assert sum(len(pair.brackets) for pair in report.crossings) >= 3
 
 
