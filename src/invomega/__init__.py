@@ -1,128 +1,56 @@
-"""Risk profiling and Omega ranking of investment projects against riskless replication."""
+"""Risk profiling and Omega ranking of investment projects against riskless replication.
+
+The namespace is lazy (PEP 562): ``import invomega`` loads no numpy, and each
+public name imports its module on first use.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .cashflows import (
-    CashFlowScenario,
-    ReplicationDecomposition,
-    ScenarioSet,
-    SplitStream,
-    present_value,
-    replicate,
-    split,
-)
-from .curves import ForwardCurve, YieldCurve
-from .distributions import (
-    EmpiricalDistribution,
-    OmegaResult,
-    SummaryStats,
-    crossing_on_grid,
-    omega,
-    omega_curve,
-    summarize,
-)
-from .errors import (
-    DomainError,
-    EngineError,
-    HorizonMismatchError,
-    InputError,
-    NonCanonicalFlowError,
-    ReturnUndefinedError,
-    ScenarioParseError,
-    TenorOutOfRangeError,
-    ZeroOutlayError,
-)
-from .metrics import (
-    EvaluationResult,
-    HurdleSpec,
-    ThresholdSet,
-    evaluate,
-    evaluate_set,
-    mirr,
-    mu_from_npv,
-    npv_from_mu,
-    thresholds,
-)
-from .radr import (
-    EquivalenceReport,
-    RadrInput,
-    RadrResult,
-    equivalence_check,
-    radr_valuation,
-    vertical_average,
-)
-from .ranking import (
-    ProjectEvaluation,
-    RankingReport,
-    evaluate_project,
-    hurdle_crossings,
-    omega_vs_hurdle,
-    rank,
-    rank_with_crossings,
-)
-from .scenarios import (
-    GeneratorSpec,
-    SeededStream,
-    generate,
-    load_project,
-    load_scenarios,
-    moment_match,
-    write_scenarios,
-)
+_EXPORTS = {
+    "cashflows": (
+        "CashFlowScenario", "ReplicationDecomposition", "ScenarioSet", "SplitStream",
+        "present_value", "replicate", "split",
+    ),
+    "curves": ("ForwardCurve", "YieldCurve"),
+    "distributions": (
+        "EmpiricalDistribution", "OmegaResult", "SummaryStats", "crossing_on_grid",
+        "omega", "omega_curve", "summarize",
+    ),
+    "errors": (
+        "DomainError", "EngineError", "HorizonMismatchError", "InputError",
+        "NonCanonicalFlowError", "ReturnUndefinedError", "ScenarioParseError",
+        "TenorOutOfRangeError", "ZeroOutlayError",
+    ),
+    "metrics": (
+        "EvaluationResult", "HurdleSpec", "ThresholdSet", "evaluate", "evaluate_set",
+        "mirr", "mu_from_npv", "npv_from_mu", "thresholds",
+    ),
+    "radr": (
+        "EquivalenceReport", "RadrInput", "RadrResult", "equivalence_check",
+        "radr_valuation", "vertical_average",
+    ),
+    "ranking": (
+        "ProjectEvaluation", "RankingReport", "evaluate_project", "hurdle_crossings",
+        "omega_vs_hurdle", "rank", "rank_with_crossings",
+    ),
+    "scenarios": (
+        "GeneratorSpec", "SeededStream", "generate", "load_project", "load_scenarios",
+        "moment_match", "write_scenarios",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "CashFlowScenario",
-    "DomainError",
-    "EmpiricalDistribution",
-    "EngineError",
-    "EquivalenceReport",
-    "EvaluationResult",
-    "ForwardCurve",
-    "GeneratorSpec",
-    "HorizonMismatchError",
-    "HurdleSpec",
-    "InputError",
-    "NonCanonicalFlowError",
-    "OmegaResult",
-    "ProjectEvaluation",
-    "RadrInput",
-    "RadrResult",
-    "RankingReport",
-    "ReplicationDecomposition",
-    "ReturnUndefinedError",
-    "ScenarioParseError",
-    "ScenarioSet",
-    "SeededStream",
-    "SplitStream",
-    "SummaryStats",
-    "TenorOutOfRangeError",
-    "ThresholdSet",
-    "YieldCurve",
-    "ZeroOutlayError",
-    "crossing_on_grid",
-    "equivalence_check",
-    "evaluate",
-    "evaluate_project",
-    "evaluate_set",
-    "generate",
-    "hurdle_crossings",
-    "load_project",
-    "load_scenarios",
-    "mirr",
-    "moment_match",
-    "mu_from_npv",
-    "npv_from_mu",
-    "omega",
-    "omega_curve",
-    "omega_vs_hurdle",
-    "present_value",
-    "radr_valuation",
-    "rank",
-    "rank_with_crossings",
-    "replicate",
-    "split",
-    "summarize",
-    "thresholds",
-    "vertical_average",
-    "write_scenarios",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,9 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
+
+# The CLI makes no BLAS call, so it spares each process numpy's idle OpenBLAS
+# workers; this must run before the first import of numpy (the layers below).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .curves import YieldCurve
 from .distributions import EmpiricalDistribution, summarize, write_omega_curve_csv, write_summary_csv

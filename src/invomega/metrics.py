@@ -145,15 +145,26 @@ def mu_from_npv(npv: float, basis_outlay: float, curve: YieldCurve, horizon: int
 
 def npv_from_mu(mu: float, basis_outlay: float, curve: YieldCurve, horizon: int) -> float:
     """NPV equivalent of an annualized return floor; exact inverse of mu_from_npv."""
+    return npv_from_mus([mu], basis_outlay, curve, horizon)[0]
+
+
+def npv_from_mus(
+    mus: Sequence[float], basis_outlay: float, curve: YieldCurve, horizon: int
+) -> list[float]:
+    """npv_from_mu at each mu in turn (Python floats, libm ``pow``), with the basis
+    checked and the curve's growth factor looked up once."""
     if basis_outlay <= 0.0:
         raise ZeroOutlayError(f"basis outlay must be positive, got {basis_outlay}")
-    if mu <= -1.0:
-        raise ReturnUndefinedError(f"annualized return must exceed -1, got {mu}")
-    try:
-        growth = (1.0 + mu) ** horizon
-    except OverflowError:
-        raise InputError(f"annualized return {mu} overflows (1+mu)^{horizon}") from None
-    return (growth / curve.growth_factor(horizon) - 1.0) * basis_outlay
+    growth = []
+    for mu in mus:
+        if mu <= -1.0:
+            raise ReturnUndefinedError(f"annualized return must exceed -1, got {mu}")
+        try:
+            growth.append((1.0 + mu) ** horizon)
+        except OverflowError:
+            raise InputError(f"annualized return {mu} overflows (1+mu)^{horizon}") from None
+    g = curve.growth_factor(horizon)
+    return [(x / g - 1.0) * basis_outlay for x in growth]
 
 
 def npv_from_profit(

@@ -34,7 +34,7 @@ from .distributions import (
 )
 from .errors import InputError
 from .metrics import (
-    HurdleSpec, ThresholdSet, evaluate_set, mean_basis_outlay, npv_from_mu, thresholds,
+    HurdleSpec, ThresholdSet, evaluate_set, mean_basis_outlay, npv_from_mus, thresholds,
 )
 
 METRICS = ("npv", "mu")
@@ -235,15 +235,15 @@ def _thresholds_at(
     project: ProjectEvaluation, curve: YieldCurve, mu_stars: Sequence[float]
 ) -> np.ndarray:
     """The project's metric threshold at each mu* hurdle: mu* itself, or its NPV
-    equivalent from ``npv_from_mu`` point by point (Python floats, libm ``pow``).
+    equivalent from ``npv_from_mus`` (Python floats, libm ``pow``).
 
-    ``npv_from_mu`` is increasing in mu*, so on the mu metric converting only
+    The conversion is increasing in mu*, so on the mu metric converting only
     the smallest and the largest mu* rejects the same hurdles as converting all.
     """
     mus = np.array(mu_stars, dtype=float)
     on_mu = project.metric == "mu"
     points = [float(mus.min()), float(mus.max())] if on_mu else mus.tolist()
-    npv = [npv_from_mu(m, project.basis_outlay, curve, project.horizon) for m in points]
+    npv = npv_from_mus(points, project.basis_outlay, curve, project.horizon)
     return mus if on_mu else np.array(npv)
 
 

@@ -18,7 +18,7 @@ from invomega import (
     npv_from_mu,
     thresholds,
 )
-from invomega.metrics import npv_from_profit
+from invomega.metrics import npv_from_mus, npv_from_profit
 
 
 def random_mixed_scenario(rng: random.Random, horizon: int) -> CashFlowScenario:
@@ -144,6 +144,33 @@ class TestMuNpvConversion:
             mu = mu_from_npv(npv, basis, curve, horizon)
             back = npv_from_mu(mu, basis, curve, horizon)
             assert back == pytest.approx(npv, rel=1e-10, abs=1e-9)
+
+    def test_batch_is_the_python_float_formula_bitwise(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            horizon = rng.randint(1, 30)
+            curve = YieldCurve(tuple(rng.uniform(-0.2, 0.6) for _ in range(horizon)))
+            basis = rng.uniform(1, 1000)
+            mus = [rng.uniform(-0.99, 2.0) for _ in range(20)]
+            g = curve.growth_factor(horizon)
+            expected = [((1.0 + mu) ** horizon / g - 1.0) * basis for mu in mus]
+            assert npv_from_mus(mus, basis, curve, horizon) == expected
+            assert [npv_from_mu(mu, basis, curve, horizon) for mu in mus] == expected
+
+    @pytest.mark.parametrize(
+        "mus, error, named",
+        [
+            ([0.1, -1.0, 1e200], ReturnUndefinedError, "-1.0"),
+            ([0.1, 1e200, -2.0], InputError, "1e+200"),
+        ],
+    )
+    def test_batch_error_names_the_first_failing_mu(self, flat5, mus, error, named):
+        with pytest.raises(error) as batch:
+            npv_from_mus(mus, 290.7, flat5, 2)
+        with pytest.raises(error) as scalar:
+            npv_from_mu(float(named), 290.7, flat5, 2)
+        assert named in str(batch.value)
+        assert str(batch.value) == str(scalar.value)
 
     def test_undefined_when_loss_exceeds_outlay(self, flat5):
         with pytest.raises(ReturnUndefinedError):

@@ -1,0 +1,76 @@
+"""The lazy package namespace and the CLI's one-thread OpenBLAS setting."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import invomega
+
+SRC = Path(invomega.__file__).resolve().parents[1]
+
+THREADS = "print(open('/proc/self/status').read().split('Threads:')[1].split()[0])\n"
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except Exception:
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+needs_openblas_threads = pytest.mark.skipif(
+    not Path("/proc/self/status").exists() or not _numpy_uses_openblas(),
+    reason="needs /proc/self/status and numpy built on OpenBLAS",
+)
+
+
+def run_child(code: str, **env: str) -> list[str]:
+    """stdout lines of ``python -c code``, with any inherited OPENBLAS_NUM_THREADS removed."""
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env.update(env, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env
+    )
+    return proc.stdout.splitlines()
+
+
+@needs_openblas_threads
+def test_cli_process_runs_one_thread():
+    code = "import os, invomega.cli, numpy\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n" + THREADS
+    assert run_child(code) == ["1", "1"]
+
+
+@needs_openblas_threads
+def test_cli_keeps_a_user_set_thread_count():
+    code = "import os, invomega.cli, numpy\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n" + THREADS
+    expected = str(min(2, len(os.sched_getaffinity(0))))
+    assert run_child(code, OPENBLAS_NUM_THREADS="2") == ["2", expected]
+
+
+def test_plain_import_loads_no_numpy_and_sets_nothing():
+    code = (
+        "import os, sys, invomega\n"
+        "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ, invomega.__version__)"
+    )
+    assert run_child(code) == [f"False False {invomega.__version__}"]
+
+
+def test_public_names_resolve_to_their_defining_objects():
+    assert invomega.__all__ == sorted(set(invomega.__all__))
+    for name in invomega.__all__:
+        obj = getattr(invomega, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(invomega.__all__) <= set(dir(invomega))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        invomega.no_such_name
+    with pytest.raises(ImportError):
+        from invomega import no_such_name  # noqa: F401
