@@ -8,7 +8,6 @@ zero-coupon outlays covering every F- and bond notionals paying every F+.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -48,20 +47,21 @@ class SplitStream:
 
 @dataclass(frozen=True)
 class ReplicationDecomposition:
-    """Riskless portfolio replicating one scenario.
+    """Riskless portfolio replicating one scenario, or each row of a flow array.
 
     ``partial_outlays`` are the zero-coupon purchases I0^(t) guaranteeing each
     future outflow; ``bond_notionals`` B_t pay each inflow at maturity.
     ``total_outlay`` is the initial outlay plus the cost of covering the
     outflows; ``certainty_equivalent_outlay`` is the riskless investment that
-    generates the same inflow pattern.
+    generates the same inflow pattern. For one scenario the sums are floats and
+    the per-tenor parts tuples; over N rows they are (N,) and (N, T) arrays.
     """
 
-    additional_outlay: float
-    partial_outlays: tuple[float, ...]
-    total_outlay: float
-    bond_notionals: tuple[float, ...]
-    certainty_equivalent_outlay: float
+    additional_outlay: np.ndarray | float
+    partial_outlays: np.ndarray | tuple[float, ...]
+    total_outlay: np.ndarray | float
+    bond_notionals: np.ndarray | tuple[float, ...]
+    certainty_equivalent_outlay: np.ndarray | float
 
 
 def split(scenario: CashFlowScenario) -> SplitStream:
@@ -74,38 +74,54 @@ def split(scenario: CashFlowScenario) -> SplitStream:
     )
 
 
-def replicate(scenario: CashFlowScenario, curve: YieldCurve) -> ReplicationDecomposition:
-    """Price the riskless portfolio replicating ``scenario`` on ``curve``."""
-    if curve.horizon < scenario.horizon:
+def _discounted(later: np.ndarray, curve: YieldCurve) -> np.ndarray:
+    """Flows at tenors 1..T (the last axis) divided by the growth factors (1+r_t)^t."""
+    horizon = later.shape[-1]
+    if curve.horizon < horizon:
         raise HorizonMismatchError(
-            f"curve covers tenors 1..{curve.horizon} but the scenario needs "
-            f"tenor {scenario.horizon}"
+            f"curve covers tenors 1..{curve.horizon} but the scenario needs tenor {horizon}"
         )
-    parts = split(scenario)
-    partial_outlays = tuple(
-        f / curve.growth_factor(t) for t, f in enumerate(parts.negative, start=1)
-    )
-    bond_notionals = tuple(
-        f / curve.growth_factor(t) for t, f in enumerate(parts.positive, start=1)
-    )
-    additional = math.fsum(partial_outlays)
+    return later / np.array(curve.growth_factors[:horizon])
+
+
+def _replicate_rows(flows: np.ndarray, curve: YieldCurve) -> ReplicationDecomposition:
+    """The replication of every flow row F_0..F_T of ``flows``, shape (N, T+1).
+
+    The discounted later flows split by sign: the positive ones are the bond
+    notionals, the negated negative ones the zero-coupon outlays.
+    """
+    pv = _discounted(flows[:, 1:], curve)
+    partial_outlays = np.maximum(-pv, 0.0)
+    bond_notionals = np.maximum(pv, 0.0)
+    additional = partial_outlays.sum(axis=1)
     return ReplicationDecomposition(
         additional_outlay=additional,
         partial_outlays=partial_outlays,
-        total_outlay=parts.initial_outlay + additional,
+        total_outlay=-flows[:, 0] + additional,
         bond_notionals=bond_notionals,
-        certainty_equivalent_outlay=math.fsum(bond_notionals),
+        certainty_equivalent_outlay=bond_notionals.sum(axis=1),
+    )
+
+
+def replicate(scenario: CashFlowScenario, curve: YieldCurve) -> ReplicationDecomposition:
+    """Price the riskless portfolio replicating ``scenario`` on ``curve``.
+
+    It is the one-row case of the evaluation kernel's replication, so
+    ``certainty_equivalent_outlay - total_outlay`` is bitwise ``evaluate``'s NPV.
+    """
+    rows = _replicate_rows(np.array([scenario.flows]), curve)
+    return ReplicationDecomposition(
+        additional_outlay=float(rows.additional_outlay[0]),
+        partial_outlays=tuple(rows.partial_outlays[0].tolist()),
+        total_outlay=float(rows.total_outlay[0]),
+        bond_notionals=tuple(rows.bond_notionals[0].tolist()),
+        certainty_equivalent_outlay=float(rows.certainty_equivalent_outlay[0]),
     )
 
 
 def present_value(flows: Sequence[float] | Iterable[float], curve: YieldCurve) -> float:
     """Present value of flows indexed by tenor 1..T on ``curve``."""
-    values = tuple(float(f) for f in flows)
-    if len(values) > curve.horizon:
-        raise HorizonMismatchError(
-            f"{len(values)} flows exceed curve horizon {curve.horizon}"
-        )
-    return math.fsum(f / curve.growth_factor(t) for t, f in enumerate(values, start=1))
+    return float(_discounted(np.array([float(f) for f in flows]), curve).sum())
 
 
 def _flow_array(rows: Iterable[Sequence[float]] | np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .curves import YieldCurve
 from .distributions import EmpiricalDistribution, summarize, write_omega_curve_csv, write_summary_csv
-from .errors import DomainError, EngineError, InputError, decoding
+from .errors import DomainError, EngineError, InputError
 from .metrics import HurdleSpec, evaluate_set, write_evaluation_csv
 from .radr import MODE_CANONICAL, MODES, RadrInput, radr_valuation
 from .ranking import (
@@ -35,6 +35,7 @@ from .scenarios import (
     generate,
     generator_spec_from_dict,
     load_project,
+    read_descriptor,
     write_scenarios,
 )
 from . import __version__
@@ -82,13 +83,7 @@ def _percent(x: float) -> str:
 
 def _load_spec_file(path: Path):
     """Accept either a project descriptor with a generator block or a bare block."""
-    try:
-        with decoding(path):
-            data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: spec must be a JSON object")
+    data = read_descriptor(path)
     if "generator" in data:
         block = data["generator"]
         project_id = str(data.get("id", path.stem))

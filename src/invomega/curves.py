@@ -119,34 +119,36 @@ class YieldCurve:
         Cash received at t = horizon is not reinvested (rate exactly 0).
         """
         self._check_tenor(horizon)
-        top = self.growth_factor(horizon)
-        rates_from = tuple(
-            top / self.growth_factor(t) - 1.0 if t < horizon else 0.0
-            for t in range(1, horizon + 1)
-        )
-        return ForwardCurve(horizon=horizon, rates_from=rates_from)
+        top = self.growth_factors[horizon - 1]
+        return ForwardCurve(horizon, tuple(top / g for g in self.growth_factors[:horizon]))
 
 
 @dataclass(frozen=True)
 class ForwardCurve:
-    """Total reinvestment rates from each tenor t to a common horizon."""
+    """Reinvestment from each tenor t to a common horizon T at the locked forwards.
+
+    ``factors`` holds the growth 1 + R^f from each tenor to the horizon; from
+    ``YieldCurve.forward_curve`` it is (1+r_T)^T / (1+r_t)^t rounded once, so
+    the roll keeps full relative precision however small the factor is.
+    """
 
     horizon: int
-    rates_from: tuple[float, ...]
+    factors: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.horizon < 1 or len(self.rates_from) != self.horizon:
+        if self.horizon < 1 or len(self.factors) != self.horizon:
             raise InputError(
-                f"forward curve needs one rate per tenor 1..{self.horizon}, "
-                f"got {len(self.rates_from)}"
+                f"forward curve needs one factor per tenor 1..{self.horizon}, "
+                f"got {len(self.factors)}"
             )
-        if self.rates_from[-1] != 0.0:
-            raise InputError("rate at the horizon tenor must be exactly 0")
+        if self.factors[-1] != 1.0:
+            raise InputError("factor at the horizon tenor must be exactly 1")
 
     def rate_from(self, t: int) -> float:
+        """Total reinvestment rate R^f from tenor t to the horizon (exactly 0 at it)."""
         if not 1 <= t <= self.horizon:
             raise TenorOutOfRangeError(f"tenor {t} outside 1..{self.horizon}")
-        return self.rates_from[t - 1]
+        return self.factors[t - 1] - 1.0
 
     def future_value(self, positive_flows: Sequence[float] | Iterable[float]) -> float:
         """Horizon value of non-negative flows F_1..F_T rolled at the locked forwards."""
@@ -158,4 +160,4 @@ class ForwardCurve:
         for t, f in enumerate(flows, start=1):
             if not math.isfinite(f) or f < 0.0:
                 raise InputError(f"flow at tenor {t} must be finite and >= 0, got {f}")
-        return math.fsum(f * (1.0 + rf) for f, rf in zip(flows, self.rates_from))
+        return sum(f * g for f, g in zip(flows, self.factors))

@@ -16,12 +16,11 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .cashflows import CashFlowScenario, ScenarioSet
+from .cashflows import CashFlowScenario, ScenarioSet, _replicate_rows
 from .csvio import write_csv
 from .curves import YieldCurve
 from .errors import (
     DomainError,
-    HorizonMismatchError,
     InputError,
     ReturnUndefinedError,
     ZeroOutlayError,
@@ -77,26 +76,21 @@ class ThresholdSet:
 def _evaluate_flows(flows: np.ndarray, curve: YieldCurve) -> EvaluationResult:
     """The evaluation kernel over flow rows F_0..F_T, shape (N, T+1).
 
-    Later flows are priced by their riskless replication: outflows by the
-    zero-coupon outlays covering them, inflows by the bonds paying them. The
-    inflows reinvested at the locked forwards reach the horizon as
-    FV+ = PV+ (1+r_T)^T, which gives the terminal and annualized returns.
+    Later flows are priced by their riskless replication (``_replicate_rows``):
+    outflows by the zero-coupon outlays covering them, inflows by the bonds
+    paying them. The inflows reinvested at the locked forwards reach the
+    horizon as FV+ = PV+ (1+r_T)^T, which gives the terminal and annualized
+    returns.
     """
     horizon = flows.shape[1] - 1
-    if curve.horizon < horizon:
-        raise HorizonMismatchError(
-            f"curve covers tenors 1..{curve.horizon} but the scenario needs tenor {horizon}"
-        )
-    growth = np.array(curve.growth_factors[:horizon])
-    pv = flows[:, 1:] / growth
-    pv_plus = np.maximum(pv, 0.0).sum(axis=1)
-    total_outlay = -flows[:, 0] + np.maximum(-pv, 0.0).sum(axis=1)
+    replication = _replicate_rows(flows, curve)
+    pv_plus, total_outlay = replication.certainty_equivalent_outlay, replication.total_outlay
     zero = np.flatnonzero(total_outlay <= 0.0)
     if zero.size:
         raise ZeroOutlayError(
             f"scenario {zero[0]}: total outlay is zero: returns and PI are undefined"
         )
-    growth_T = growth[-1]
+    growth_T = curve.growth_factors[horizon - 1]
     fv_plus = pv_plus * growth_T
     npv = pv_plus - total_outlay
     ratio = fv_plus / total_outlay

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cashflows import ScenarioSet
+from .cashflows import ScenarioSet, _discounted
+from .curves import YieldCurve
 from .errors import DomainError, InputError, NonCanonicalFlowError
 from .metrics import mirr
 
@@ -39,22 +39,20 @@ class RadrInput:
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         r, k = self.riskless_rate, self.radr_rate
-        if not (math.isfinite(r) and math.isfinite(k)):
-            raise InputError("rates must be finite")
-        if r <= -1.0 or k <= -1.0:
-            raise InputError("rates must exceed -1")
+        for name, rate in (("r", r), ("k", k)):
+            _flat_curve(rate, self.scenario_set.horizon, name)
         if k < r:
             raise InputError(f"risk-adjusted rate {k} must be >= riskless rate {r}")
-        horizon = self.scenario_set.horizon
-        for name, rate in (("r", r), ("k", k)):
-            try:
-                growth = (1.0 + rate) ** horizon
-            except OverflowError:
-                growth = math.inf
-            if not 0.0 < growth < math.inf:
-                raise InputError(f"growth factor (1+{name})^{horizon} is out of range: {growth!r}")
         if self.mode == MODE_CANONICAL:
             _check_canonical(self.scenario_set)
+
+
+def _flat_curve(rate: float, horizon: int, name: str) -> YieldCurve:
+    """The flat curve at ``rate``; a rate it refuses is an InputError naming ``name``."""
+    try:
+        return YieldCurve.flat(rate, horizon)
+    except InputError as exc:
+        raise InputError(f"rate {name}: {exc}") from None
 
 
 def _check_canonical(scenario_set: ScenarioSet) -> None:
@@ -96,12 +94,6 @@ def vertical_average(scenario_set: ScenarioSet) -> tuple[float, ...]:
     return tuple(math.fsum(column) for column in weighted.T.tolist())
 
 
-def _flat_npv(flows: Sequence[float], rate: float) -> float:
-    return flows[0] + math.fsum(
-        f / (1.0 + rate) ** t for t, f in enumerate(flows[1:], start=1)
-    )
-
-
 def radr_valuation(radr_input: RadrInput) -> RadrResult:
     """Value the vertically averaged flows at the risk-adjusted rate.
 
@@ -112,15 +104,14 @@ def radr_valuation(radr_input: RadrInput) -> RadrResult:
     r, k = radr_input.riskless_rate, radr_input.radr_rate
     means = vertical_average(radr_input.scenario_set)
     horizon = len(means) - 1
+    curve_r, curve_k = _flat_curve(r, horizon, "r"), _flat_curve(k, horizon, "k")
     alpha = tuple(((1.0 + r) / (1.0 + k)) ** t for t in range(1, horizon + 1))
-    npv_at_k = _flat_npv(means, k)
+    npv_at_k = means[0] + math.fsum(f / g for f, g in zip(means[1:], curve_k.growth_factors))
     flows, weights = radr_input.scenario_set.flows, radr_input.scenario_set.weights
-    growth = np.array([(1.0 + r) ** t for t in range(1, horizon + 1)])
-    npv_at_r = flows[:, 0] + (flows[:, 1:] / growth).sum(axis=1)
+    npv_at_r = flows[:, 0] + _discounted(flows[:, 1:], curve_r).sum(axis=1)
     mean_npv_at_r = math.fsum((weights * npv_at_r).tolist())
     lambda_radr = math.fsum(
-        (1.0 - a) * f / (1.0 + r) ** t
-        for t, (a, f) in enumerate(zip(alpha, means[1:]), start=1)
+        (1.0 - a) * f / g for a, f, g in zip(alpha, means[1:], curve_r.growth_factors)
     )
     mirr_at_k = mirr(means, k, k)
     return RadrResult(

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -294,6 +294,11 @@ class GeneratorSpec:
         return len(self.flow_template) - 1
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``int`` but not ``bool``, which JSON ``true``/``false`` load as."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def generator_spec_from_dict(block: dict) -> GeneratorSpec:
     """Build a GeneratorSpec from a JSON generator block, naming bad fields."""
     if not isinstance(block, dict):
@@ -311,10 +316,9 @@ def generator_spec_from_dict(block: dict) -> GeneratorSpec:
     template = block["template"]
     if not isinstance(template, list):
         raise InputError("field 'template': must be a list with one null slot")
-    if not isinstance(block["n"], int):
-        raise InputError(f"field 'n': must be an integer, got {block['n']!r}")
-    if not isinstance(block["seed"], int):
-        raise InputError(f"field 'seed': must be an integer, got {block['seed']!r}")
+    for key in ("n", "seed"):
+        if not _is_int(block[key]):
+            raise InputError(f"field '{key}': must be an integer, got {block[key]!r}")
     try:
         return GeneratorSpec(
             family=family,
@@ -442,51 +446,44 @@ def write_scenarios(scenario_set: ScenarioSet, target: str | Path | IO[str]) -> 
         write_csv(target, ["weight", *names], table.tolist())
 
 
-def load_project(
-    path: str | Path,
-    n_override: int | None = None,
-    seed_override: int | None = None,
-) -> ScenarioSet:
-    """Load a project descriptor JSON and return its scenario set.
-
-    The descriptor carries ``id``, ``horizon`` and either ``scenario_file``
-    (resolved relative to the descriptor) or an inline ``generator`` block.
-    Overrides only make sense for generated projects.
-    """
-    path = Path(path)
+def read_descriptor(path: Path) -> dict:
+    """The JSON object in the descriptor file ``path``."""
     try:
         with decoding(path):
             data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise InputError(f"{path}: project descriptor must be a JSON object")
-    if "id" not in data:
-        raise InputError(f"{path}: missing field 'id'")
-    if "horizon" not in data:
-        raise InputError(f"{path}: missing field 'horizon'")
+        raise InputError(f"{path}: descriptor must be a JSON object")
+    return data
+
+
+def load_project(path: str | Path) -> ScenarioSet:
+    """Load a project descriptor JSON and return its scenario set.
+
+    The descriptor carries ``id``, ``horizon`` and either ``scenario_file``
+    (resolved relative to the descriptor) or an inline ``generator`` block.
+    """
+    path = Path(path)
+    data = read_descriptor(path)
+    for key in ("id", "horizon"):
+        if key not in data:
+            raise InputError(f"{path}: missing field '{key}'")
     project_id = str(data["id"])
     horizon = data["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError(f"{path}: field 'horizon' must be a positive integer")
-    has_file = "scenario_file" in data
-    has_generator = "generator" in data
-    if has_file == has_generator:
+    if not _is_int(horizon) or horizon < 1:
+        raise InputError(f"{path}: field 'horizon' must be a positive integer, got {horizon!r}")
+    if ("scenario_file" in data) == ("generator" in data):
         raise InputError(f"{path}: need exactly one of 'scenario_file' or 'generator'")
-    if has_file:
-        if n_override is not None or seed_override is not None:
-            raise InputError(
-                f"{path}: n/seed overrides only apply to generated projects"
-            )
-        scenario_path = (path.parent / data["scenario_file"]).resolve()
+    if "scenario_file" in data:
+        scenario_file = data["scenario_file"]
+        if not isinstance(scenario_file, str):
+            raise InputError(f"{path}: field 'scenario_file' must be a string, got {scenario_file!r}")
+        scenario_path = (path.parent / scenario_file).resolve()
         return load_scenarios(scenario_path, horizon=horizon, project_id=project_id)
     spec = generator_spec_from_dict(data["generator"])
     if spec.horizon != horizon:
         raise HorizonMismatchError(
             f"{path}: template horizon {spec.horizon} does not match 'horizon' {horizon}"
         )
-    if n_override is not None:
-        spec = replace(spec, n_scenarios=n_override)
-    if seed_override is not None:
-        spec = replace(spec, seed=seed_override)
     return generate(spec, project_id=project_id)

@@ -1,15 +1,44 @@
-"""Scalar reference for the crossing solver: one Omega lookup per point and per curve.
+"""Scalar references that share no code with the numpy paths they check.
 
-It shares no code with ``distributions.crossing_on_grid`` beyond what the
-callables do: the signs come from ``OmegaResult`` flags, the brackets from a
-Python loop over the grid, and each bisection midpoint is a separate call.
+Replication: the sign split, the per-tenor discounting and the forward roll
+of one scenario in Python floats, each sum a correctly rounded ``math.fsum``.
+Only the curve's growth factors (1+r_t)^t are taken from ``YieldCurve``.
+
+Crossing solver: one Omega lookup per point and per curve. The signs come
+from ``OmegaResult`` flags, the brackets from a Python loop over the grid,
+and each bisection midpoint is a separate call.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
-from invomega import OmegaResult
+from invomega import OmegaResult, YieldCurve
+
+
+def split(flows: Sequence[float]) -> tuple[float, list[float], list[float]]:
+    """Initial outlay max(-F_0, 0), inflows F+ and outflows F- of F_1..F_T."""
+    later = flows[1:]
+    return max(-flows[0], 0.0), [max(f, 0.0) for f in later], [max(-f, 0.0) for f in later]
+
+
+def discounted(later: Sequence[float], curve: YieldCurve) -> list[float]:
+    """Each flow at tenor t = 1..T over the growth factor (1+r_t)^t."""
+    return [f / curve.growth_factor(t) for t, f in enumerate(later, start=1)]
+
+
+def replication(flows: Sequence[float], curve: YieldCurve) -> tuple[float, float]:
+    """(total outlay, certainty-equivalent outlay) of F_0..F_T: the initial outlay
+    plus the zero-coupon cost of every F-, and the bond cost of every F+."""
+    outlay, positive, negative = split(flows)
+    return outlay + math.fsum(discounted(negative, curve)), math.fsum(discounted(positive, curve))
+
+
+def future_value(positive: Sequence[float], curve: YieldCurve) -> float:
+    """Inflows at tenors 1..T rolled to T, each by (1+r_T)^T / (1+r_t)^t rounded once."""
+    top = curve.growth_factor(len(positive))
+    return math.fsum(f * (top / curve.growth_factor(t)) for t, f in enumerate(positive, start=1))
 
 
 def compare(a: OmegaResult, b: OmegaResult) -> int:

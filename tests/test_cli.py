@@ -535,6 +535,34 @@ class TestInputBounds:
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr
 
+    @pytest.mark.parametrize(
+        "field, descriptor",
+        [
+            ("scenario_file", {"id": "p", "horizon": 2, "scenario_file": None}),
+            ("scenario_file", {"id": "p", "horizon": 2, "scenario_file": 5}),
+            ("horizon", {"id": "p", "horizon": True, "scenario_file": "single.csv"}),
+            ("n", {"id": "p", "horizon": 1, "generator": {"n": True, "seed": 1}}),
+            ("seed", {"id": "p", "horizon": 1, "generator": {"n": 5, "seed": False}}),
+        ],
+    )
+    def test_descriptor_field_types_exit_2_without_traceback(self, workspace, field, descriptor):
+        if "generator" in descriptor:
+            normal = {"family": "normal", "mean": 1.0, "std": 1.0, "skew": 0.0, "template": [-1.0, None]}
+            descriptor = {**descriptor, "generator": {**normal, **descriptor["generator"]}}
+        (workspace / "typed.json").write_text(json.dumps(descriptor))
+        proc = run_cli(
+            "evaluate",
+            "--project",
+            str(workspace / "typed.json"),
+            "--curve",
+            str(workspace / "curve.csv"),
+            "--out-dir",
+            str(workspace / "r"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"'{field}'" in proc.stderr
+
 
 class TestRadrCompare:
     def test_reference_mode(self, workspace, capsys):

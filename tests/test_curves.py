@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +82,20 @@ class TestForwardCurve:
                 lhs = curve.growth_factor(t) * (1.0 + fwd.rate_from(t))
                 assert lhs == pytest.approx(top, rel=1e-12)
 
+    def test_roll_keeps_full_precision_on_a_falling_curve(self):
+        # g_12 / g_t is far below 1 for t >= 8: rolling by 1 plus a stored rate g_12 / g_t - 1
+        # would lose relative precision there (5.5e-12 at t = 8)
+        rates = [0.05] * 12
+        rates[7], rates[11] = 0.5, -0.5
+        curve = YieldCurve(tuple(rates))
+        fwd = curve.forward_curve(12)
+        eps = Fraction(math.ulp(1.0))
+        for t in range(1, 13):
+            unit = [0.0] * 12
+            unit[t - 1] = 1.0
+            exact = Fraction(curve.growth_factor(12)) / Fraction(curve.growth_factor(t))
+            assert abs(Fraction(fwd.future_value(unit)) - exact) <= 4 * eps * exact, t
+
     def test_flat_curve_forwards(self):
         curve = YieldCurve.flat(0.07, 6)
         fwd = curve.forward_curve(6)
@@ -155,7 +170,7 @@ class TestValidation:
 
     def test_forward_curve_maturity_leg_enforced(self):
         with pytest.raises(InputError):
-            ForwardCurve(horizon=2, rates_from=(0.05, 0.01))
+            ForwardCurve(horizon=2, factors=(1.05, 1.01))
 
 
 class TestCsv:

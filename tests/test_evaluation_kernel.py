@@ -1,9 +1,11 @@
-"""The columnar evaluation kernel against the single-scenario reference path.
+"""The columnar evaluation kernel against the scalar reference in ``reference.py``.
 
-The reference is the paper's decomposition: ``replicate`` for NPV and total
-outlay, and the inflows rolled at the locked forwards
-(``ForwardCurve.future_value``) for the annualized return. Tolerances are
-ulp-level: 8 (T+2) eps times the magnitude of the discounted terms.
+The reference is the paper's decomposition in Python floats and ``math.fsum``:
+the replication for NPV and total outlay, and the inflows rolled at the
+locked forwards for the annualized return. It shares no code with the kernel;
+``replicate`` is the kernel's one-row case, so it is only checked to be that,
+bitwise. Tolerances are ulp-level: 8 (T+2) eps times the magnitude of the
+discounted terms.
 """
 
 import math
@@ -21,8 +23,9 @@ from invomega import (
     evaluate,
     evaluate_set,
     replicate,
-    split,
 )
+
+import reference
 
 EPS = float(np.finfo(float).eps)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -40,9 +43,10 @@ def weighted_sets(draw, max_n: int = 12):
     """A curve, and a weighted set of mixed-sign scenarios with F_0 < 0 on it."""
     horizon = draw(st.integers(1, 30))
     n = draw(st.integers(1, max_n))
-    # one-period forwards >= -5% keep (1+r_T)^T / (1+r_t)^t >= 0.95^29: the forward-roll
-    # reference stores that factor minus 1, which costs it relative accuracy as it nears 0
-    forwards = draw(hnp.arrays(float, horizon, elements=st.floats(-0.05, 0.5)))
+    # one-period forwards in [-50%, 50%]: the growth factors stay within [0.5^30, 1.5^30],
+    # and the forward-roll reference rounds each factor (1+r_T)^T / (1+r_t)^t once, so
+    # it keeps its relative accuracy however far the curve falls after t
+    forwards = draw(hnp.arrays(float, horizon, elements=st.floats(-0.5, 0.5)))
     rates = np.cumprod(1.0 + forwards) ** (1.0 / np.arange(1, horizon + 1)) - 1.0
     flows = np.column_stack(
         (
@@ -52,6 +56,10 @@ def weighted_sets(draw, max_n: int = 12):
     )
     raw = draw(hnp.arrays(float, n, elements=st.floats(0.01, 1.0)))
     return YieldCurve(tuple(rates.tolist())), ScenarioSet("p", flows, raw / math.fsum(raw.tolist()))
+
+
+def _bits_of(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
 
 
 def _bits(result) -> list[int]:
@@ -66,19 +74,26 @@ def test_kernel_matches_scalar_replication(case):
     horizon = scenario_set.horizon
     k_flow = 8.0 * (horizon + 2) * EPS
     results = evaluate_set(scenario_set, curve)
-    for i, scenario in enumerate(scenario_set.scenarios):
-        rep = replicate(scenario, curve)
-        scale = abs(scenario.flows[0]) + math.fsum(
-            abs(f) / curve.growth_factor(t) for t, f in enumerate(scenario.flows[1:], start=1)
-        )
-        npv = rep.certainty_equivalent_outlay - rep.total_outlay
-        assert abs(results.npv[i] - npv) <= k_flow * scale
-        assert abs(results.total_outlay[i] - rep.total_outlay) <= k_flow * scale
+    for i, flows in enumerate(scenario_set.flows.tolist()):
+        total_outlay, ce_outlay = reference.replication(flows, curve)
+        scale = abs(flows[0]) + math.fsum(map(abs, reference.discounted(flows[1:], curve)))
+        assert abs(results.npv[i] - (ce_outlay - total_outlay)) <= k_flow * scale
+        assert abs(results.total_outlay[i] - total_outlay) <= k_flow * scale
 
-        fv_plus = curve.forward_curve(horizon).future_value(split(scenario).positive)
-        ratio = fv_plus / rep.total_outlay
+        fv_plus = reference.future_value(reference.split(flows)[1], curve)
+        ratio = fv_plus / total_outlay
         mu = ratio ** (1.0 / horizon) - 1.0 if ratio > 0.0 else -1.0
         assert abs(results.annualized_return[i] - mu) <= k_flow * (1.0 + abs(mu))
+
+
+@PROPERTY
+@given(weighted_sets())
+def test_replicate_is_the_kernel_one_row_case(case):
+    curve, scenario_set = case
+    for scenario in scenario_set.scenarios:
+        rep, result = replicate(scenario, curve), evaluate(scenario, curve)
+        assert _bits_of(rep.total_outlay) == _bits_of(result.total_outlay)
+        assert _bits_of(rep.certainty_equivalent_outlay - rep.total_outlay) == _bits_of(result.npv)
 
 
 @PROPERTY

@@ -499,37 +499,6 @@ class TestProjectDescriptor:
         ss = load_project(path)
         assert ss.project_id == "f" and len(ss) == 1
 
-    def test_overrides(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "id": "demo",
-                    "horizon": 1,
-                    "generator": {
-                        "family": "normal",
-                        "mean": 0.0,
-                        "std": 1.0,
-                        "skew": 0.0,
-                        "template": [-1.0, None],
-                        "n": 5,
-                        "seed": 1,
-                    },
-                }
-            )
-        )
-        assert len(load_project(path, n_override=12)) == 12
-        a = load_project(path, seed_override=2)
-        b = load_project(path)
-        assert a.scenarios[0].flows != b.scenarios[0].flows
-
-    def test_overrides_rejected_for_file_projects(self, tmp_path):
-        (tmp_path / "flows.csv").write_text("t0,t1\n-10,20\n")
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps({"id": "f", "horizon": 1, "scenario_file": "flows.csv"}))
-        with pytest.raises(InputError, match="override"):
-            load_project(path, n_override=3)
-
     def test_needs_exactly_one_source(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"id": "x", "horizon": 1}))
