@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "scenarios": (
         "GeneratorSpec", "SeededStream", "generate", "load_project", "load_scenarios",
-        "moment_match", "write_scenarios",
+        "moment_match", "read_project", "write_scenarios",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

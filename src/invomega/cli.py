@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -31,13 +32,7 @@ from .ranking import (
     rank_with_crossings,
     write_ranking_csv,
 )
-from .scenarios import (
-    generate,
-    generator_spec_from_dict,
-    load_project,
-    read_descriptor,
-    write_scenarios,
-)
+from .scenarios import GeneratorSpec, generate, load_project, read_project, write_scenarios
 from . import __version__
 
 MAX_GRID_POINTS = 1_000_000
@@ -81,23 +76,10 @@ def _percent(x: float) -> str:
     return f"{100.0 * x:.1f}%"
 
 
-def _load_spec_file(path: Path):
-    """Accept either a project descriptor with a generator block or a bare block."""
-    data = read_descriptor(path)
-    if "generator" in data:
-        block = data["generator"]
-        project_id = str(data.get("id", path.stem))
-    elif "family" in data:
-        block, project_id = data, path.stem
-    else:
-        raise InputError(f"{path}: no 'generator' block and no inline 'family' field")
-    return generator_spec_from_dict(block), project_id
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec, project_id = _load_spec_file(Path(args.spec))
-    from dataclasses import replace
-
+    project_id, _, spec = read_project(args.spec)
+    if not isinstance(spec, GeneratorSpec):
+        raise InputError(f"{args.spec}: simulate needs a generator block, not a 'scenario_file'")
     if args.n is not None:
         spec = replace(spec, n_scenarios=args.n)
     if args.seed is not None:

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -30,6 +31,20 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``int`` but not ``bool``, which JSON ``true``/``false`` load as."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value: object, field: str) -> float:
+    """``value`` as a float if it is a finite JSON number (not a boolean)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an integer beyond the float range
+            if math.isfinite(number := float(value)):
+                return number
+    raise InputError(f"{field}: must be a finite number, got {value!r}")
+
+
 def _finalize(z: np.ndarray) -> np.ndarray:
     # SplitMix64 output mixing
     z = (z ^ (z >> np.uint64(30))) * _MIX1
@@ -41,7 +56,7 @@ class SeededStream:
     """Counter-based random stream: value(i, draw) depends only on (seed, i, draw)."""
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise InputError(f"seed must be an integer, got {type(seed).__name__}")
         self.seed = seed
         self._key = np.uint64(seed % 2**64)
@@ -253,7 +268,8 @@ def moment_match(family: str, mean: float, std: float, skew: float) -> MatchedDi
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for a synthetic scenario set with one stochastic flow."""
+    """Recipe for a synthetic scenario set with one stochastic flow: the one check on
+    generator fields, whose errors name the fields of a JSON generator block."""
 
     family: str
     target_mean: float
@@ -264,25 +280,30 @@ class GeneratorSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise InputError(
+                f"field 'family': unknown family {self.family!r}, expected one of {FAMILIES}"
+            )
+        for attr, key in (("target_mean", "mean"), ("target_std", "std"), ("target_skewness", "skew")):
+            object.__setattr__(self, attr, _number(getattr(self, attr), f"field '{key}'"))
+        moment_match(self.family, self.target_mean, self.target_std, self.target_skewness)
         template = tuple(
-            None if f is None else float(f) for f in self.flow_template
+            None if f is None else _number(f, f"field 'template' at t={t}")
+            for t, f in enumerate(self.flow_template)
         )
         if len(template) < 2:
-            raise InputError("template needs entries for t=0..T with T >= 1")
+            raise InputError("field 'template': needs entries for t=0..T with T >= 1")
         slots = [t for t, f in enumerate(template) if f is None]
         if len(slots) != 1:
             raise InputError(
-                f"template must have exactly one stochastic slot (null), got {len(slots)}"
+                f"field 'template': must have exactly one stochastic slot (null), got {len(slots)}"
             )
         if slots[0] == 0:
-            raise InputError("the stochastic slot must be at a tenor t >= 1")
-        for t, f in enumerate(template):
-            if f is not None and not math.isfinite(f):
-                raise InputError(f"template flow at t={t} is not finite: {f!r}")
-        if not isinstance(self.n_scenarios, int) or self.n_scenarios < 1:
-            raise InputError(f"n_scenarios must be a positive integer, got {self.n_scenarios!r}")
-        if not isinstance(self.seed, int):
-            raise InputError(f"seed must be an integer, got {self.seed!r}")
+            raise InputError("field 'template': the stochastic slot must be at a tenor t >= 1")
+        if not _is_int(self.n_scenarios) or self.n_scenarios < 1:
+            raise InputError(f"field 'n': must be a positive integer, got {self.n_scenarios!r}")
+        if not _is_int(self.seed):
+            raise InputError(f"field 'seed': must be an integer, got {self.seed!r}")
         object.__setattr__(self, "flow_template", template)
 
     @property
@@ -294,43 +315,23 @@ class GeneratorSpec:
         return len(self.flow_template) - 1
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer: ``int`` but not ``bool``, which JSON ``true``/``false`` load as."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# the fields of a JSON generator block, in the order of GeneratorSpec's fields
+_BLOCK_FIELDS = ("family", "mean", "std", "skew", "template", "n", "seed")
 
 
 def generator_spec_from_dict(block: dict) -> GeneratorSpec:
     """Build a GeneratorSpec from a JSON generator block, naming bad fields."""
     if not isinstance(block, dict):
         raise InputError("generator block must be a JSON object")
-    required = ("family", "mean", "std", "skew", "template", "n", "seed")
-    for key in required:
+    for key in _BLOCK_FIELDS:
         if key not in block:
             raise InputError(f"generator block missing field '{key}'")
-    unknown = set(block) - set(required)
+    unknown = set(block) - set(_BLOCK_FIELDS)
     if unknown:
         raise InputError(f"generator block has unknown fields {sorted(unknown)}")
-    family = block["family"]
-    if family not in FAMILIES:
-        raise InputError(f"field 'family': unknown family {family!r}, expected one of {FAMILIES}")
-    template = block["template"]
-    if not isinstance(template, list):
+    if not isinstance(block["template"], list):
         raise InputError("field 'template': must be a list with one null slot")
-    for key in ("n", "seed"):
-        if not _is_int(block[key]):
-            raise InputError(f"field '{key}': must be an integer, got {block[key]!r}")
-    try:
-        return GeneratorSpec(
-            family=family,
-            target_mean=float(block["mean"]),
-            target_std=float(block["std"]),
-            target_skewness=float(block["skew"]),
-            flow_template=tuple(template),
-            n_scenarios=block["n"],
-            seed=block["seed"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"generator block: {exc}") from exc
+    return GeneratorSpec(*(block[key] for key in _BLOCK_FIELDS))
 
 
 def generate(spec: GeneratorSpec, project_id: str = "generated") -> ScenarioSet:
@@ -446,31 +447,39 @@ def write_scenarios(scenario_set: ScenarioSet, target: str | Path | IO[str]) -> 
         write_csv(target, ["weight", *names], table.tolist())
 
 
-def read_descriptor(path: Path) -> dict:
-    """The JSON object in the descriptor file ``path``."""
+def read_project(path: str | Path) -> tuple[str, int, GeneratorSpec | Path]:
+    """The ``(id, horizon, source)`` of the project descriptor JSON at ``path``.
+
+    One grammar for every command: a full descriptor has a string ``id``, a
+    positive integer ``horizon`` and one of ``scenario_file`` (relative to the
+    descriptor) or a ``generator`` block; a bare generator block (it has a
+    ``family`` field) is the project named by the file stem. ``source`` is the
+    GeneratorSpec or the resolved scenario CSV path.
+    """
+    path = Path(path)
     try:
         with decoding(path):
             data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: descriptor must be a JSON object")
-    return data
 
+    def spec_of(block: dict) -> GeneratorSpec:
+        try:
+            return generator_spec_from_dict(block)
+        except (InputError, DomainError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
-def load_project(path: str | Path) -> ScenarioSet:
-    """Load a project descriptor JSON and return its scenario set.
-
-    The descriptor carries ``id``, ``horizon`` and either ``scenario_file``
-    (resolved relative to the descriptor) or an inline ``generator`` block.
-    """
-    path = Path(path)
-    data = read_descriptor(path)
+    if "family" in data:
+        spec = spec_of(data)
+        return path.stem, spec.horizon, spec
     for key in ("id", "horizon"):
         if key not in data:
             raise InputError(f"{path}: missing field '{key}'")
-    project_id = str(data["id"])
-    horizon = data["horizon"]
+    project_id, horizon = data["id"], data["horizon"]
+    if not isinstance(project_id, str):
+        raise InputError(f"{path}: field 'id' must be a string, got {project_id!r}")
     if not _is_int(horizon) or horizon < 1:
         raise InputError(f"{path}: field 'horizon' must be a positive integer, got {horizon!r}")
     if ("scenario_file" in data) == ("generator" in data):
@@ -479,11 +488,19 @@ def load_project(path: str | Path) -> ScenarioSet:
         scenario_file = data["scenario_file"]
         if not isinstance(scenario_file, str):
             raise InputError(f"{path}: field 'scenario_file' must be a string, got {scenario_file!r}")
-        scenario_path = (path.parent / scenario_file).resolve()
-        return load_scenarios(scenario_path, horizon=horizon, project_id=project_id)
-    spec = generator_spec_from_dict(data["generator"])
+        return project_id, horizon, (path.parent / scenario_file).resolve()
+    spec = spec_of(data["generator"])
     if spec.horizon != horizon:
         raise HorizonMismatchError(
             f"{path}: template horizon {spec.horizon} does not match 'horizon' {horizon}"
         )
-    return generate(spec, project_id=project_id)
+    return project_id, horizon, spec
+
+
+def load_project(path: str | Path) -> ScenarioSet:
+    """The scenario set of the project descriptor at ``path`` (see ``read_project``):
+    generated from its generator block, or loaded from its scenario CSV."""
+    project_id, horizon, source = read_project(path)
+    if isinstance(source, GeneratorSpec):
+        return generate(source, project_id=project_id)
+    return load_scenarios(source, horizon=horizon, project_id=project_id)

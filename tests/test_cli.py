@@ -121,8 +121,34 @@ class TestSimulate:
         bare.write_text(json.dumps(block))
         assert main(["simulate", "--spec", str(bare), "--out", str(workspace / "bare.csv")]) == 0
 
+    def test_descriptor_without_horizon_exit_2(self, workspace, capsys):
+        spec = json.loads((workspace / "right.json").read_text())
+        del spec["horizon"]
+        (workspace / "bad.json").write_text(json.dumps(spec))
+        assert main(["simulate", "--spec", str(workspace / "bad.json"), "--out", str(workspace / "x.csv")]) == 2
+        assert "'horizon'" in capsys.readouterr().err
+
+    def test_template_horizon_mismatch_exit_2(self, workspace, capsys):
+        spec = json.loads((workspace / "right.json").read_text())
+        spec["horizon"] = 3
+        (workspace / "bad.json").write_text(json.dumps(spec))
+        assert main(["simulate", "--spec", str(workspace / "bad.json"), "--out", str(workspace / "x.csv")]) == 2
+        assert "template horizon 2" in capsys.readouterr().err
+
+    def test_scenario_file_descriptor_exit_2(self, workspace, capsys):
+        code = main(["simulate", "--spec", str(workspace / "single.json"), "--out", str(workspace / "x.csv")])
+        assert code == 2
+        assert "generator block" in capsys.readouterr().err
+
 
 class TestEvaluate:
+    def test_bare_generator_block_named_by_file_stem(self, workspace, capsys):
+        block = json.loads((workspace / "right.json").read_text())["generator"]
+        (workspace / "bare.json").write_text(json.dumps(block))
+        argv = ["--project", str(workspace / "bare.json"), "--curve", str(workspace / "curve.csv")]
+        assert main(["evaluate", *argv, "--out-dir", str(workspace / "r")]) == 0
+        assert "evaluated 400 scenarios of 'bare'" in capsys.readouterr().out
+
     def test_deterministic_single_scenario(self, workspace):
         out_dir = workspace / "report"
         code = main(
@@ -233,6 +259,26 @@ class TestRank:
         assert report["hurdle"] == {"kind": "delta_mu", "value": 0.10}
         assert out_csv.read_text().startswith("rank,project,omega,call,put,threshold,accept\n")
         assert "1." in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key, value, code, message",
+        [
+            ("template", None, 2, "generator block missing field 'template'"),
+            ("std", 0.0, 2, "target std must be positive, got 0.0"),
+            ("skew", 1e19, 1, "no lognormal solution for skewness 1e+19"),
+        ],
+    )
+    def test_generator_error_names_its_descriptor(self, workspace, capsys, key, value, code, message):
+        spec = json.loads((workspace / "right.json").read_text())
+        if value is None:
+            del spec["generator"][key]
+        else:
+            spec["generator"][key] = value
+        (workspace / "bad.json").write_text(json.dumps(spec))
+        projects = [str(workspace / name) for name in ("left.json", "bad.json", "right.json")]
+        argv = ["rank", "--projects", *projects, "--curve", str(workspace / "curve.csv")]
+        assert main([*argv, "--delta-mu", "0.1", "--out", str(workspace / "rank.json")]) == code
+        assert capsys.readouterr().err == f"error: {projects[1]}: {message}\n"
 
     def test_rank_with_grid_includes_crossings(self, workspace):
         out = workspace / "rank.json"
@@ -543,25 +589,28 @@ class TestInputBounds:
             ("horizon", {"id": "p", "horizon": True, "scenario_file": "single.csv"}),
             ("n", {"id": "p", "horizon": 1, "generator": {"n": True, "seed": 1}}),
             ("seed", {"id": "p", "horizon": 1, "generator": {"n": 5, "seed": False}}),
+            ("id", {"id": None, "horizon": 1, "generator": {}}),
+            ("id", {"id": [1, 2], "horizon": 1, "generator": {}}),
+            ("mean", {"id": "p", "horizon": 1, "generator": {"mean": True}}),
+            ("std", {"id": "p", "horizon": 1, "generator": {"std": True}}),
+            ("template", {"id": "p", "horizon": 1, "generator": {"template": [-1.0, True]}}),
+            ("mean", {"id": "p", "horizon": 1, "generator": {"mean": "350"}}),
         ],
     )
     def test_descriptor_field_types_exit_2_without_traceback(self, workspace, field, descriptor):
         if "generator" in descriptor:
             normal = {"family": "normal", "mean": 1.0, "std": 1.0, "skew": 0.0, "template": [-1.0, None]}
-            descriptor = {**descriptor, "generator": {**normal, **descriptor["generator"]}}
+            descriptor = {**descriptor, "generator": {**normal, "n": 5, "seed": 1, **descriptor["generator"]}}
+        typed = str(workspace / "typed.json")
         (workspace / "typed.json").write_text(json.dumps(descriptor))
-        proc = run_cli(
-            "evaluate",
-            "--project",
-            str(workspace / "typed.json"),
-            "--curve",
-            str(workspace / "curve.csv"),
-            "--out-dir",
-            str(workspace / "r"),
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert f"'{field}'" in proc.stderr
+        for argv in (
+            ("evaluate", "--project", typed, "--curve", str(workspace / "curve.csv"), "--out-dir", str(workspace / "r")),
+            ("simulate", "--spec", typed, "--out", str(workspace / "typed.csv")),
+        ):
+            proc = run_cli(*argv)
+            assert proc.returncode == 2, argv[0]
+            assert "Traceback" not in proc.stderr
+            assert f"'{field}'" in proc.stderr
 
 
 class TestRadrCompare:

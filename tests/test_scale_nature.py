@@ -1,0 +1,116 @@
+"""The paper ranks "projects of different nature, scale and lifespan"; these gates pin nature and scale.
+
+Nature: a generated project and its ``simulate`` CSV twin are one project, so
+they rank to the same ``rank.json`` bytes (repr round-trips every flow).
+
+Scale: multiplying every flow by 2^k is exact in binary floating point (no
+value here comes near overflow or the subnormals), and every quantity of the
+pipeline is homogeneous of degree 1 (NPV, outlays, NPV*, call, put) or 0
+(mu, Omega, the order, the mu* brackets) in the flows. So the degree-1
+quantities scale by exactly 2^k and the degree-0 ones are bitwise equal.
+"""
+
+import json
+from dataclasses import replace
+from functools import cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invomega import (
+    GeneratorSpec,
+    HurdleSpec,
+    ScenarioSet,
+    YieldCurve,
+    evaluate_project,
+    evaluate_set,
+    generate,
+    rank_with_crossings,
+    read_project,
+)
+from invomega.cli import main
+
+from conftest import DEMO_DIR
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
+GRID = [0.05 + 0.01 * i for i in range(21)]
+HURDLE = HurdleSpec("delta_mu", 0.10)
+
+
+def _rank_args(right, out):
+    return [
+        "rank", "--projects", str(right), str(DEMO_DIR / "project_left.json"),
+        "--curve", str(DEMO_DIR / "curve_flat5.csv"), "--delta-mu", "0.10",
+        "--grid", "0.05:0.25:0.01", "--out", str(out),
+    ]
+
+
+def test_generated_project_and_its_simulated_twin_rank_identically(tmp_path):
+    descriptor = json.loads((DEMO_DIR / "project_right.json").read_text())
+    descriptor["generator"].update(n=20_000, seed=5)
+    generated = tmp_path / "generated.json"
+    generated.write_text(json.dumps(descriptor))
+    twin_csv = tmp_path / "twin.csv"
+    argv = ["simulate", "--spec", str(DEMO_DIR / "project_right.json"), "--n", "20000", "--seed", "5"]
+    assert main([*argv, "--out", str(twin_csv)]) == 0
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps({"id": descriptor["id"], "horizon": 2, "scenario_file": twin_csv.name}))
+    # the two routes of the descriptor grammar
+    assert isinstance(read_project(generated)[2], GeneratorSpec)
+    assert read_project(twin) == (descriptor["id"], 2, twin_csv.resolve())
+
+    assert main(_rank_args(generated, tmp_path / "generated_rank.json")) == 0
+    assert main(_rank_args(twin, tmp_path / "twin_rank.json")) == 0
+    report = (tmp_path / "generated_rank.json").read_bytes()
+    assert json.loads(report)["crossings"][0]["brackets"]  # the pair swaps rank on the grid
+    assert report == (tmp_path / "twin_rank.json").read_bytes()
+
+
+@cache
+def _demo_pair() -> tuple[ScenarioSet, ...]:
+    specs = (read_project(DEMO_DIR / f"project_{side}.json") for side in ("right", "left"))
+    return tuple(generate(replace(spec, n_scenarios=5_000), pid) for pid, _, spec in specs)
+
+
+def _scaled(scenario_set: ScenarioSet, factor: float) -> ScenarioSet:
+    return ScenarioSet(scenario_set.project_id, scenario_set.flows * factor, scenario_set.weights)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _brackets(report) -> list:
+    return [(c.project_a, c.project_b, _bits(c.brackets)) for c in report.crossings]
+
+
+def _report(sets, metric, curve):
+    projects = [evaluate_project(s, curve, metric) for s in sets]
+    return rank_with_crossings(projects, HURDLE, metric, curve, GRID)
+
+
+@PROPERTY
+@given(st.integers(-3, 5))
+def test_scaling_every_flow_by_a_power_of_two(k):
+    curve = YieldCurve.from_csv(DEMO_DIR / "curve_flat5.csv")
+    factor = 2.0**k
+    base_sets = _demo_pair()
+    scaled_sets = tuple(_scaled(s, factor) for s in base_sets)
+    for base, scaled in zip(base_sets, scaled_sets):
+        assert _bits(evaluate_set(scaled, curve).annualized_return) == _bits(
+            evaluate_set(base, curve).annualized_return
+        )
+    for metric in ("npv", "mu"):
+        base, scaled = _report(base_sets, metric, curve), _report(scaled_sets, metric, curve)
+        assert base.crossings[0].brackets  # the property is not vacuous
+        assert scaled.order == base.order
+        assert _brackets(scaled) == _brackets(base)
+        for b, s in zip(base.entries, scaled.entries):
+            assert _bits([s.result.omega]) == _bits([b.result.omega])
+            if metric == "npv":
+                assert _bits([s.threshold, s.result.call, s.result.put]) == _bits(
+                    [factor * b.threshold, factor * b.result.call, factor * b.result.put]
+                )
+            else:
+                assert _bits([s.threshold]) == _bits([b.threshold])

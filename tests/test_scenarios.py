@@ -22,6 +22,7 @@ from invomega import (
     load_project,
     load_scenarios,
     moment_match,
+    read_project,
     summarize,
     write_scenarios,
 )
@@ -80,6 +81,11 @@ class TestSeededStream:
     def test_seed_must_be_int(self):
         with pytest.raises(InputError):
             SeededStream(1.5)
+
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_boolean_seed_refused(self, seed):
+        with pytest.raises(InputError, match="bool"):
+            SeededStream(seed)
 
 
 class TestNdtri:
@@ -325,6 +331,32 @@ class TestGenerate:
         with pytest.raises(InputError):
             GeneratorSpec("normal", 0.0, 1.0, 0.0, (-1.0, None), 0, 0)
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("family", {"family": "cauchy"}),
+            ("mean", {"target_mean": True}),
+            ("mean", {"target_mean": "350"}),
+            ("mean", {"target_mean": 10**400}),
+            ("std", {"target_std": False}),
+            ("skew", {"target_skewness": None}),
+            ("template", {"flow_template": (-1.0, True)}),
+            ("template", {"flow_template": (-1.0, None, math.inf)}),
+            ("n", {"n_scenarios": True}),
+            ("n", {"n_scenarios": 5.0}),
+            ("seed", {"seed": False}),
+        ],
+    )
+    def test_fields_checked_in_json_terms(self, field, change):
+        fields = {**vars(spec_right()), **change}
+        with pytest.raises(InputError, match=f"field '{field}'"):
+            GeneratorSpec(**fields)
+
+    def test_json_integers_become_floats(self):
+        spec = GeneratorSpec("normal", 110, 1, 0, (-100, None), 5, 21)
+        assert [type(v) for v in (spec.target_mean, spec.target_std, spec.target_skewness)] == [float] * 3
+        assert spec.flow_template == (-100.0, None) and type(spec.flow_template[0]) is float
+
 
 class TestScenarioCsv:
     def test_load_two_rows(self, tmp_path):
@@ -504,6 +536,28 @@ class TestProjectDescriptor:
         path.write_text(json.dumps({"id": "x", "horizon": 1}))
         with pytest.raises(InputError, match="exactly one"):
             load_project(path)
+
+    def test_read_project_routes(self, tmp_path):
+        (tmp_path / "flows.csv").write_text("t0,t1\n-10,20\n")
+        (tmp_path / "f.json").write_text(json.dumps({"id": "f", "horizon": 1, "scenario_file": "flows.csv"}))
+        assert read_project(tmp_path / "f.json") == ("f", 1, (tmp_path / "flows.csv").resolve())
+        block = {"family": "normal", "mean": 0.0, "std": 1.0, "skew": 0.0, "template": [-1.0, None, 0.0], "n": 3, "seed": 1}
+        (tmp_path / "bare.json").write_text(json.dumps(block))
+        project_id, horizon, spec = read_project(tmp_path / "bare.json")
+        assert (project_id, horizon, spec.n_scenarios) == ("bare", 2, 3)
+
+    @pytest.mark.parametrize("project_id", [None, 7, ["a"]])
+    def test_id_must_be_a_string(self, tmp_path, project_id):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"id": project_id, "horizon": 1, "scenario_file": "flows.csv"}))
+        with pytest.raises(InputError, match="field 'id'"):
+            read_project(path)
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"id": "p", "horizon": 1' + "0" * 5000 + "}")
+        with pytest.raises(InputError, match="invalid JSON"):
+            read_project(path)
 
     def test_template_horizon_must_match(self, tmp_path):
         path = tmp_path / "p.json"
