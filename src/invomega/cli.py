@@ -17,15 +17,18 @@ from pathlib import Path
 from typing import Sequence
 
 # The CLI makes no BLAS call, so it spares each process numpy's idle OpenBLAS
-# workers; this must run before the first import of numpy (the layers below).
+# workers. OpenBLAS reads the variable once, when numpy first loads (the layer
+# imports below); a caller's value is kept, and one set here is removed again.
+_PIN_BLAS = "OPENBLAS_NUM_THREADS" not in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .curves import YieldCurve
 from .distributions import EmpiricalDistribution, summarize, write_omega_curve_csv, write_summary_csv
-from .errors import DomainError, EngineError, InputError
+from .errors import EngineError, InputError
 from .metrics import HurdleSpec, evaluate_set, write_evaluation_csv
 from .radr import MODE_CANONICAL, MODES, RadrInput, radr_valuation
 from .ranking import (
+    METRICS,
     evaluate_project,
     omega_vs_hurdle,
     rank,
@@ -34,6 +37,9 @@ from .ranking import (
 )
 from .scenarios import GeneratorSpec, generate, load_project, read_project, write_scenarios
 from . import __version__
+
+if _PIN_BLAS:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 MAX_GRID_POINTS = 1_000_000
 
@@ -81,6 +87,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not isinstance(spec, GeneratorSpec):
         raise InputError(f"{args.spec}: simulate needs a generator block, not a 'scenario_file'")
     if args.n is not None:
+        if args.n < 1:
+            raise InputError(f"--n must be a positive integer, got {args.n}")
         spec = replace(spec, n_scenarios=args.n)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -170,7 +178,7 @@ def _cmd_omega_curve(args: argparse.Namespace) -> int:
     points = omega_vs_hurdle(project, curve, grid)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_omega_curve_csv([p.result for p in points], out)
+    write_omega_curve_csv(points, out)
     print(f"wrote {len(points)} omega-curve points for {project.project_id!r} to {out}")
     return 0
 
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     hurdle.add_argument("--delta-mu", type=float, default=None, help="return premium over r_T")
     hurdle.add_argument("--mu-star", type=float, default=None, help="annualized return floor")
     hurdle.add_argument("--npv-star", type=float, default=None, help="NPV floor")
-    p.add_argument("--metric", choices=["npv", "mu"], default="mu")
+    p.add_argument("--metric", choices=METRICS, default="mu")
     p.add_argument("--grid", default=None, help="mu* grid lo:hi:step for crossing analysis")
     p.add_argument("--out", required=True, help="output JSON report")
     p.add_argument("--out-csv", default=None, help="optional tabular CSV report")
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega-curve", help="Omega along a grid of hurdle rates")
     p.add_argument("--project", required=True, help="JSON project descriptor")
     p.add_argument("--curve", required=True, help="riskless curve CSV")
-    p.add_argument("--metric", choices=["npv", "mu"], default="mu")
+    p.add_argument("--metric", choices=METRICS, default="mu")
     p.add_argument("--grid", required=True, help="mu* grid lo:hi:step")
     p.add_argument("--out", required=True, help="output CSV (threshold,call,put,omega)")
     p.set_defaults(func=_cmd_omega_curve)
@@ -257,18 +265,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EngineError as exc:  # pragma: no cover - defensive
+    except EngineError as exc:  # DomainError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

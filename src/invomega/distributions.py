@@ -146,22 +146,28 @@ class SummaryStats:
 
 
 def summarize(dist: EmpiricalDistribution) -> SummaryStats:
-    """Weighted summary statistics (population moments, lower weighted median)."""
+    """Weighted summary statistics (population moments, lower weighted median).
+
+    The median is the first sample whose compensated cumulative weight W_{k+1}
+    reaches 1/2. Skewness is None where it is undefined: at std 0, and where
+    std**3 or the ratio leaves the float range.
+    """
     sv = dist.sorted_values
     sw = dist.sorted_weights
     mean = dist.mean()
-    cum = np.cumsum(sw)
-    idx = min(int(np.searchsorted(cum, 0.5, side="left")), dist.size - 1)
-    median = float(sv[idx])
+    median = float(sv[np.searchsorted(dist._below[1:], 0.5)])
     if dist.size < 2:
         return SummaryStats(mean=mean, median=median, std_dev=None, skewness=None)
     centered = sv - mean
-    variance = float(np.sum(sw * centered * centered))
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = float(np.sum(sw * centered * centered))
+        m3 = float(np.sum(sw * centered * centered * centered))
     std = math.sqrt(variance) if variance > 0.0 else 0.0
-    if std == 0.0:
-        return SummaryStats(mean=mean, median=median, std_dev=0.0, skewness=None)
-    skew = float(np.sum(sw * centered * centered * centered)) / std**3
-    return SummaryStats(mean=mean, median=median, std_dev=std, skewness=skew)
+    try:
+        skew = m3 / std**3
+    except (OverflowError, ZeroDivisionError):
+        skew = math.nan
+    return SummaryStats(mean, median, std, skew if math.isfinite(skew) else None)
 
 
 @dataclass(frozen=True)
@@ -207,8 +213,9 @@ def partial_moments(
 
 
 def omega_values(call: np.ndarray, put: np.ndarray) -> np.ndarray:
-    """Omega = call / put, +inf where only upside mass remains, nan where neither side has any."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """Omega = call / put, +inf where only upside mass remains (or the ratio passes the
+    float range), nan where neither side has any."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(put > 0.0, call / put, np.where(call > 0.0, np.inf, np.nan))
 
 

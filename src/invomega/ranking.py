@@ -145,14 +145,13 @@ class RankingReport:
 
 
 def _sort_key(entry: RankingEntry):
-    # Best first: infinite Omega above all finite (tie-break on call), then
-    # higher Omega, higher mean, lower std, project id.
-    infinite = entry.result.is_infinite
+    # Best first: higher Omega (+inf above every finite value; among infinite
+    # Omegas, higher call), then higher mean, lower std, project id.
+    result = entry.result
     std = entry.summary.std_dev if entry.summary.std_dev is not None else 0.0
     return (
-        0 if infinite else 1,
-        -entry.result.call if infinite else 0.0,
-        0.0 if infinite else -entry.result.omega,
+        -result.omega,
+        -result.call if result.is_infinite else 0.0,
         -entry.summary.mean,
         std,
         entry.project_id,
@@ -191,7 +190,7 @@ def rank(
             threshold=lam,
             result=result,
             summary=summarize(p.distribution),
-            accept=result.is_infinite or (not result.is_indeterminate and result.omega >= 1.0),
+            accept=result.omega >= 1.0,
         )
         if result.is_indeterminate:
             warnings.warn(
@@ -212,23 +211,17 @@ def rank(
     )
 
 
-@dataclass(frozen=True)
-class HurdleCurvePoint:
-    mu_star: float
-    result: OmegaResult
-
-
 def omega_vs_hurdle(
     project: ProjectEvaluation, curve: YieldCurve, mu_grid: Sequence[float]
-) -> tuple[HurdleCurvePoint, ...]:
-    """Omega along a grid of annualized-return hurdles mu*.
+) -> tuple[OmegaResult, ...]:
+    """Omega along a grid of annualized-return hurdles mu*, one result per point.
 
     For the npv metric each mu* is first converted to its NPV threshold on the
-    project's outlay basis; either way the curve is nonincreasing in mu*.
+    project's outlay basis (the result's ``threshold``); either way the curve
+    is nonincreasing in mu*.
     """
     _check_grid(mu_grid)
-    results = _omega_at(project.distribution, _thresholds_at(project, curve, mu_grid).tolist())
-    return tuple(HurdleCurvePoint(mu_star=m, result=r) for m, r in zip(mu_grid, results))
+    return _omega_at(project.distribution, _thresholds_at(project, curve, mu_grid).tolist())
 
 
 def _thresholds_at(

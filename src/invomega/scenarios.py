@@ -81,6 +81,7 @@ class SeededStream:
 # Functions", 1989): sqrt(2 pi), exp(-2), and the rational approximations for
 # |y - 1/2| <= 3/8 (P0/Q0), for z = sqrt(-2 log y) in [2, 8) (P1/Q1) and in
 # [8, 64] (P2/Q2), highest power first; the Q tables omit their leading 1.
+# np.polyval runs Cephes' polevl/p1evl Horner order: acc = acc * x + c.
 _S2PI = 2.50662827463100050242e0
 _EXP_M2 = 0.13533528323661269189
 _P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
@@ -100,19 +101,6 @@ _P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.9388102529247444341
 _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
        2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _polevl(x: np.ndarray, coefs: Sequence[float]) -> np.ndarray:
-    """Cephes ``polevl``: the polynomial in Horner order, highest power first."""
-    acc = coefs[0]
-    for c in coefs[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _p1evl(x: np.ndarray, coefs: Sequence[float]) -> np.ndarray:
-    """Cephes ``p1evl``: ``polevl`` with an implied leading coefficient 1."""
-    return _polevl(x, (1.0, *coefs))
 
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
@@ -137,15 +125,15 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     central = inside & (y > _EXP_M2)
     yc = y[central] - 0.5
     y2 = yc * yc
-    x[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    x[central] = (yc + yc * (y2 * np.polyval(_P0, y2) / np.polyval((1.0, *_Q0), y2))) * _S2PI
     tail = inside & ~central
     s = np.sqrt(-2.0 * _libm_log(y[tail]))
     s0 = s - _libm_log(s) / s
     z = 1.0 / s
-    s1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    s1 = z * np.polyval(_P1, z) / np.polyval((1.0, *_Q1), z)
     far = s >= 8.0  # y <= exp(-32)
     zf = z[far]
-    s1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+    s1[far] = zf * np.polyval(_P2, zf) / np.polyval((1.0, *_Q2), zf)
     d = s0 - s1
     x[tail] = np.where(upper[tail], d, -d)
     return x
@@ -341,7 +329,10 @@ def generate(spec: GeneratorSpec, project_id: str = "generated") -> ScenarioSet:
     )
     stream = SeededStream(spec.seed)
     template = [0.0 if f is None else f for f in spec.flow_template]
-    flows = np.tile(template, (spec.n_scenarios, 1))
+    try:
+        flows = np.tile(template, (spec.n_scenarios, 1))
+    except (OverflowError, ValueError, MemoryError) as exc:  # numpy refuses before allocating
+        raise InputError(f"n = {spec.n_scenarios} scenarios do not fit in one array: {exc}") from None
     flows[:, spec.slot] = matched.sample(stream, np.arange(spec.n_scenarios, dtype=np.uint64))
     return ScenarioSet.uniform(project_id, flows)
 

@@ -612,6 +612,46 @@ class TestInputBounds:
             assert "Traceback" not in proc.stderr
             assert f"'{field}'" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command, source, code, named",
+        [
+            # std**3 underflows to 0 (a subnormal weight) or overflows (flows of 1e150)
+            ("evaluate", "subnormal.json", 0, "skewness=n/a"),
+            ("rank", "subnormal.json", 0, "1. subnormal"),
+            ("evaluate", "huge_flows.json", 0, "skewness=n/a"),
+            ("rank", "huge_flows.json", 0, "1. huge"),
+            # numpy refuses these counts before it allocates anything
+            ("evaluate", "huge_n.json", 2, "n = 10"),
+            ("rank", "huge_n.json", 2, "n = 10"),
+            ("simulate", "huge_n.json", 2, "n = 10"),
+            ("simulate --n 1" + "0" * 30, "right.json", 2, "n = 10"),
+            ("simulate --n 0", "right.json", 2, "--n"),
+        ],
+    )
+    def test_exit_code_contract_without_traceback(self, workspace, command, source, code, named):
+        (workspace / "subnormal.csv").write_text("weight,t0,t1,t2\n1e-320,-200.0,0.0,0.0\n1.0,-200.0,350.0,-100.0\n")
+        (workspace / "huge_flows.csv").write_text("t0,t1,t2\n-1.0,1e150,0.0\n-1e150,0.0,0.0\n")
+        for stem in ("subnormal", "huge_flows"):
+            (workspace / f"{stem}.json").write_text(
+                json.dumps({"id": stem.replace("_flows", ""), "horizon": 2, "scenario_file": f"{stem}.csv"})
+            )
+        spec = json.loads((workspace / "right.json").read_text())
+        spec["generator"]["n"] = 10**30
+        (workspace / "huge_n.json").write_text(json.dumps(spec))
+        name, *flags = command.split()
+        path, curve, out = str(workspace / source), str(workspace / "curve.csv"), str(workspace / "out")
+        argv = {
+            "evaluate": ("--project", path, "--curve", curve, "--out-dir", out),
+            "rank": ("--projects", path, "--curve", curve, "--metric", "npv", "--mu-star", "0.1", "--out", out + ".json"),
+            "simulate": ("--spec", path, "--out", out + ".csv"),
+        }[name]
+        proc = run_cli(name, *flags, *argv, preexec_fn=cap_address_space)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert named in (proc.stdout if code == 0 else proc.stderr)
+        if code == 0:
+            assert proc.stderr == ""
+
 
 class TestRadrCompare:
     def test_reference_mode(self, workspace, capsys):

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +73,32 @@ class TestSummarize:
         assert stats.std_dev == pytest.approx(3.0)
         # third standardized moment of a 0.9/0.1 two-pointer
         assert stats.skewness == pytest.approx((0.9 * (-1.0) ** 3 + 0.1 * 9.0**3) / 27.0)
+
+    @pytest.mark.parametrize("n", [12, 30, 10_000])
+    def test_uniform_median_is_the_lower_middle_sample(self, n):
+        # a plain running sum of n weights 1/n stays below 1/2 at sample n/2 - 1
+        assert summarize(EmpiricalDistribution(np.arange(n))).median == n / 2 - 1
+
+    def test_median_reaches_half_on_exact_cumulative_weights(self):
+        rng = random.Random(11)
+        dists = [random_dist(rng, rng.randint(1, 400)) for _ in range(200)]
+        for dist in [EmpiricalDistribution(np.arange(10_000)), *dists]:
+            cum = Fraction(0)
+            for x, w in zip(dist.sorted_values.tolist(), dist.sorted_weights.tolist()):
+                cum += Fraction(w)
+                if cum >= Fraction(1, 2):
+                    break
+            assert summarize(dist).median == x
+
+    def test_skewness_undefined_when_std_cubed_underflows(self):
+        stats = summarize(EmpiricalDistribution([0.0, 50.0], [1e-320, 1.0]))
+        assert stats.std_dev > 0.0
+        assert stats.skewness is None
+
+    def test_skewness_undefined_when_std_cubed_overflows(self):
+        stats = summarize(EmpiricalDistribution([-1e150, 1e150]))
+        assert stats.std_dev == 1e150
+        assert stats.skewness is None
 
 
 class TestConstructionInvariance:

@@ -184,8 +184,8 @@ class TestOmegaVsHurdle:
         ss = ScenarioSet.uniform("riskless", [flows] * 2)
         project = evaluate_project(ss, flat5, "mu")
         points = omega_vs_hurdle(project, flat5, [0.03, 0.07])
-        assert points[0].result.is_infinite  # below r_T
-        assert points[1].result.omega == 0.0  # above r_T: no upside left
+        assert points[0].is_infinite  # below r_T
+        assert points[1].omega == 0.0  # above r_T: no upside left
 
     def test_riskless_point_mass_exact_on_zero_curve(self):
         # at zero rates the replication round-trips exactly, so mu == r_T == 0
@@ -193,9 +193,9 @@ class TestOmegaVsHurdle:
         ss = ScenarioSet.uniform("riskless", [(-30.0, 10.0, 20.0)] * 2)
         project = evaluate_project(ss, curve, "mu")
         points = omega_vs_hurdle(project, curve, [-0.01, 0.0, 0.01])
-        assert points[0].result.is_infinite
-        assert points[1].result.is_indeterminate
-        assert points[2].result.omega == 0.0
+        assert points[0].is_infinite
+        assert points[1].is_indeterminate
+        assert points[2].omega == 0.0
 
     def test_curve_nonincreasing_both_metrics(self, flat5):
         ss = generate(
@@ -213,7 +213,7 @@ class TestOmegaVsHurdle:
         for metric in ("npv", "mu"):
             project = evaluate_project(ss, flat5, metric)
             points = omega_vs_hurdle(project, flat5, np.arange(0.0, 0.25, 0.02).tolist())
-            finite = [p.result.omega for p in points if not p.result.is_infinite]
+            finite = [p.omega for p in points if not p.is_infinite]
             assert finite == sorted(finite, reverse=True)
 
     @pytest.mark.parametrize("metric", ["mu", "npv"])
@@ -226,6 +226,15 @@ class TestOmegaVsHurdle:
                 omega_vs_hurdle(a, flat5, grid)
             with pytest.raises(error):
                 hurdle_crossings(a, b, flat5, grid)
+
+    @pytest.mark.parametrize("metric", ["mu", "npv"])
+    def test_points_are_omega_at_each_metric_threshold(self, flat5, metric):
+        project = project_from_dist("p", [-40.0, 0.05, 0.1, 25.0], metric=metric)
+        grid = [0.0, 0.05, 0.1, 0.2]
+        points = omega_vs_hurdle(project, flat5, grid)
+        for mu_star, point in zip(grid, points):
+            lam, _ = metric_threshold(project, HurdleSpec("mu_star", mu_star), flat5)
+            assert point == omega(project.distribution, lam)
 
     def test_grid_validation(self, flat5):
         project = project_from_dist("p", [0.0, 1.0], metric="mu")
