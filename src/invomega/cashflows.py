@@ -8,8 +8,8 @@ zero-coupon outlays covering every F- and bond notionals paying every F+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -109,14 +109,17 @@ def replicate(scenario: CashFlowScenario, curve: YieldCurve) -> ReplicationDecom
     It is the one-row case of the evaluation kernel's replication, so
     ``certainty_equivalent_outlay - total_outlay`` is bitwise ``evaluate``'s NPV.
     """
-    rows = _replicate_rows(np.array([scenario.flows]), curve)
-    return ReplicationDecomposition(
-        additional_outlay=float(rows.additional_outlay[0]),
-        partial_outlays=tuple(rows.partial_outlays[0].tolist()),
-        total_outlay=float(rows.total_outlay[0]),
-        bond_notionals=tuple(rows.bond_notionals[0].tolist()),
-        certainty_equivalent_outlay=float(rows.certainty_equivalent_outlay[0]),
-    )
+    return record_row(_replicate_rows(np.array([scenario.flows]), curve), 0)
+
+
+Record = TypeVar("Record")
+
+
+def record_row(record: Record, i: int) -> Record:
+    """Row ``i`` of a dataclass of per-row arrays, as the same dataclass of Python
+    floats, with tuples for the per-tenor (N, T) fields."""
+    cells = (getattr(record, f.name)[i] for f in fields(record))
+    return type(record)(*(tuple(c.tolist()) if np.ndim(c) else float(c) for c in cells))
 
 
 def present_value(flows: Sequence[float] | Iterable[float], curve: YieldCurve) -> float:

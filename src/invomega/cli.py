@@ -78,8 +78,9 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n")
 
 
-def _percent(x: float) -> str:
-    return f"{100.0 * x:.1f}%"
+def _shown(stat: float | None, spec: str) -> str:
+    """A summary statistic for stdout in the format ``spec``, or ``n/a`` where it is undefined."""
+    return "n/a" if stat is None else format(stat, spec)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -94,15 +95,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec = replace(spec, seed=args.seed)
     scenario_set = generate(spec, project_id=project_id)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_scenarios(scenario_set, out)
     slot = spec.slot
     stats = summarize(EmpiricalDistribution(scenario_set.flows[:, slot]))
-    skew = "n/a" if stats.skewness is None else f"{stats.skewness:.4f}"
-    std = "n/a" if stats.std_dev is None else f"{stats.std_dev:.4f}"
     print(f"wrote {len(scenario_set)} scenarios to {out}")
     print(
-        f"stochastic flow t={slot}: mean={stats.mean:.4f} std={std} skewness={skew}"
+        f"stochastic flow t={slot}: mean={stats.mean:.4f} std={_shown(stats.std_dev, '.4f')} "
+        f"skewness={_shown(stats.skewness, '.4f')}"
     )
     return 0
 
@@ -112,23 +111,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     curve = YieldCurve.from_csv(args.curve)
     results = evaluate_set(scenario_set, curve)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_evaluation_csv(results, out_dir / "evaluation.csv")
     npv_stats = summarize(EmpiricalDistribution(results.npv, scenario_set.weights))
     mu_stats = summarize(EmpiricalDistribution(results.annualized_return, scenario_set.weights))
     write_summary_csv({"npv": npv_stats, "mu": mu_stats}, out_dir / "summary.csv")
     print(f"evaluated {len(scenario_set)} scenarios of {scenario_set.project_id!r}")
-    npv_skew = "n/a" if npv_stats.skewness is None else f"{npv_stats.skewness:.2f}"
-    mu_skew = "n/a" if mu_stats.skewness is None else f"{mu_stats.skewness:.2f}"
-    npv_std = "n/a" if npv_stats.std_dev is None else f"{npv_stats.std_dev:.0f}"
-    mu_std = "n/a" if mu_stats.std_dev is None else _percent(mu_stats.std_dev)
     print(
         f"npv: mean={npv_stats.mean:.0f} median={npv_stats.median:.0f} "
-        f"std={npv_std} skewness={npv_skew}"
+        f"std={_shown(npv_stats.std_dev, '.0f')} skewness={_shown(npv_stats.skewness, '.2f')}"
     )
     print(
-        f"mu: mean={_percent(mu_stats.mean)} median={_percent(mu_stats.median)} "
-        f"std={mu_std} skewness={mu_skew}"
+        f"mu: mean={mu_stats.mean:.1%} median={mu_stats.median:.1%} "
+        f"std={_shown(mu_stats.std_dev, '.1%')} skewness={_shown(mu_stats.skewness, '.2f')}"
     )
     return 0
 
@@ -156,9 +150,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         report = rank(projects, hurdle, args.metric, curve)
     _write_json(report.to_dict(), Path(args.out))
     if args.out_csv is not None:
-        out_csv = Path(args.out_csv)
-        out_csv.parent.mkdir(parents=True, exist_ok=True)
-        write_ranking_csv(report, out_csv)
+        write_ranking_csv(report, Path(args.out_csv))
     for position, entry in enumerate(report.entries, start=1):
         verdict = "accept" if entry.accept else "reject"
         print(
@@ -177,7 +169,6 @@ def _cmd_omega_curve(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     points = omega_vs_hurdle(project, curve, grid)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_omega_curve_csv(points, out)
     print(f"wrote {len(points)} omega-curve points for {project.project_id!r} to {out}")
     return 0
@@ -197,7 +188,7 @@ def _cmd_radr_compare(args: argparse.Namespace) -> int:
     verdict = "accept" if result.accept else "reject"
     print(
         f"{scenario_set.project_id}: NPV(mean|k)={result.npv_at_k:.0f} "
-        f"MIRR={_percent(result.mirr_at_k)} "
+        f"MIRR={result.mirr_at_k:.1%} "
         f"mean NPV(r)={result.mean_npv_at_r:.0f} lambda={result.lambda_radr:.0f} "
         f"-> {verdict}"
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .csvio import data_rows
 from .errors import InputError, TenorOutOfRangeError, decoding
 
 
@@ -55,21 +56,16 @@ class YieldCurve:
     @classmethod
     def from_csv(cls, path: str | Path) -> "YieldCurve":
         """Load a curve from CSV with header ``tenor,rate`` and tenors 1..T."""
-        rows: list[tuple[int, float]] = []
         with decoding(path), open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:2]] != ["tenor", "rate"]:
-                raise InputError(f"{path}: expected header 'tenor,rate', got {header!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != 2:
-                    raise InputError(f"{path}: row {lineno}: expected 2 columns, got {len(row)}")
-                try:
-                    rows.append((int(row[0]), float(row[1])))
-                except ValueError as exc:
-                    raise InputError(f"{path}: row {lineno}: {exc}") from exc
+            header = next(csv.reader(handle), None)
+        if header is None or [h.strip().lower() for h in header[:2]] != ["tenor", "rate"]:
+            raise InputError(f"{path}: expected header 'tenor,rate', got {header!r}")
+        rows: list[tuple[int, float]] = []
+        for lineno, (tenor, rate) in data_rows(path, 2):
+            try:
+                rows.append((int(tenor), float(rate)))
+            except ValueError as exc:
+                raise InputError(f"{path}: row {lineno}: {exc}") from exc
         if not rows:
             raise InputError(f"{path}: no curve rows")
         rows.sort(key=lambda item: item[0])
@@ -106,9 +102,6 @@ class YieldCurve:
 
     def discount_factor(self, t: int) -> float:
         """Present value of one unit paid at tenor t (1 at t = 0)."""
-        if t == 0:
-            return 1.0
-        self._check_tenor(t)
         return 1.0 / self.growth_factor(t)
 
     def forward_curve(self, horizon: int) -> "ForwardCurve":

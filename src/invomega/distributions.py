@@ -67,13 +67,16 @@ def _cumsum(terms: np.ndarray) -> np.ndarray:
 class EmpiricalDistribution:
     """Immutable weighted sample set with a sorted view and its partial-moment sums.
 
+    ``values`` and ``weights`` hold the samples as given, ``sorted_values`` and
+    ``sorted_weights`` in ascending order (stable); all arrays are read-only.
+    The spread x_max - x_min must be finite, so every gap and deviation is.
     Over the sorted samples x_0 <= ... <= x_{N-1} with weights w_i, for k = 0..N:
     W_k = sum_{i<k} w_i, V_k = sum_{i>=k} w_i, and for k < N:
     P_k = sum_{i<k} w_i (x_k - x_i), C_k = sum_{i>=k} w_i (x_i - x_k).
     """
 
     __slots__ = (
-        "_values", "_weights", "_sorted_values", "_sorted_weights",
+        "values", "weights", "sorted_values", "sorted_weights",
         "_below", "_above", "_put_at", "_call_at",
     )
 
@@ -81,14 +84,17 @@ class EmpiricalDistribution:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise InputError("distribution needs a non-empty 1-D sample sequence")
-        if not np.all(np.isfinite(vals)):
-            raise InputError("samples must be finite")
+        order = np.argsort(vals, kind="stable")  # nan sorts last
+        low, high = float(vals[order[0]]), float(vals[order[-1]])
+        if not math.isfinite(high - low):
+            raise InputError(
+                f"samples and their spread x_max - x_min must be finite, got {low!r} to {high!r}"
+            )
         wts = validated_weights(weights, vals.size)
-        order = np.argsort(vals, kind="stable")
-        self._values = vals.copy()
-        self._weights = wts
-        self._sorted_values = x = vals[order]
-        self._sorted_weights = w = wts[order]
+        self.values = vals.copy()
+        self.weights = wts
+        self.sorted_values = x = vals[order]
+        self.sorted_weights = w = wts[order]
         gaps = np.diff(x)
         self._below = np.concatenate(([0.0], _cumsum(w)))  # W
         self._above = np.concatenate((_cumsum(w[::-1])[::-1], [0.0]))  # V
@@ -99,40 +105,22 @@ class EmpiricalDistribution:
             getattr(self, name).setflags(write=False)
 
     @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def sorted_values(self) -> np.ndarray:
-        return self._sorted_values
-
-    @property
-    def sorted_weights(self) -> np.ndarray:
-        return self._sorted_weights
-
-    @property
     def size(self) -> int:
-        return int(self._values.size)
+        return int(self.values.size)
 
     def __len__(self) -> int:
         return self.size
 
     def mean(self) -> float:
         # anchored at the smallest sample so a constant distribution is exact
-        anchor = float(self._sorted_values[0])
-        return anchor + float(
-            np.sum(self._sorted_weights * (self._sorted_values - anchor))
-        )
+        anchor = float(self.sorted_values[0])
+        return anchor + float(np.sum(self.sorted_weights * (self.sorted_values - anchor)))
 
     def shifted(self, offset: float) -> "EmpiricalDistribution":
-        return EmpiricalDistribution(self._values + offset, self._weights)
+        return EmpiricalDistribution(self.values + offset, self.weights)
 
     def scaled(self, factor: float) -> "EmpiricalDistribution":
-        return EmpiricalDistribution(self._values * factor, self._weights)
+        return EmpiricalDistribution(self.values * factor, self.weights)
 
 
 @dataclass(frozen=True)
@@ -149,8 +137,9 @@ def summarize(dist: EmpiricalDistribution) -> SummaryStats:
     """Weighted summary statistics (population moments, lower weighted median).
 
     The median is the first sample whose compensated cumulative weight W_{k+1}
-    reaches 1/2. Skewness is None where it is undefined: at std 0, and where
-    std**3 or the ratio leaves the float range.
+    reaches 1/2. Std is None where the variance leaves the float range;
+    skewness is None there too, at std 0, and where std**3 or the ratio
+    leaves the float range.
     """
     sv = dist.sorted_values
     sw = dist.sorted_weights
@@ -162,6 +151,8 @@ def summarize(dist: EmpiricalDistribution) -> SummaryStats:
     with np.errstate(over="ignore", invalid="ignore"):
         variance = float(np.sum(sw * centered * centered))
         m3 = float(np.sum(sw * centered * centered * centered))
+    if not math.isfinite(variance):
+        return SummaryStats(mean, median, None, None)
     std = math.sqrt(variance) if variance > 0.0 else 0.0
     try:
         skew = m3 / std**3

@@ -33,7 +33,7 @@ class HorizonMismatchError(InputError):
 
 
 class ScenarioParseError(InputError):
-    """A scenario file could not be parsed; message carries row/column."""
+    """A CSV input (scenarios or curve) could not be parsed; message carries row/column."""
 
 
 class ZeroOutlayError(DomainError):

@@ -10,13 +10,13 @@ translate between an annualized-return floor and its NPV equivalent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .cashflows import CashFlowScenario, ScenarioSet, _replicate_rows
+from .cashflows import CashFlowScenario, ScenarioSet, _replicate_rows, record_row
 from .csvio import write_csv
 from .curves import YieldCurve
 from .errors import (
@@ -47,7 +47,7 @@ class EvaluationResult:
 
     def row(self, i: int) -> "EvaluationResult":
         """Scenario ``i`` of a set result, as Python floats."""
-        return EvaluationResult(*(float(getattr(self, f.name)[i]) for f in fields(self)))
+        return record_row(self, i)
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,12 @@ def npv_from_profit(
 def thresholds(
     hurdle: HurdleSpec, basis_outlay: float, curve: YieldCurve, horizon: int
 ) -> ThresholdSet:
-    """Derive the consistent (mu*, NPV*) pair from any supported hurdle form."""
-    if basis_outlay <= 0.0:
-        raise ZeroOutlayError(f"basis outlay must be positive, got {basis_outlay}")
-    r_T = curve.annual_rate(horizon)
+    """Derive the consistent (mu*, NPV*) pair from any supported hurdle form.
+
+    Every conversion refuses a basis outlay that is not positive (ZeroOutlayError).
+    """
     if hurdle.kind == "delta_mu":
-        mu_star = r_T + hurdle.value
+        mu_star = curve.annual_rate(horizon) + hurdle.value
         npv_star = npv_from_mu(mu_star, basis_outlay, curve, horizon)
     elif hurdle.kind == "mu_star":
         mu_star = hurdle.value

@@ -15,12 +15,12 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .cashflows import ScenarioSet, check_flow_rows
-from .csvio import write_csv
+from .csvio import data_rows, write_csv
 from .distributions import validated_weights
 from .errors import DomainError, HorizonMismatchError, InputError, ScenarioParseError, decoding
 
@@ -213,24 +213,27 @@ def _lognormal_w(skew_abs: float) -> float:
     y = 2.0 * math.sinh(math.asinh(skew_abs / 2.0) / 3.0)
     w = 1.0 + y * y
     if w > 1e12:
-        raise DomainError(f"no lognormal solution for skewness {skew_abs}")
+        raise DomainError(f"field 'skew': no lognormal solution for skewness {skew_abs}")
     return w
 
 
 def moment_match(family: str, mean: float, std: float, skew: float) -> MatchedDistribution:
-    """Parameters of ``family`` whose analytic mean/std/skewness equal the targets."""
+    """Parameters of ``family`` whose analytic mean/std/skewness equal the targets.
+
+    Errors name the field of a JSON generator block that holds the bad target.
+    """
     if family not in FAMILIES:
-        raise InputError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        raise InputError(f"field 'family': unknown family {family!r}, expected one of {FAMILIES}")
     for name, value in (("mean", mean), ("std", std), ("skew", skew)):
         if not math.isfinite(value):
-            raise InputError(f"target {name} must be finite, got {value!r}")
+            raise InputError(f"field '{name}': must be finite, got {value!r}")
     if std <= 0.0:
-        raise InputError(f"target std must be positive, got {std}")
+        raise InputError(f"field 'std': must be positive, got {std}")
 
     if family in ("shifted_lognormal", "mirrored_shifted_lognormal"):
         if skew == 0.0:
             raise InputError(
-                "lognormal families need nonzero skewness (use family 'normal' instead)"
+                "field 'skew': lognormal families need nonzero skewness (use family 'normal' instead)"
             )
         w = _lognormal_w(abs(skew))
         sigma_log = math.sqrt(math.log(w))
@@ -244,7 +247,7 @@ def moment_match(family: str, mean: float, std: float, skew: float) -> MatchedDi
         )
     if family == "normal":
         if skew != 0.0:
-            raise InputError(f"family 'normal' requires zero skewness, got {skew}")
+            raise InputError(f"field 'skew': family 'normal' requires zero skewness, got {skew}")
         return MatchedNormal(mean=mean, std=std)
     # discrete: two-point distribution with exact first three moments
     q = skew / math.sqrt(4.0 + skew**2)
@@ -268,10 +271,6 @@ class GeneratorSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise InputError(
-                f"field 'family': unknown family {self.family!r}, expected one of {FAMILIES}"
-            )
         for attr, key in (("target_mean", "mean"), ("target_std", "std"), ("target_skewness", "skew")):
             object.__setattr__(self, attr, _number(getattr(self, attr), f"field '{key}'"))
         moment_match(self.family, self.target_mean, self.target_std, self.target_skewness)
@@ -376,7 +375,7 @@ def load_scenarios(
 
     def where(i: int) -> str:
         if not linenos:
-            linenos.extend(lineno for lineno, _ in _data_rows(path))
+            linenos.extend(lineno for lineno, _ in data_rows(path, n_cols))
         return f"{path}: row {linenos[i]}"
 
     table.setflags(write=False)  # so that the ScenarioSet keeps it without a copy
@@ -388,35 +387,16 @@ def load_scenarios(
     return ScenarioSet(pid, flows, weights)
 
 
-def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line, cells) of each data row of a scenario CSV, blank rows skipped."""
-    with open(path, newline="") as handle:
-        handle.readline()
-        for lineno, row in enumerate(csv.reader(handle), start=2):
-            if any(cell.strip() for cell in row):
-                yield lineno, row
-
-
 def _scan_table(path: Path, n_cols: int) -> np.ndarray:
     # np.loadtxt refuses a few inputs that the csv grammar accepts (whitespace-only
     # lines, all-empty rows such as ",,", quoted cells); this row-by-row scan parses
     # those and names the file and line of the first bad row in any other refusal.
-    rows: list[list[str]] = []
-    linenos: list[int] = []
-    for lineno, row in _data_rows(path):
-        if len(row) != n_cols:
-            raise ScenarioParseError(
-                f"{path}: row {lineno}: expected {n_cols} columns, got {len(row)}"
-            )
-        rows.append(row)
-        linenos.append(lineno)
+    numbered = list(data_rows(path, n_cols))
     try:
-        return np.array(rows, dtype=float)
+        return np.array([row for _, row in numbered], dtype=float)
     except ValueError:
-        i, bad = next((i, c) for i, row in enumerate(rows) for c in row if not _is_float(c))
-        raise ScenarioParseError(
-            f"{path}: row {linenos[i]}: non-numeric value {bad!r}"
-        ) from None
+        lineno, bad = next((n, c) for n, row in numbered for c in row if not _is_float(c))
+        raise ScenarioParseError(f"{path}: row {lineno}: non-numeric value {bad!r}") from None
 
 
 def _is_float(cell: str) -> bool:

@@ -264,8 +264,9 @@ class TestRank:
         "key, value, code, message",
         [
             ("template", None, 2, "generator block missing field 'template'"),
-            ("std", 0.0, 2, "target std must be positive, got 0.0"),
-            ("skew", 1e19, 1, "no lognormal solution for skewness 1e+19"),
+            ("std", 0.0, 2, "field 'std': must be positive, got 0.0"),
+            ("skew", 1e19, 1, "field 'skew': no lognormal solution for skewness 1e+19"),
+            ("skew", 0.0, 2, "field 'skew': lognormal families need nonzero skewness (use family 'normal' instead)"),
         ],
     )
     def test_generator_error_names_its_descriptor(self, workspace, capsys, key, value, code, message):
@@ -626,12 +627,19 @@ class TestInputBounds:
             ("simulate", "huge_n.json", 2, "n = 10"),
             ("simulate --n 1" + "0" * 30, "right.json", 2, "n = 10"),
             ("simulate --n 0", "right.json", 2, "--n"),
+            # NPVs of +-1e308: their spread leaves the float range
+            ("evaluate", "overflow.json", 2, "spread x_max - x_min must be finite"),
+            ("rank", "overflow.json", 2, "spread x_max - x_min must be finite"),
+            # NPVs of +-1e200: the variance leaves the float range, so std is undefined
+            ("evaluate", "wide.json", 0, "std=n/a skewness=n/a"),
         ],
     )
     def test_exit_code_contract_without_traceback(self, workspace, command, source, code, named):
         (workspace / "subnormal.csv").write_text("weight,t0,t1,t2\n1e-320,-200.0,0.0,0.0\n1.0,-200.0,350.0,-100.0\n")
         (workspace / "huge_flows.csv").write_text("t0,t1,t2\n-1.0,1e150,0.0\n-1e150,0.0,0.0\n")
-        for stem in ("subnormal", "huge_flows"):
+        (workspace / "overflow.csv").write_text("t0,t1,t2\n-1.0,1e308,0.0\n-1e308,0.0,0.0\n")
+        (workspace / "wide.csv").write_text("t0,t1,t2\n-1.0,1e200,0.0\n-1e200,0.0,0.0\n")
+        for stem in ("subnormal", "huge_flows", "overflow", "wide"):
             (workspace / f"{stem}.json").write_text(
                 json.dumps({"id": stem.replace("_flows", ""), "horizon": 2, "scenario_file": f"{stem}.csv"})
             )
@@ -651,6 +659,8 @@ class TestInputBounds:
         assert named in (proc.stdout if code == 0 else proc.stderr)
         if code == 0:
             assert proc.stderr == ""
+        else:  # one error line, no warning
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestRadrCompare:

@@ -100,6 +100,13 @@ class TestSummarize:
         assert stats.std_dev == 1e150
         assert stats.skewness is None
 
+    @pytest.mark.parametrize("values", [[-1e200, 1e200], [1e300, 0.0, -1e300, 5.0]])
+    def test_std_undefined_when_the_variance_overflows(self, values):
+        stats = summarize(EmpiricalDistribution(values))
+        assert math.isfinite(stats.mean)
+        assert stats.std_dev is None
+        assert stats.skewness is None
+
 
 class TestConstructionInvariance:
     def test_sorted_view_is_permutation(self):
@@ -134,6 +141,13 @@ class TestConstructionInvariance:
         dist = EmpiricalDistribution([1.0, 2.0])
         with pytest.raises(ValueError):
             dist.values[0] = 9.0
+
+    @pytest.mark.parametrize(
+        "values", [[1e308, -1e308], [-1.0, 1.7e308, -1.7e308], [0.0, math.inf], [math.nan, 1.0]]
+    )
+    def test_spread_beyond_the_float_range_is_refused(self, values):
+        with pytest.raises(InputError, match="spread x_max - x_min must be finite"):
+            EmpiricalDistribution(values)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -428,3 +442,9 @@ class TestCsvOutput:
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "metric,mean,median,std,skewness"
         assert lines[1] == "npv,7.0,7.0,0.0,nan"
+
+    def test_summary_csv_undefined_std(self):
+        stats = summarize(EmpiricalDistribution([-1e200, 1e200]))
+        buffer = io.StringIO()
+        write_summary_csv({"npv": stats}, buffer)
+        assert buffer.getvalue().splitlines()[1] == "npv,0.0,-1e+200,nan,nan"

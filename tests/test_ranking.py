@@ -74,6 +74,12 @@ class TestRank:
         assert report.entries[0].result.omega == pytest.approx(3.0)
         assert report.entries[0].accept
 
+    def test_std_undefined_where_the_variance_overflows(self, flat5):
+        report = rank([project_from_dist("wide", [-1e200, 1e200])], HurdleSpec("npv_star", 0.0), "npv", flat5)
+        assert report.to_dict()["entries"][0]["summary"] == {
+            "mean": 0.0, "median": -1e200, "std": None, "skewness": None,
+        }
+
     def test_duplicate_project_ties_break_on_id(self, flat5):
         a = project_from_dist("beta", [0.0, 100.0])
         b = project_from_dist("alpha", [0.0, 100.0])

@@ -1,4 +1,4 @@
-"""The paper ranks "projects of different nature, scale and lifespan"; these gates pin nature and scale.
+"""The paper ranks "projects of different nature, scale and lifespan"; these gates pin all three.
 
 Nature: a generated project and its ``simulate`` CSV twin are one project, so
 they rank to the same ``rank.json`` bytes (repr round-trips every flow).
@@ -8,6 +8,14 @@ value here comes near overflow or the subnormals), and every quantity of the
 pipeline is homogeneous of degree 1 (NPV, outlays, NPV*, call, put) or 0
 (mu, Omega, the order, the mu* brackets) in the flows. So the degree-1
 quantities scale by exactly 2^k and the degree-0 ones are bitwise equal.
+
+Lifespan: zero flows after T add nothing to the replication, so padding a
+project to a longer horizon T' on a curve that reaches T' leaves every NPV
+and total outlay within the kernel tolerance of ``test_evaluation_kernel``,
+8 (T'+2) eps times the magnitude of the discounted terms (the padded sums
+may group their terms differently). A delta_mu = 0 hurdle is mu* = r_T,
+whose NPV equivalent (1+r_T)^T / (1+r_T)^T - 1 times the basis is exactly
+0.0 on every horizon.
 """
 
 import json
@@ -17,6 +25,7 @@ from functools import cache
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from invomega import (
     GeneratorSpec,
@@ -30,10 +39,13 @@ from invomega import (
     read_project,
 )
 from invomega.cli import main
+from invomega.ranking import metric_threshold
 
 from conftest import DEMO_DIR
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
+EPS = float(np.finfo(float).eps)
+LONGEST = 30
 GRID = [0.05 + 0.01 * i for i in range(21)]
 HURDLE = HurdleSpec("delta_mu", 0.10)
 
@@ -114,3 +126,34 @@ def test_scaling_every_flow_by_a_power_of_two(k):
                 )
             else:
                 assert _bits([s.threshold]) == _bits([b.threshold])
+
+
+@st.composite
+def long_curves(draw) -> YieldCurve:
+    """A curve over tenors 1..30 from one-period forwards in [-50%, 50%]."""
+    forwards = draw(hnp.arrays(float, LONGEST, elements=st.floats(-0.5, 0.5)))
+    rates = np.cumprod(1.0 + forwards) ** (1.0 / np.arange(1, LONGEST + 1)) - 1.0
+    return YieldCurve(tuple(rates.tolist()))
+
+
+def _padded(scenario_set: ScenarioSet, horizon: int) -> ScenarioSet:
+    flows = np.zeros((len(scenario_set), horizon + 1))
+    flows[:, : scenario_set.horizon + 1] = scenario_set.flows
+    return ScenarioSet(scenario_set.project_id, flows, scenario_set.weights)
+
+
+@PROPERTY
+@given(long_curves(), st.integers(3, LONGEST))
+def test_zero_padding_to_a_longer_lifespan(curve, horizon):
+    delta_mu_zero = HurdleSpec("delta_mu", 0.0)
+    for base in _demo_pair():
+        padded = _padded(base, horizon)
+        short, long = evaluate_set(base, curve), evaluate_set(padded, curve)
+        growth = np.array(curve.growth_factors[: base.horizon])
+        magnitude = np.abs(base.flows[:, 0]) + np.abs(base.flows[:, 1:] / growth).sum(axis=1)
+        tolerance = 8 * (horizon + 2) * EPS * magnitude
+        assert np.all(np.abs(long.npv - short.npv) <= tolerance)
+        assert np.all(np.abs(long.total_outlay - short.total_outlay) <= tolerance)
+        for scenario_set in (base, padded):
+            project = evaluate_project(scenario_set, curve, "npv")
+            assert metric_threshold(project, delta_mu_zero, curve)[0] == 0.0

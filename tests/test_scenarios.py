@@ -126,6 +126,7 @@ class TestMomentMatch:
             ("shifted_lognormal", 350.0, 40.0, 2.7),
             ("shifted_lognormal", 355.0, 40.0, -2.8),
             ("mirrored_shifted_lognormal", 355.0, 40.0, -2.8),
+            ("mirrored_shifted_lognormal", 350.0, 40.0, 2.7),  # mirrors by the sign of skew only
             ("shifted_lognormal", -10.0, 3.0, 0.4),
             ("shifted_lognormal", 0.0, 1.0, 8.0),
             ("normal", 5.0, 2.0, 0.0),
@@ -225,6 +226,22 @@ class TestMomentMatch:
     def test_lognormal_w_out_of_range(self):
         with pytest.raises(DomainError, match="no lognormal solution"):
             moment_match("shifted_lognormal", 0.0, 1.0, 1e19)
+
+    @pytest.mark.parametrize(
+        "family, mean, std, skew, field",
+        [
+            ("triangular", 0.0, 1.0, 0.0, "family"),
+            ("normal", math.nan, 1.0, 0.0, "mean"),
+            ("normal", 0.0, 0.0, 0.0, "std"),
+            ("normal", 0.0, 1.0, 0.5, "skew"),
+            ("shifted_lognormal", 0.0, 1.0, 0.0, "skew"),
+            ("mirrored_shifted_lognormal", 0.0, 1.0, 0.0, "skew"),
+            ("mirrored_shifted_lognormal", 0.0, 1.0, -1e19, "skew"),
+        ],
+    )
+    def test_errors_name_the_generator_field(self, family, mean, std, skew, field):
+        with pytest.raises((InputError, DomainError), match=f"^field '{field}': "):
+            moment_match(family, mean, std, skew)
 
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
