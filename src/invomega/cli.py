@@ -24,7 +24,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .curves import YieldCurve
 from .distributions import EmpiricalDistribution, summarize, write_omega_curve_csv, write_summary_csv
-from .errors import EngineError, InputError
+from .errors import EngineError, InputError, located
 from .metrics import HurdleSpec, evaluate_set, write_evaluation_csv
 from .radr import MODE_CANONICAL, MODES, RadrInput, radr_valuation
 from .ranking import (
@@ -100,7 +100,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     stats = summarize(EmpiricalDistribution(scenario_set.flows[:, slot]))
     print(f"wrote {len(scenario_set)} scenarios to {out}")
     print(
-        f"stochastic flow t={slot}: mean={stats.mean:.4f} std={_shown(stats.std_dev, '.4f')} "
+        f"stochastic flow t={slot}: mean={stats.mean:.4f} std={_shown(stats.std, '.4f')} "
         f"skewness={_shown(stats.skewness, '.4f')}"
     )
     return 0
@@ -110,19 +110,20 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     scenario_set = load_project(Path(args.project))
     curve = YieldCurve.from_csv(args.curve)
     results = evaluate_set(scenario_set, curve)
-    out_dir = Path(args.out_dir)
-    write_evaluation_csv(results, out_dir / "evaluation.csv")
+    # both summaries before either CSV, so a refused distribution leaves no partial report
     npv_stats = summarize(EmpiricalDistribution(results.npv, scenario_set.weights))
     mu_stats = summarize(EmpiricalDistribution(results.annualized_return, scenario_set.weights))
+    out_dir = Path(args.out_dir)
+    write_evaluation_csv(results, out_dir / "evaluation.csv")
     write_summary_csv({"npv": npv_stats, "mu": mu_stats}, out_dir / "summary.csv")
     print(f"evaluated {len(scenario_set)} scenarios of {scenario_set.project_id!r}")
     print(
         f"npv: mean={npv_stats.mean:.0f} median={npv_stats.median:.0f} "
-        f"std={_shown(npv_stats.std_dev, '.0f')} skewness={_shown(npv_stats.skewness, '.2f')}"
+        f"std={_shown(npv_stats.std, '.0f')} skewness={_shown(npv_stats.skewness, '.2f')}"
     )
     print(
         f"mu: mean={mu_stats.mean:.1%} median={mu_stats.median:.1%} "
-        f"std={_shown(mu_stats.std_dev, '.1%')} skewness={_shown(mu_stats.skewness, '.2f')}"
+        f"std={_shown(mu_stats.std, '.1%')} skewness={_shown(mu_stats.skewness, '.2f')}"
     )
     return 0
 
@@ -137,10 +138,11 @@ def _hurdle_from_args(args: argparse.Namespace) -> HurdleSpec:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     curve = YieldCurve.from_csv(args.curve)
-    projects = [
-        evaluate_project(load_project(Path(p)), curve, args.metric)
-        for p in args.projects
-    ]
+    projects = []
+    for path in args.projects:
+        scenario_set = load_project(Path(path))
+        with located(path):
+            projects.append(evaluate_project(scenario_set, curve, args.metric))
     hurdle = _hurdle_from_args(args)
     if args.grid is not None:
         report = rank_with_crossings(
@@ -154,7 +156,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     for position, entry in enumerate(report.entries, start=1):
         verdict = "accept" if entry.accept else "reject"
         print(
-            f"{position}. {entry.project_id}: omega={entry.result.omega:.3f} "
+            f"{position}. {entry.project_id}: omega={entry.omega:.3f} "
             f"({verdict}, threshold={entry.threshold:.4g})"
         )
     for pid in report.excluded:

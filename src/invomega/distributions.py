@@ -16,7 +16,8 @@ sample: O(log N) instead of a pass over all samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
 
@@ -129,7 +130,7 @@ class SummaryStats:
 
     mean: float
     median: float
-    std_dev: float | None
+    std: float | None
     skewness: float | None
 
 
@@ -146,7 +147,7 @@ def summarize(dist: EmpiricalDistribution) -> SummaryStats:
     mean = dist.mean()
     median = float(sv[np.searchsorted(dist._below[1:], 0.5)])
     if dist.size < 2:
-        return SummaryStats(mean=mean, median=median, std_dev=None, skewness=None)
+        return SummaryStats(mean, median, None, None)
     centered = sv - mean
     with np.errstate(over="ignore", invalid="ignore"):
         variance = float(np.sum(sw * centered * centered))
@@ -289,27 +290,23 @@ def crossing_on_grid(
 def write_omega_curve_csv(
     results: Sequence[OmegaResult], target: str | Path | IO[str]
 ) -> None:
-    """Write ``threshold,call,put,omega`` rows (omega printed as inf/nan when flagged)."""
-    write_csv(
-        target,
-        ["threshold", "call", "put", "omega"],
-        ([r.threshold, r.call, r.put, r.omega] for r in results),
-    )
+    """Write one row per result, the ``OmegaResult`` fields as columns
+    (``threshold,call,put,omega``; omega prints as inf/nan when flagged)."""
+    columns = [f.name for f in fields(OmegaResult)]
+    write_csv(target, columns, map(attrgetter(*columns), results))
 
 
 def write_summary_csv(
     summaries: Mapping[str, SummaryStats], target: str | Path | IO[str]
 ) -> None:
-    """Write ``metric,mean,median,std,skewness`` rows, one per metric (nan when undefined)."""
+    """Write one row per metric, its name and then the ``SummaryStats`` fields
+    (``metric,mean,median,std,skewness``); an undefined statistic prints as nan."""
+    columns = [f.name for f in fields(SummaryStats)]
     write_csv(
         target,
-        ["metric", "mean", "median", "std", "skewness"],
+        ["metric", *columns],
         (
-            [name, s.mean, s.median, _or_nan(s.std_dev), _or_nan(s.skewness)]
+            [name, *(math.nan if v is None else v for v in attrgetter(*columns)(s))]
             for name, s in summaries.items()
         ),
     )
-
-
-def _or_nan(value: float | None) -> float:
-    return math.nan if value is None else float(value)

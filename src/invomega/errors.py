@@ -55,3 +55,12 @@ def decoding(path: str | Path) -> Iterator[None]:
         yield
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid {exc.encoding} text: {exc.reason}") from None
+
+
+@contextmanager
+def located(where: str | Path) -> Iterator[None]:
+    """Re-raise an EngineError as the same class with ``"{where}: "`` in front of its message."""
+    try:
+        yield
+    except EngineError as exc:
+        raise type(exc)(f"{where}: {exc}") from None

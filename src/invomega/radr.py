@@ -12,13 +12,13 @@ scale lambda_radr.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .cashflows import ScenarioSet, _discounted
 from .curves import YieldCurve
-from .errors import DomainError, InputError, NonCanonicalFlowError
+from .errors import DomainError, InputError, NonCanonicalFlowError, located
 from .metrics import mirr
 
 MODE_CANONICAL = "canonical-strict"
@@ -48,11 +48,9 @@ class RadrInput:
 
 
 def _flat_curve(rate: float, horizon: int, name: str) -> YieldCurve:
-    """The flat curve at ``rate``; a rate it refuses is an InputError naming ``name``."""
-    try:
+    """The flat curve at ``rate``; an error for a rate it refuses names ``name``."""
+    with located(f"rate {name}"):
         return YieldCurve.flat(rate, horizon)
-    except InputError as exc:
-        raise InputError(f"rate {name}: {exc}") from None
 
 
 def _check_canonical(scenario_set: ScenarioSet) -> None:
@@ -77,15 +75,10 @@ class RadrResult:
     mode: str
 
     def to_dict(self) -> dict:
-        return {
-            "npv_at_k": self.npv_at_k,
-            "mirr_at_k": self.mirr_at_k,
-            "mean_npv_at_r": self.mean_npv_at_r,
-            "lambda_radr": self.lambda_radr,
-            "alpha_factors": list(self.alpha_factors),
-            "accept": self.accept,
-            "mode": self.mode,
-        }
+        """The radr.json layout: the fields in order, without ``mean_flows``."""
+        payload = asdict(self)
+        del payload["mean_flows"]
+        return payload
 
 
 def vertical_average(scenario_set: ScenarioSet) -> tuple[float, ...]:

@@ -9,8 +9,9 @@ ranking flips can be localized exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import IO, Sequence
@@ -33,9 +34,7 @@ from .distributions import (
     summarize,
 )
 from .errors import InputError
-from .metrics import (
-    HurdleSpec, ThresholdSet, evaluate_set, mean_basis_outlay, npv_from_mus, thresholds,
-)
+from .metrics import HurdleSpec, evaluate_set, mean_basis_outlay, npv_from_mus, thresholds
 
 METRICS = ("npv", "mu")
 
@@ -72,38 +71,24 @@ def evaluate_project(
     )
 
 
-def metric_threshold(
-    project: ProjectEvaluation, hurdle: HurdleSpec, curve: YieldCurve
-) -> tuple[float, ThresholdSet]:
+def metric_threshold(project: ProjectEvaluation, hurdle: HurdleSpec, curve: YieldCurve) -> float:
     """The hurdle expressed on the project's metric scale."""
     ts = thresholds(hurdle, project.basis_outlay, curve, project.horizon)
-    lam = ts.npv_star if project.metric == "npv" else ts.mu_star
-    return lam, ts
+    return ts.npv_star if project.metric == "npv" else ts.mu_star
 
 
+# The fields of the report types below, in order, are the rank.json layout.
 @dataclass(frozen=True)
 class RankingEntry:
+    """One ranked project: Omega with its call and put at the project's threshold."""
+
     project_id: str
     threshold: float
-    result: OmegaResult
-    summary: SummaryStats
+    omega: float
+    call: float
+    put: float
     accept: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "project_id": self.project_id,
-            "threshold": self.threshold,
-            "omega": self.result.omega,
-            "call": self.result.call,
-            "put": self.result.put,
-            "accept": self.accept,
-            "summary": {
-                "mean": self.summary.mean,
-                "median": self.summary.median,
-                "std": self.summary.std_dev,
-                "skewness": self.summary.skewness,
-            },
-        }
+    summary: SummaryStats
 
 
 @dataclass(frozen=True)
@@ -113,13 +98,6 @@ class PairCrossings:
     project_a: str
     project_b: str
     brackets: tuple[tuple[float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "project_a": self.project_a,
-            "project_b": self.project_b,
-            "brackets": [list(b) for b in self.brackets],
-        }
 
 
 @dataclass(frozen=True)
@@ -132,26 +110,20 @@ class RankingReport:
     crossings: tuple[PairCrossings, ...] = ()
 
     def to_dict(self) -> dict:
-        payload = {
-            "hurdle": {"kind": self.hurdle.kind, "value": self.hurdle.value},
-            "metric": self.metric,
-            "entries": [e.to_dict() for e in self.entries],
-            "order": list(self.order),
-            "excluded": list(self.excluded),
-        }
-        if self.crossings:
-            payload["crossings"] = [c.to_dict() for c in self.crossings]
+        """The fields in order, nested dataclasses as dicts; ``crossings`` only when swept."""
+        payload = asdict(self)
+        if not self.crossings:
+            del payload["crossings"]
         return payload
 
 
 def _sort_key(entry: RankingEntry):
     # Best first: higher Omega (+inf above every finite value; among infinite
     # Omegas, higher call), then higher mean, lower std, project id.
-    result = entry.result
-    std = entry.summary.std_dev if entry.summary.std_dev is not None else 0.0
+    std = entry.summary.std if entry.summary.std is not None else 0.0
     return (
-        -result.omega,
-        -result.call if result.is_infinite else 0.0,
+        -entry.omega,
+        -entry.call if math.isinf(entry.omega) else 0.0,
         -entry.summary.mean,
         std,
         entry.project_id,
@@ -183,15 +155,8 @@ def rank(
     ranked: list[RankingEntry] = []
     excluded: list[str] = []
     for p in projects:
-        lam, _ = metric_threshold(p, hurdle, curve)
+        lam = metric_threshold(p, hurdle, curve)
         result = omega(p.distribution, lam)
-        entry = RankingEntry(
-            project_id=p.project_id,
-            threshold=lam,
-            result=result,
-            summary=summarize(p.distribution),
-            accept=result.omega >= 1.0,
-        )
         if result.is_indeterminate:
             warnings.warn(
                 f"project {p.project_id!r}: Omega indeterminate at threshold {lam}; "
@@ -199,8 +164,11 @@ def rank(
                 stacklevel=2,
             )
             excluded.append(p.project_id)
-        else:
-            ranked.append(entry)
+            continue
+        ranked.append(RankingEntry(
+            p.project_id, lam, result.omega, result.call, result.put,
+            accept=result.omega >= 1.0, summary=summarize(p.distribution),
+        ))
     ranked.sort(key=_sort_key)
     return RankingReport(
         hurdle=hurdle,
@@ -282,7 +250,7 @@ def write_ranking_csv(report: RankingReport, target: str | Path | IO[str]) -> No
         target,
         ["rank", "project", "omega", "call", "put", "threshold", "accept"],
         (
-            [i, e.project_id, e.result.omega, e.result.call, e.result.put, e.threshold, e.accept]
+            [i, e.project_id, e.omega, e.call, e.put, e.threshold, e.accept]
             for i, e in enumerate(report.entries, start=1)
         ),
     )

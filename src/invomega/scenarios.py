@@ -22,7 +22,9 @@ import numpy as np
 from .cashflows import ScenarioSet, check_flow_rows
 from .csvio import data_rows, write_csv
 from .distributions import validated_weights
-from .errors import DomainError, HorizonMismatchError, InputError, ScenarioParseError, decoding
+from .errors import (
+    DomainError, HorizonMismatchError, InputError, ScenarioParseError, decoding, located,
+)
 
 FAMILIES = ("shifted_lognormal", "mirrored_shifted_lognormal", "normal", "discrete")
 
@@ -435,15 +437,9 @@ def read_project(path: str | Path) -> tuple[str, int, GeneratorSpec | Path]:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: descriptor must be a JSON object")
-
-    def spec_of(block: dict) -> GeneratorSpec:
-        try:
-            return generator_spec_from_dict(block)
-        except (InputError, DomainError) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
-
     if "family" in data:
-        spec = spec_of(data)
+        with located(path):
+            spec = generator_spec_from_dict(data)
         return path.stem, spec.horizon, spec
     for key in ("id", "horizon"):
         if key not in data:
@@ -460,7 +456,8 @@ def read_project(path: str | Path) -> tuple[str, int, GeneratorSpec | Path]:
         if not isinstance(scenario_file, str):
             raise InputError(f"{path}: field 'scenario_file' must be a string, got {scenario_file!r}")
         return project_id, horizon, (path.parent / scenario_file).resolve()
-    spec = spec_of(data["generator"])
+    with located(path):
+        spec = generator_spec_from_dict(data["generator"])
     if spec.horizon != horizon:
         raise HorizonMismatchError(
             f"{path}: template horizon {spec.horizon} does not match 'horizon' {horizon}"

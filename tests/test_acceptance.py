@@ -173,8 +173,8 @@ def test_c3_distribution_statistics(skewed_pair):
         check(
             gates,
             f"{name}: NPV std {want['npv_std']} +-2",
-            abs(npv.std_dev - want["npv_std"]) <= 2.0,
-            f"got {npv.std_dev:.3f}",
+            abs(npv.std - want["npv_std"]) <= 2.0,
+            f"got {npv.std:.3f}",
         )
         check(
             gates,
@@ -542,8 +542,8 @@ def test_c7_crossover_localization(tmp_path):
     check(gates, "bracket width within grid step / 1024", hi - lo <= 0.005 / 1024.0)
 
     def sign_at(mu_star: float) -> int:
-        ln, _ = metric_threshold(narrow, HurdleSpec("mu_star", mu_star), curve)
-        lw, _ = metric_threshold(wide, HurdleSpec("mu_star", mu_star), curve)
+        ln = metric_threshold(narrow, HurdleSpec("mu_star", mu_star), curve)
+        lw = metric_threshold(wide, HurdleSpec("mu_star", mu_star), curve)
         a, b = omega(narrow.distribution, ln), omega(wide.distribution, lw)
         if a.is_infinite or b.is_infinite:
             return 1 if a.is_infinite and not b.is_infinite else -1

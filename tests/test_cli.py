@@ -40,6 +40,11 @@ def workspace(tmp_path: Path) -> Path:
     (tmp_path / "single.json").write_text(
         json.dumps({"id": "single", "horizon": 2, "scenario_file": "single.csv"})
     )
+    # NPVs of +-1e308: their spread leaves the float range, so no distribution accepts them
+    (tmp_path / "overflow.csv").write_text("t0,t1,t2\n-1.0,1e308,0.0\n-1e308,0.0,0.0\n")
+    (tmp_path / "overflow.json").write_text(
+        json.dumps({"id": "overflow", "horizon": 2, "scenario_file": "overflow.csv"})
+    )
     return tmp_path
 
 
@@ -215,6 +220,14 @@ class TestEvaluate:
         assert "Traceback" not in proc.stderr
         assert "growth factor" in proc.stderr
 
+    def test_refused_distribution_leaves_no_report(self, workspace, capsys):
+        out_dir = workspace / "report"
+        argv = ["--project", str(workspace / "overflow.json"), "--curve", str(workspace / "curve.csv")]
+        assert main(["evaluate", *argv, "--out-dir", str(out_dir)]) == 2
+        assert "spread x_max - x_min must be finite" in capsys.readouterr().err
+        assert not (out_dir / "evaluation.csv").exists()
+        assert not (out_dir / "summary.csv").exists()
+
     def test_stdout_summary(self, workspace, capsys):
         main(
             [
@@ -280,6 +293,14 @@ class TestRank:
         argv = ["rank", "--projects", *projects, "--curve", str(workspace / "curve.csv")]
         assert main([*argv, "--delta-mu", "0.1", "--out", str(workspace / "rank.json")]) == code
         assert capsys.readouterr().err == f"error: {projects[1]}: {message}\n"
+
+    def test_distribution_error_names_its_descriptor(self, workspace, demo_dir, capsys):
+        overflow = str(workspace / "overflow.json")
+        argv = ["--projects", str(demo_dir / "project_left.json"), overflow,
+                "--curve", str(demo_dir / "curve_flat5.csv"), "--delta-mu", "0.1", "--metric", "npv"]
+        assert main(["rank", *argv, "--out", str(workspace / "rank.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {overflow}: samples and their spread") and err.count("\n") == 1
 
     def test_rank_with_grid_includes_crossings(self, workspace):
         out = workspace / "rank.json"
@@ -637,9 +658,8 @@ class TestInputBounds:
     def test_exit_code_contract_without_traceback(self, workspace, command, source, code, named):
         (workspace / "subnormal.csv").write_text("weight,t0,t1,t2\n1e-320,-200.0,0.0,0.0\n1.0,-200.0,350.0,-100.0\n")
         (workspace / "huge_flows.csv").write_text("t0,t1,t2\n-1.0,1e150,0.0\n-1e150,0.0,0.0\n")
-        (workspace / "overflow.csv").write_text("t0,t1,t2\n-1.0,1e308,0.0\n-1e308,0.0,0.0\n")
         (workspace / "wide.csv").write_text("t0,t1,t2\n-1.0,1e200,0.0\n-1e200,0.0,0.0\n")
-        for stem in ("subnormal", "huge_flows", "overflow", "wide"):
+        for stem in ("subnormal", "huge_flows", "wide"):
             (workspace / f"{stem}.json").write_text(
                 json.dumps({"id": stem.replace("_flows", ""), "horizon": 2, "scenario_file": f"{stem}.csv"})
             )
@@ -744,6 +764,74 @@ class TestRadrCompare:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "growth factor" in proc.stderr
+
+
+def key_paths(node, path: str = ""):
+    """Each object key of a JSON document as a dotted path, in document order; list
+    items add ``[]``, so every entry of a list of objects yields the same paths."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield f"{path}{key}"
+            yield from key_paths(value, f"{path}{key}.")
+    elif isinstance(node, list):
+        for item in node:
+            yield from key_paths(item, f"{path[:-1]}[].")
+
+
+RANK_JSON_PATHS = [
+    "hurdle", "hurdle.kind", "hurdle.value", "metric", "entries",
+    "entries[].project_id", "entries[].threshold", "entries[].omega", "entries[].call",
+    "entries[].put", "entries[].accept", "entries[].summary", "entries[].summary.mean",
+    "entries[].summary.median", "entries[].summary.std", "entries[].summary.skewness",
+    "order", "excluded",
+]
+
+
+def test_quick_start_report_layouts(tmp_path, demo_dir):
+    """The README quick-start commands write these exact CSV headers and JSON key paths.
+
+    The reports take their layout from the result types' fields, so this pins a
+    field rename or reorder as a change of a machine output.
+    """
+    demo = {name: str(demo_dir / f"{name}.json") for name in ("project_right", "project_left", "project_long")}
+    curve, curve_5y = str(demo_dir / "curve_flat5.csv"), str(demo_dir / "curve_flat5_5y.csv")
+    out = {name: str(tmp_path / name) for name in ("right.csv", "rank.json", "rank.csv", "grid.json", "curve.csv", "radr.json")}
+    for argv in (
+        ["simulate", "--spec", demo["project_right"], "--n", "1000", "--seed", "42", "--out", out["right.csv"]],
+        ["evaluate", "--project", demo["project_right"], "--curve", curve, "--out-dir", str(tmp_path / "report")],
+        ["rank", "--projects", demo["project_right"], demo["project_left"], "--curve", curve,
+         "--delta-mu", "0.10", "--metric", "npv", "--out", out["rank.json"], "--out-csv", out["rank.csv"]],
+        ["rank", "--projects", demo["project_long"], demo["project_left"], "--curve", curve_5y,
+         "--delta-mu", "0.10", "--grid", "0.05:0.25:0.01", "--out", out["grid.json"]],
+        ["omega-curve", "--project", demo["project_right"], "--curve", curve,
+         "--metric", "mu", "--grid", "0.00:0.25:0.005", "--out", out["curve.csv"]],
+        ["radr-compare", "--project", str(demo_dir / "mean_right.json"), "--r", "0.05", "--k", "0.15",
+         "--mode", "paper-table4", "--out", out["radr.json"]],
+    ):
+        assert main(argv) == 0, argv[0]
+
+    def header(path) -> str:
+        with open(path) as handle:
+            return handle.readline()
+
+    assert header(out["right.csv"]) == "t0,t1,t2\n"
+    assert header(tmp_path / "report" / "evaluation.csv") == (
+        "scenario,npv,profit,terminal_return,mu,pi,premium_npv,premium_return,total_outlay\n"
+    )
+    assert header(tmp_path / "report" / "summary.csv") == "metric,mean,median,std,skewness\n"
+    assert header(out["curve.csv"]) == "threshold,call,put,omega\n"
+    assert header(out["rank.csv"]) == "rank,project,omega,call,put,threshold,accept\n"
+
+    def paths(path) -> list[str]:
+        return list(dict.fromkeys(key_paths(strict_json(Path(path).read_text()))))
+
+    assert paths(out["rank.json"]) == RANK_JSON_PATHS
+    assert paths(out["grid.json"]) == [
+        *RANK_JSON_PATHS, "crossings", "crossings[].project_a", "crossings[].project_b", "crossings[].brackets",
+    ]
+    assert paths(out["radr.json"]) == [
+        "npv_at_k", "mirr_at_k", "mean_npv_at_r", "lambda_radr", "alpha_factors", "accept", "mode",
+    ]
 
 
 def test_version_flag(capsys):

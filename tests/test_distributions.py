@@ -47,20 +47,20 @@ class TestSummarize:
         stats = summarize(EmpiricalDistribution([0.0, 100.0]))
         assert stats.mean == 50.0
         assert stats.median == 0.0  # lower weighted median
-        assert stats.std_dev == 50.0
+        assert stats.std == 50.0
         assert stats.skewness == 0.0
 
     def test_constant(self):
         stats = summarize(EmpiricalDistribution([7.0, 7.0, 7.0]))
         assert stats.mean == 7.0
         assert stats.median == 7.0
-        assert stats.std_dev == 0.0
+        assert stats.std == 0.0
         assert stats.skewness is None
 
     def test_single_sample(self):
         stats = summarize(EmpiricalDistribution([3.0]))
         assert stats.mean == 3.0 and stats.median == 3.0
-        assert stats.std_dev is None and stats.skewness is None
+        assert stats.std is None and stats.skewness is None
 
     def test_weighted_median_lower_convention(self):
         dist = EmpiricalDistribution([3.0, 1.0, 2.0], [0.5, 0.25, 0.25])
@@ -70,7 +70,7 @@ class TestSummarize:
         dist = EmpiricalDistribution([0.0, 10.0], [0.9, 0.1])
         stats = summarize(dist)
         assert stats.mean == pytest.approx(1.0)
-        assert stats.std_dev == pytest.approx(3.0)
+        assert stats.std == pytest.approx(3.0)
         # third standardized moment of a 0.9/0.1 two-pointer
         assert stats.skewness == pytest.approx((0.9 * (-1.0) ** 3 + 0.1 * 9.0**3) / 27.0)
 
@@ -92,19 +92,19 @@ class TestSummarize:
 
     def test_skewness_undefined_when_std_cubed_underflows(self):
         stats = summarize(EmpiricalDistribution([0.0, 50.0], [1e-320, 1.0]))
-        assert stats.std_dev > 0.0
+        assert stats.std > 0.0
         assert stats.skewness is None
 
     def test_skewness_undefined_when_std_cubed_overflows(self):
         stats = summarize(EmpiricalDistribution([-1e150, 1e150]))
-        assert stats.std_dev == 1e150
+        assert stats.std == 1e150
         assert stats.skewness is None
 
     @pytest.mark.parametrize("values", [[-1e200, 1e200], [1e300, 0.0, -1e300, 5.0]])
     def test_std_undefined_when_the_variance_overflows(self, values):
         stats = summarize(EmpiricalDistribution(values))
         assert math.isfinite(stats.mean)
-        assert stats.std_dev is None
+        assert stats.std is None
         assert stats.skewness is None
 
 
@@ -122,10 +122,10 @@ class TestConstructionInvariance:
         dist_b = EmpiricalDistribution(list(reversed(values)))
         assert dist_a.sorted_values.tolist() == dist_b.sorted_values.tolist()
         sa, sb = summarize(dist_a), summarize(dist_b)
-        assert (sa.mean, sa.median, sa.std_dev, sa.skewness) == (
+        assert (sa.mean, sa.median, sa.std, sa.skewness) == (
             sb.mean,
             sb.median,
-            sb.std_dev,
+            sb.std,
             sb.skewness,
         )
         for lam in (-10.0, 0.5, 4.0, 20.0):

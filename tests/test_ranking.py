@@ -1,4 +1,4 @@
-
+import math
 
 import numpy as np
 import pytest
@@ -71,7 +71,7 @@ class TestRank:
         project = project_from_dist("only", [0.0, 100.0])
         report = rank([project], HurdleSpec("npv_star", 25.0), "npv", flat5)
         assert report.order == ("only",)
-        assert report.entries[0].result.omega == pytest.approx(3.0)
+        assert report.entries[0].omega == pytest.approx(3.0)
         assert report.entries[0].accept
 
     def test_std_undefined_where_the_variance_overflows(self, flat5):
@@ -85,14 +85,14 @@ class TestRank:
         b = project_from_dist("alpha", [0.0, 100.0])
         report = rank([a, b], HurdleSpec("npv_star", 25.0), "npv", flat5)
         assert report.order == ("alpha", "beta")
-        assert report.entries[0].result.omega == report.entries[1].result.omega
+        assert report.entries[0].omega == report.entries[1].omega
 
     def test_equal_omega_breaks_on_higher_mean(self, flat5):
         # B = 25 + 2*(A - 25) scales both call and put by 2: same omega, higher mean
         a = project_from_dist("a", [0.0, 100.0])
         b = project_from_dist("b", [-25.0, 175.0])
         report = rank([a, b], HurdleSpec("npv_star", 25.0), "npv", flat5)
-        assert report.entries[0].result.omega == report.entries[1].result.omega
+        assert report.entries[0].omega == report.entries[1].omega
         assert report.order == ("b", "a")
 
     def test_infinite_sorts_above_finite(self, flat5):
@@ -100,7 +100,7 @@ class TestRank:
         inf = project_from_dist("sure", [10.0, 10.0])
         report = rank([fin, inf], HurdleSpec("npv_star", 5.0), "npv", flat5)
         assert report.order == ("sure", "finite")
-        assert report.entries[0].result.is_infinite
+        assert math.isinf(report.entries[0].omega)
         assert report.entries[0].accept
 
     def test_two_infinities_break_on_call(self, flat5):
@@ -148,7 +148,7 @@ class TestRank:
             project_from_dist("c", [40.0, 60.0]),
         ]
         report = rank(projects, HurdleSpec("npv_star", 45.0), "npv", flat5)
-        omegas = [e.result.omega for e in report.entries]
+        omegas = [e.omega for e in report.entries]
         assert omegas == sorted(omegas, reverse=True)
 
     def test_empty_project_list(self, flat5):
@@ -160,10 +160,10 @@ def test_shared_delta_mu_maps_to_project_specific_npv_thresholds(flat5):
     small = project_from_dist("small", [0.0, 1.0], basis=100.0)
     large = project_from_dist("large", [0.0, 1.0], basis=300.0)
     hurdle = HurdleSpec("delta_mu", 0.10)
-    lam_small, _ = metric_threshold(small, hurdle, flat5)
-    lam_large, _ = metric_threshold(large, hurdle, flat5)
+    lam_small = metric_threshold(small, hurdle, flat5)
+    lam_large = metric_threshold(large, hurdle, flat5)
     assert lam_large == pytest.approx(3.0 * lam_small, rel=1e-12)
-    mu_small, _ = metric_threshold(
+    mu_small = metric_threshold(
         project_from_dist("m", [0.0], basis=100.0, metric="mu"), hurdle, flat5
     )
     assert mu_small == pytest.approx(0.15, abs=1e-12)
@@ -239,7 +239,7 @@ class TestOmegaVsHurdle:
         grid = [0.0, 0.05, 0.1, 0.2]
         points = omega_vs_hurdle(project, flat5, grid)
         for mu_star, point in zip(grid, points):
-            lam, _ = metric_threshold(project, HurdleSpec("mu_star", mu_star), flat5)
+            lam = metric_threshold(project, HurdleSpec("mu_star", mu_star), flat5)
             assert point == omega(project.distribution, lam)
 
     def test_grid_validation(self, flat5):
@@ -266,8 +266,8 @@ class TestHurdleCrossings:
         assert hi - lo <= 0.005 / 1024.0
         # verify the flip by direct omega evaluation at the bracket ends
         def omegas(mu_star):
-            ln, _ = metric_threshold(narrow, HurdleSpec("mu_star", mu_star), curve)
-            lw, _ = metric_threshold(wide, HurdleSpec("mu_star", mu_star), curve)
+            ln = metric_threshold(narrow, HurdleSpec("mu_star", mu_star), curve)
+            lw = metric_threshold(wide, HurdleSpec("mu_star", mu_star), curve)
             return omega(narrow.distribution, ln), omega(wide.distribution, lw)
 
         at_lo = omegas(lo)
@@ -313,7 +313,7 @@ class TestHurdleCrossings:
 
         def at(project):
             return lambda m: omega(
-                project.distribution, metric_threshold(project, HurdleSpec("mu_star", m), curve)[0]
+                project.distribution, metric_threshold(project, HurdleSpec("mu_star", m), curve)
             )
 
         pairs = [(a, b) for i, a in enumerate(projects) for b in projects[i + 1:]]

@@ -119,10 +119,10 @@ def test_scaling_every_flow_by_a_power_of_two(k):
         assert scaled.order == base.order
         assert _brackets(scaled) == _brackets(base)
         for b, s in zip(base.entries, scaled.entries):
-            assert _bits([s.result.omega]) == _bits([b.result.omega])
+            assert _bits([s.omega]) == _bits([b.omega])
             if metric == "npv":
-                assert _bits([s.threshold, s.result.call, s.result.put]) == _bits(
-                    [factor * b.threshold, factor * b.result.call, factor * b.result.put]
+                assert _bits([s.threshold, s.call, s.put]) == _bits(
+                    [factor * b.threshold, factor * b.call, factor * b.put]
                 )
             else:
                 assert _bits([s.threshold]) == _bits([b.threshold])
@@ -156,4 +156,4 @@ def test_zero_padding_to_a_longer_lifespan(curve, horizon):
         assert np.all(np.abs(long.total_outlay - short.total_outlay) <= tolerance)
         for scenario_set in (base, padded):
             project = evaluate_project(scenario_set, curve, "npv")
-            assert metric_threshold(project, delta_mu_zero, curve)[0] == 0.0
+            assert metric_threshold(project, delta_mu_zero, curve) == 0.0

@@ -321,7 +321,7 @@ class TestGenerate:
         ss = generate(spec_right(n=100000, seed=555))
         stats = summarize(EmpiricalDistribution([s.flows[1] for s in ss.scenarios]))
         assert stats.mean == pytest.approx(350.0, rel=0.02)
-        assert stats.std_dev == pytest.approx(40.0, rel=0.02)
+        assert stats.std == pytest.approx(40.0, rel=0.02)
         assert stats.skewness == pytest.approx(2.7, rel=0.02)
 
     def test_normal_family(self):
@@ -338,7 +338,7 @@ class TestGenerate:
             EmpiricalDistribution([s.flows[1] for s in generate(spec).scenarios])
         )
         assert stats.mean == pytest.approx(110.0, abs=0.05)
-        assert stats.std_dev == pytest.approx(1.0, abs=0.02)
+        assert stats.std == pytest.approx(1.0, abs=0.02)
 
     def test_template_validation(self):
         with pytest.raises(InputError, match="exactly one"):
