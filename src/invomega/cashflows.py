@@ -8,13 +8,13 @@ zero-coupon outlays covering every F- and bond notionals paying every F+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .curves import YieldCurve
-from .distributions import validated_weights
+from .distributions import record_row, validated_weights
 from .errors import HorizonMismatchError, InputError
 
 
@@ -110,16 +110,6 @@ def replicate(scenario: CashFlowScenario, curve: YieldCurve) -> ReplicationDecom
     ``certainty_equivalent_outlay - total_outlay`` is bitwise ``evaluate``'s NPV.
     """
     return record_row(_replicate_rows(np.array([scenario.flows]), curve), 0)
-
-
-Record = TypeVar("Record")
-
-
-def record_row(record: Record, i: int) -> Record:
-    """Row ``i`` of a dataclass of per-row arrays, as the same dataclass of Python
-    floats, with tuples for the per-tenor (N, T) fields."""
-    cells = (getattr(record, f.name)[i] for f in fields(record))
-    return type(record)(*(tuple(c.tolist()) if np.ndim(c) else float(c) for c in cells))
 
 
 def present_value(flows: Sequence[float] | Iterable[float], curve: YieldCurve) -> float:

@@ -109,10 +109,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     scenario_set = load_project(Path(args.project))
     curve = YieldCurve.from_csv(args.curve)
-    results = evaluate_set(scenario_set, curve)
-    # both summaries before either CSV, so a refused distribution leaves no partial report
-    npv_stats = summarize(EmpiricalDistribution(results.npv, scenario_set.weights))
-    mu_stats = summarize(EmpiricalDistribution(results.annualized_return, scenario_set.weights))
+    with located(args.project):
+        results = evaluate_set(scenario_set, curve)
+        # both summaries before either CSV, so a refused distribution leaves no partial report
+        npv_stats = summarize(EmpiricalDistribution(results.npv, scenario_set.weights))
+        mu_stats = summarize(EmpiricalDistribution(results.annualized_return, scenario_set.weights))
     out_dir = Path(args.out_dir)
     write_evaluation_csv(results, out_dir / "evaluation.csv")
     write_summary_csv({"npv": npv_stats, "mu": mu_stats}, out_dir / "summary.csv")
@@ -167,25 +168,22 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_omega_curve(args: argparse.Namespace) -> int:
     curve = YieldCurve.from_csv(args.curve)
-    project = evaluate_project(load_project(Path(args.project)), curve, args.metric)
+    scenario_set = load_project(Path(args.project))
+    with located(args.project):
+        project = evaluate_project(scenario_set, curve, args.metric)
     grid = _parse_grid(args.grid)
     points = omega_vs_hurdle(project, curve, grid)
     out = Path(args.out)
     write_omega_curve_csv(points, out)
-    print(f"wrote {len(points)} omega-curve points for {project.project_id!r} to {out}")
+    print(f"wrote {len(points.omega)} omega-curve points for {project.project_id!r} to {out}")
     return 0
 
 
 def _cmd_radr_compare(args: argparse.Namespace) -> int:
     scenario_set = load_project(Path(args.project))
-    result = radr_valuation(
-        RadrInput(
-            scenario_set=scenario_set,
-            riskless_rate=args.r,
-            radr_rate=args.k,
-            mode=args.mode,
-        )
-    )
+    radr_input = RadrInput(scenario_set, riskless_rate=args.r, radr_rate=args.k, mode=args.mode)
+    with located(args.project):
+        result = radr_valuation(radr_input)
     _write_json(result.to_dict(), Path(args.out))
     verdict = "accept" if result.accept else "reject"
     print(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -164,24 +164,35 @@ def summarize(dist: EmpiricalDistribution) -> SummaryStats:
 
 @dataclass(frozen=True)
 class OmegaResult:
-    """Upside/downside partial moments at a threshold and their ratio.
+    """Upside/downside partial moments and their ratio: arrays over a set of
+    thresholds, or floats for one threshold.
 
     ``omega`` is +inf when there is upside but no downside mass and nan when
     the threshold carries neither (a point mass exactly at the threshold).
     """
 
-    threshold: float
-    call: float
-    put: float
-    omega: float
+    threshold: np.ndarray | float
+    call: np.ndarray | float
+    put: np.ndarray | float
+    omega: np.ndarray | float
 
     @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.omega)
+    def is_infinite(self) -> np.ndarray | np.bool_:
+        return np.isinf(self.omega)
 
     @property
-    def is_indeterminate(self) -> bool:
-        return math.isnan(self.omega)
+    def is_indeterminate(self) -> np.ndarray | np.bool_:
+        return np.isnan(self.omega)
+
+
+Record = TypeVar("Record")
+
+
+def record_row(record: Record, i: int) -> Record:
+    """Row ``i`` of a dataclass of per-row arrays, as the same dataclass of Python
+    floats, with tuples for the per-tenor (N, T) fields."""
+    cells = (getattr(record, f.name)[i] for f in fields(record))
+    return type(record)(*(tuple(c.tolist()) if np.ndim(c) else float(c) for c in cells))
 
 
 def partial_moments(
@@ -204,34 +215,27 @@ def partial_moments(
     return call, put
 
 
-def omega_values(call: np.ndarray, put: np.ndarray) -> np.ndarray:
-    """Omega = call / put, +inf where only upside mass remains (or the ratio passes the
-    float range), nan where neither side has any."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(put > 0.0, call / put, np.where(call > 0.0, np.inf, np.nan))
-
-
-def _omega_at(
-    dist: EmpiricalDistribution, thresholds: Sequence[float]
-) -> tuple[OmegaResult, ...]:
-    """Omega at each threshold (any order), from one partial-moment lookup."""
+def _omega_at(dist: EmpiricalDistribution, thresholds: Sequence[float]) -> OmegaResult:
+    """Omega at each threshold (any order), from one partial-moment lookup: call / put,
+    +inf where only upside mass remains (or the ratio passes the float range), nan
+    where neither side has any."""
     lam = np.array(thresholds, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(lam))
-    if bad.size:
-        raise InputError(f"threshold must be finite, got {thresholds[bad[0]]!r}")
+    finite = np.isfinite(lam)
+    if not finite.all():
+        raise InputError(f"threshold must be finite, got {float(lam[~finite][0])!r}")
     call, put = partial_moments(dist, lam)
-    columns = zip(thresholds, call.tolist(), put.tolist(), omega_values(call, put).tolist())
-    return tuple(OmegaResult(threshold=t, call=c, put=p, omega=o) for t, c, p, o in columns)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(put > 0.0, call / put, np.where(call > 0.0, np.inf, np.nan))
+    return OmegaResult(lam, call, put, ratio)
 
 
 def omega(dist: EmpiricalDistribution, threshold: float) -> OmegaResult:
-    """Omega at ``threshold``: expected excess above it over expected shortfall below."""
-    return _omega_at(dist, [threshold])[0]
+    """Omega at ``threshold``: expected excess above it over expected shortfall below
+    (the kernel's one-row case, as Python floats)."""
+    return record_row(_omega_at(dist, [threshold]), 0)
 
 
-def omega_curve(
-    dist: EmpiricalDistribution, grid: Sequence[float]
-) -> tuple[OmegaResult, ...]:
+def omega_curve(dist: EmpiricalDistribution, grid: Sequence[float]) -> OmegaResult:
     """Omega at each point of a strictly increasing threshold grid."""
     _check_grid(grid)
     return _omega_at(dist, grid)
@@ -287,13 +291,11 @@ def crossing_on_grid(
     return list(zip(lo.tolist(), hi.tolist()))
 
 
-def write_omega_curve_csv(
-    results: Sequence[OmegaResult], target: str | Path | IO[str]
-) -> None:
-    """Write one row per result, the ``OmegaResult`` fields as columns
+def write_omega_curve_csv(curve: OmegaResult, target: str | Path | IO[str]) -> None:
+    """Write one row per threshold of ``curve``, the ``OmegaResult`` fields as columns
     (``threshold,call,put,omega``; omega prints as inf/nan when flagged)."""
     columns = [f.name for f in fields(OmegaResult)]
-    write_csv(target, columns, map(attrgetter(*columns), results))
+    write_csv(target, columns, zip(*(getattr(curve, c).tolist() for c in columns)))
 
 
 def write_summary_csv(

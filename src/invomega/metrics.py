@@ -10,15 +10,17 @@ translate between an annualized-return floor and its NPV equivalent.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .cashflows import CashFlowScenario, ScenarioSet, _replicate_rows, record_row
+from .cashflows import CashFlowScenario, ScenarioSet, _replicate_rows
 from .csvio import write_csv
 from .curves import YieldCurve
+from .distributions import record_row
 from .errors import (
     DomainError,
     InputError,
@@ -73,6 +75,17 @@ class ThresholdSet:
     basis_outlay: float
 
 
+@contextmanager
+def in_float_range(what: str) -> Iterator[None]:
+    """Raise numpy overflows inside the block, and report any overflow, numpy's or
+    Python's, as one InputError saying that ``what`` leave the float range."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise InputError(f"{what} leave the float range") from None
+
+
 def _evaluate_flows(flows: np.ndarray, curve: YieldCurve) -> EvaluationResult:
     """The evaluation kernel over flow rows F_0..F_T, shape (N, T+1).
 
@@ -80,31 +93,32 @@ def _evaluate_flows(flows: np.ndarray, curve: YieldCurve) -> EvaluationResult:
     outflows by the zero-coupon outlays covering them, inflows by the bonds
     paying them. The inflows reinvested at the locked forwards reach the
     horizon as FV+ = PV+ (1+r_T)^T, which gives the terminal and annualized
-    returns.
+    returns. Flows whose replication sums or returns overflow are an InputError.
     """
-    horizon = flows.shape[1] - 1
-    replication = _replicate_rows(flows, curve)
-    pv_plus, total_outlay = replication.certainty_equivalent_outlay, replication.total_outlay
-    zero = np.flatnonzero(total_outlay <= 0.0)
-    if zero.size:
-        raise ZeroOutlayError(
-            f"scenario {zero[0]}: total outlay is zero: returns and PI are undefined"
+    with in_float_range("the replication sums or returns of these flows"):
+        horizon = flows.shape[1] - 1
+        replication = _replicate_rows(flows, curve)
+        pv_plus, total_outlay = replication.certainty_equivalent_outlay, replication.total_outlay
+        zero = np.flatnonzero(total_outlay <= 0.0)
+        if zero.size:
+            raise ZeroOutlayError(
+                f"scenario {zero[0]}: total outlay is zero: returns and PI are undefined"
+            )
+        growth_T = curve.growth_factors[horizon - 1]
+        fv_plus = pv_plus * growth_T
+        npv = pv_plus - total_outlay
+        ratio = fv_plus / total_outlay
+        pi = npv / total_outlay
+        return EvaluationResult(
+            npv=npv,
+            terminal_profit=fv_plus - total_outlay,
+            terminal_return=ratio - 1.0,
+            # ratio >= 0; no inflows at all gives the total-loss return -1
+            annualized_return=ratio ** (1.0 / horizon) - 1.0,
+            profitability_index=pi,
+            premium_return=growth_T * pi,
+            total_outlay=total_outlay,
         )
-    growth_T = curve.growth_factors[horizon - 1]
-    fv_plus = pv_plus * growth_T
-    npv = pv_plus - total_outlay
-    ratio = fv_plus / total_outlay
-    pi = npv / total_outlay
-    return EvaluationResult(
-        npv=npv,
-        terminal_profit=fv_plus - total_outlay,
-        terminal_return=ratio - 1.0,
-        # ratio >= 0; no inflows at all gives the total-loss return -1
-        annualized_return=ratio ** (1.0 / horizon) - 1.0,
-        profitability_index=pi,
-        premium_return=growth_T * pi,
-        total_outlay=total_outlay,
-    )
 
 
 def evaluate(scenario: CashFlowScenario, curve: YieldCurve) -> EvaluationResult:

@@ -19,7 +19,7 @@ import numpy as np
 from .cashflows import ScenarioSet, _discounted
 from .curves import YieldCurve
 from .errors import DomainError, InputError, NonCanonicalFlowError, located
-from .metrics import mirr
+from .metrics import in_float_range, mirr
 
 MODE_CANONICAL = "canonical-strict"
 MODE_TABLE4 = "paper-table4"
@@ -92,21 +92,23 @@ def radr_valuation(radr_input: RadrInput) -> RadrResult:
 
     Returns the mean-flow NPV and MIRR at k, the mean riskless NPV, the
     implicit acceptance scale lambda_radr and the per-tenor certainty
-    equivalent factors. Acceptance means NPV at k is positive.
+    equivalent factors. Acceptance means NPV at k is positive. Flows whose
+    values overflow are an InputError.
     """
-    r, k = radr_input.riskless_rate, radr_input.radr_rate
-    means = vertical_average(radr_input.scenario_set)
-    horizon = len(means) - 1
-    curve_r, curve_k = _flat_curve(r, horizon, "r"), _flat_curve(k, horizon, "k")
-    alpha = tuple(((1.0 + r) / (1.0 + k)) ** t for t in range(1, horizon + 1))
-    npv_at_k = means[0] + math.fsum(f / g for f, g in zip(means[1:], curve_k.growth_factors))
-    flows, weights = radr_input.scenario_set.flows, radr_input.scenario_set.weights
-    npv_at_r = flows[:, 0] + _discounted(flows[:, 1:], curve_r).sum(axis=1)
-    mean_npv_at_r = math.fsum((weights * npv_at_r).tolist())
-    lambda_radr = math.fsum(
-        (1.0 - a) * f / g for a, f, g in zip(alpha, means[1:], curve_r.growth_factors)
-    )
-    mirr_at_k = mirr(means, k, k)
+    with in_float_range("the valuations of these flows"):
+        r, k = radr_input.riskless_rate, radr_input.radr_rate
+        means = vertical_average(radr_input.scenario_set)
+        horizon = len(means) - 1
+        curve_r, curve_k = _flat_curve(r, horizon, "r"), _flat_curve(k, horizon, "k")
+        alpha = tuple(((1.0 + r) / (1.0 + k)) ** t for t in range(1, horizon + 1))
+        npv_at_k = means[0] + math.fsum(f / g for f, g in zip(means[1:], curve_k.growth_factors))
+        flows, weights = radr_input.scenario_set.flows, radr_input.scenario_set.weights
+        npv_at_r = flows[:, 0] + _discounted(flows[:, 1:], curve_r).sum(axis=1)
+        mean_npv_at_r = math.fsum((weights * npv_at_r).tolist())
+        lambda_radr = math.fsum(
+            (1.0 - a) * f / g for a, f, g in zip(alpha, means[1:], curve_r.growth_factors)
+        )
+        mirr_at_k = mirr(means, k, k)
     return RadrResult(
         mean_flows=means,
         npv_at_k=npv_at_k,

@@ -10,7 +10,6 @@ ranking flips can be localized exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -29,8 +28,6 @@ from .distributions import (
     _omega_at,
     crossing_on_grid,
     omega,
-    omega_values,
-    partial_moments,
     summarize,
 )
 from .errors import InputError
@@ -139,8 +136,8 @@ def rank(
     """Rank projects by Omega at the hurdle, best first.
 
     A project is flagged accepted when its Omega is at least 1. Projects whose
-    Omega is indeterminate at the threshold (no mass on either side) are
-    excluded from the order with a warning.
+    Omega is indeterminate at the threshold (no mass on either side) are left
+    out of the order and listed in ``excluded``.
     """
     if metric not in METRICS:
         raise InputError(f"unknown metric {metric!r}, expected one of {METRICS}")
@@ -158,11 +155,6 @@ def rank(
         lam = metric_threshold(p, hurdle, curve)
         result = omega(p.distribution, lam)
         if result.is_indeterminate:
-            warnings.warn(
-                f"project {p.project_id!r}: Omega indeterminate at threshold {lam}; "
-                "excluded from ranking",
-                stacklevel=2,
-            )
             excluded.append(p.project_id)
             continue
         ranked.append(RankingEntry(
@@ -181,15 +173,15 @@ def rank(
 
 def omega_vs_hurdle(
     project: ProjectEvaluation, curve: YieldCurve, mu_grid: Sequence[float]
-) -> tuple[OmegaResult, ...]:
-    """Omega along a grid of annualized-return hurdles mu*, one result per point.
+) -> OmegaResult:
+    """Omega along a grid of annualized-return hurdles mu*, one row per point.
 
     For the npv metric each mu* is first converted to its NPV threshold on the
     project's outlay basis (the result's ``threshold``); either way the curve
     is nonincreasing in mu*.
     """
     _check_grid(mu_grid)
-    return _omega_at(project.distribution, _thresholds_at(project, curve, mu_grid).tolist())
+    return _omega_at(project.distribution, _thresholds_at(project, curve, mu_grid))
 
 
 def _thresholds_at(
@@ -211,8 +203,7 @@ def _thresholds_at(
 def _hurdle_omega(
     project: ProjectEvaluation, curve: YieldCurve, mu_stars: np.ndarray
 ) -> np.ndarray:
-    call, put = partial_moments(project.distribution, _thresholds_at(project, curve, mu_stars))
-    return omega_values(call, put)
+    return _omega_at(project.distribution, _thresholds_at(project, curve, mu_stars)).omega
 
 
 def hurdle_crossings(

@@ -41,6 +41,12 @@ def future_value(positive: Sequence[float], curve: YieldCurve) -> float:
     return math.fsum(f * (top / curve.growth_factor(t)) for t, f in enumerate(positive, start=1))
 
 
+def rows(curve: OmegaResult) -> list[OmegaResult]:
+    """The one-threshold results of a columnar ``OmegaResult``, in threshold order."""
+    columns = (curve.threshold, curve.call, curve.put, curve.omega)
+    return [OmegaResult(*map(float, row)) for row in zip(*columns)]
+
+
 def compare(a: OmegaResult, b: OmegaResult) -> int:
     """Sign of Omega_a - Omega_b; infinities above all finite values,
     indeterminate points treated as incomparable (sign 0)."""

@@ -45,6 +45,7 @@ from invomega.cli import main
 from invomega.distributions import omega_curve
 from invomega.metrics import npv_from_mu
 from invomega.ranking import evaluate_project, hurdle_crossings, metric_threshold
+from reference import rows
 
 CURVE = YieldCurve.flat(0.05, 2)
 RIGHT_SPEC = GeneratorSpec(
@@ -276,7 +277,7 @@ def test_c5_property_suite():
         dist = random_dist()
         lo = float(dist.sorted_values[0]) - 1.0
         hi = float(dist.sorted_values[-1]) + 1.0
-        results = omega_curve(dist, np.linspace(lo, hi, 25).tolist())
+        results = rows(omega_curve(dist, np.linspace(lo, hi, 25).tolist()))
         for later, earlier in zip(results[1:], results[:-1]):
             if later.is_indeterminate or earlier.is_indeterminate:
                 continue

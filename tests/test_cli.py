@@ -302,6 +302,23 @@ class TestRank:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {overflow}: samples and their spread") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid", [(), ("--grid", "0.0:0.1:0.05")])
+    def test_excluded_project_is_reported_once(self, workspace, grid):
+        # NPV is 0 in every scenario: a point mass at the threshold, so Omega is indeterminate
+        (workspace / "zero_curve.csv").write_text("tenor,rate\n1,0.0\n2,0.0\n")
+        (workspace / "flatline.csv").write_text("t0,t1,t2\n-100,100,0\n-100,100,0\n")
+        (workspace / "flatline.json").write_text(
+            json.dumps({"id": "flatline", "horizon": 2, "scenario_file": "flatline.csv"})
+        )
+        proc = run_cli(
+            "rank", "--projects", str(workspace / "flatline.json"), "--curve", str(workspace / "zero_curve.csv"),
+            "--metric", "npv", "--npv-star", "0", *grid, "--out", str(workspace / "rank.json"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "excluded (indeterminate omega): flatline" in proc.stdout
+        assert proc.stderr == ""
+        assert strict_json((workspace / "rank.json").read_text())["excluded"] == ["flatline"]
+
     def test_rank_with_grid_includes_crossings(self, workspace):
         out = workspace / "rank.json"
         code = main(
@@ -653,13 +670,24 @@ class TestInputBounds:
             ("rank", "overflow.json", 2, "spread x_max - x_min must be finite"),
             # NPVs of +-1e200: the variance leaves the float range, so std is undefined
             ("evaluate", "wide.json", 0, "std=n/a skewness=n/a"),
+            # finite flows whose present-value sums overflow
+            ("evaluate", "sum_overflow.json", 2, "sum_overflow.json: the replication sums"),
+            ("rank", "sum_overflow.json", 2, "sum_overflow.json: the replication sums"),
+            ("omega-curve", "sum_overflow.json", 2, "sum_overflow.json: the replication sums"),
+            ("radr-compare", "sum_overflow.json", 2, "sum_overflow.json: the valuations"),
+            # a subnormal outlay: the returns relative to it overflow
+            ("evaluate", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
+            ("rank", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
+            ("omega-curve", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
         ],
     )
     def test_exit_code_contract_without_traceback(self, workspace, command, source, code, named):
         (workspace / "subnormal.csv").write_text("weight,t0,t1,t2\n1e-320,-200.0,0.0,0.0\n1.0,-200.0,350.0,-100.0\n")
         (workspace / "huge_flows.csv").write_text("t0,t1,t2\n-1.0,1e150,0.0\n-1e150,0.0,0.0\n")
         (workspace / "wide.csv").write_text("t0,t1,t2\n-1.0,1e200,0.0\n-1e200,0.0,0.0\n")
-        for stem in ("subnormal", "huge_flows", "wide"):
+        (workspace / "sum_overflow.csv").write_text("t0,t1,t2\n-100,1e308,1e308\n")
+        (workspace / "tiny_outlay.csv").write_text("t0,t1,t2\n-1e-320,1,1\n")
+        for stem in ("subnormal", "huge_flows", "wide", "sum_overflow", "tiny_outlay"):
             (workspace / f"{stem}.json").write_text(
                 json.dumps({"id": stem.replace("_flows", ""), "horizon": 2, "scenario_file": f"{stem}.csv"})
             )
@@ -672,6 +700,8 @@ class TestInputBounds:
             "evaluate": ("--project", path, "--curve", curve, "--out-dir", out),
             "rank": ("--projects", path, "--curve", curve, "--metric", "npv", "--mu-star", "0.1", "--out", out + ".json"),
             "simulate": ("--spec", path, "--out", out + ".csv"),
+            "omega-curve": ("--project", path, "--curve", curve, "--grid", "0:0.2:0.1", "--out", out + ".csv"),
+            "radr-compare": ("--project", path, "--r", "0.05", "--k", "0.15", "--out", out + ".json"),
         }[name]
         proc = run_cli(name, *flags, *argv, preexec_fn=cap_address_space)
         assert proc.returncode == code, proc.stderr

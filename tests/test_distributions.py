@@ -16,13 +16,13 @@ from invomega import (
     summarize,
 )
 from invomega.distributions import (
-    omega_values,
-    partial_moments,
+    _omega_at,
     write_omega_curve_csv,
     write_summary_csv,
 )
 
 import reference
+from reference import rows
 
 
 def random_dist(rng: random.Random, n: int | None = None) -> EmpiricalDistribution:
@@ -251,7 +251,7 @@ class TestOmega:
 class TestOmegaCurve:
     def test_two_point_curve(self):
         dist = EmpiricalDistribution([0.0, 100.0])
-        results = omega_curve(dist, [-10.0, 25.0, 50.0, 75.0, 110.0])
+        results = rows(omega_curve(dist, [-10.0, 25.0, 50.0, 75.0, 110.0]))
         assert results[0].is_infinite
         assert results[1].omega == pytest.approx(3.0)
         assert results[2].omega == pytest.approx(1.0)
@@ -265,7 +265,7 @@ class TestOmegaCurve:
             lo = float(dist.sorted_values[0]) - 5.0
             hi = float(dist.sorted_values[-1]) + 5.0
             grid = np.linspace(lo, hi, 31).tolist()
-            results = omega_curve(dist, grid)
+            results = rows(omega_curve(dist, grid))
             for a, b in zip(results[1:], results[:-1]):
                 if a.is_indeterminate or b.is_indeterminate:
                     continue
@@ -273,18 +273,18 @@ class TestOmegaCurve:
 
     def test_strictly_decreasing_inside_support(self):
         dist = EmpiricalDistribution([0.0, 100.0])
-        r1, r2 = omega_curve(dist, [25.0, 75.0])
+        r1, r2 = rows(omega_curve(dist, [25.0, 75.0]))
         assert r1.omega > r2.omega
 
     def test_constant_distribution_flags(self):
-        results = omega_curve(EmpiricalDistribution([5.0, 5.0]), [4.0, 5.0, 6.0])
+        results = rows(omega_curve(EmpiricalDistribution([5.0, 5.0]), [4.0, 5.0, 6.0]))
         assert results[0].is_infinite
         assert results[1].is_indeterminate
         assert results[2].omega == 0.0
 
     def test_single_point_grid_at_mean(self):
         dist = EmpiricalDistribution([1.0, 3.0])
-        (result,) = omega_curve(dist, [2.0])
+        (result,) = rows(omega_curve(dist, [2.0]))
         assert result.omega == pytest.approx(1.0)
 
     def test_grid_validation(self):
@@ -299,7 +299,7 @@ class TestOmegaCurve:
 
 def omega_of(dist: EmpiricalDistribution):
     """The distribution's Omega as an array callable, the form crossing_on_grid takes."""
-    return lambda points: omega_values(*partial_moments(dist, points))
+    return lambda points: _omega_at(dist, points).omega
 
 
 def flat(value: float):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from invomega import EmpiricalDistribution, omega, omega_curve
 from invomega.distributions import partial_moments
+from reference import rows
 
 EPS = float(np.finfo(float).eps)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -90,7 +91,7 @@ def test_partial_moments_against_fsum(sample):
 
 def test_point_mass_flags():
     dist = EmpiricalDistribution([2.5, 2.5, 2.5], [0.2, 0.3, 0.5])
-    below, at, above = omega_curve(dist, [1.0, 2.5, 4.0])
+    below, at, above = rows(omega_curve(dist, [1.0, 2.5, 4.0]))
     assert below.is_infinite and below.put == 0.0 and below.call == 1.5
     assert at.is_indeterminate and at.call == 0.0 and at.put == 0.0
     assert above.omega == 0.0 and above.call == 0.0 and above.put == 1.5
@@ -99,7 +100,7 @@ def test_point_mass_flags():
 def test_zero_weight_tail_has_no_mass():
     # samples carrying no weight leave their side of the threshold empty
     dist = EmpiricalDistribution([-5.0, 1.0, 2.0, 9.0], [0.0, 0.5, 0.5, 0.0])
-    left, right = omega_curve(dist, [0.0, 3.0])
+    left, right = rows(omega_curve(dist, [0.0, 3.0]))
     assert left.put == 0.0 and left.is_infinite
     assert right.call == 0.0 and right.omega == 0.0
 
@@ -113,7 +114,7 @@ def test_c5_gates_at_one_million_samples():
     dist = EmpiricalDistribution(values, weights)
     mean = dist.mean()
     grid = sorted(np.quantile(values, [0.001, 0.1, 0.5, 0.9, 0.999]).tolist() + [mean])
-    base = omega_curve(dist, grid)
+    base = rows(omega_curve(dist, grid))
 
     for lam, result in zip(grid, base):
         # put-call parity
@@ -133,9 +134,9 @@ def test_c5_gates_at_one_million_samples():
 
     # translation and positive scaling, one moved copy alive at a time
     shift, factor = 37.25, 3.5
-    moved = omega_curve(dist.shifted(shift), [lam + shift for lam in grid])
+    moved = rows(omega_curve(dist.shifted(shift), [lam + shift for lam in grid]))
     for a, b in zip(base, moved):
         assert math.isclose(a.omega, b.omega, rel_tol=1e-9, abs_tol=1e-12)
-    moved = omega_curve(dist.scaled(factor), [lam * factor for lam in grid])
+    moved = rows(omega_curve(dist.scaled(factor), [lam * factor for lam in grid]))
     for a, b in zip(base, moved):
         assert math.isclose(a.omega, b.omega, rel_tol=1e-9, abs_tol=1e-12)

@@ -9,6 +9,19 @@ pipeline is homogeneous of degree 1 (NPV, outlays, NPV*, call, put) or 0
 (mu, Omega, the order, the mu* brackets) in the flows. So the degree-1
 quantities scale by exactly 2^k and the degree-0 ones are bitwise equal.
 
+A general factor c > 0 rounds once per scaled flow, so the pipeline keeps
+scale only within rounding. The bound, K = 8 (T+2) eps, is that of the
+lifespan gate: per scenario, NPV and total outlay are within K c M of c times
+their base values, M being the magnitude |F_0| + sum_t |F_t| / (1+r_t)^t, and
+mu is within K (1 + |mu|) of its base value (every sum of the return has
+terms >= 0). Let s = c on the npv metric and 1 on mu, D the largest sample
+move |x' - s x| and dL the threshold move |L' - s L| (itself within K s |L|).
+x -> (x - L)+ moves by at most D + dL, and the engine's call and put are
+within 8 eps of their exact sums (``test_omega_engine``), so |call' - s call|
+and |put' - s put| are within D + dL + 16 eps (call' + s call), with Omega
+inside the ratio of those bounds. The order is the same, and each crossing
+bracket lies within one bracket width (grid step / 1024) of its base bracket.
+
 Lifespan: zero flows after T add nothing to the replication, so padding a
 project to a longer horizon T' on a curve that reaches T' leaves every NPV
 and total outlay within the kernel tolerance of ``test_evaluation_kernel``,
@@ -23,6 +36,7 @@ from dataclasses import replace
 from functools import cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -126,6 +140,46 @@ def test_scaling_every_flow_by_a_power_of_two(k):
                 )
             else:
                 assert _bits([s.threshold]) == _bits([b.threshold])
+
+
+@pytest.mark.parametrize("factor", [3.0, 0.7, 1e3])
+def test_scaling_every_flow_by_a_general_factor(factor):
+    curve = YieldCurve.from_csv(DEMO_DIR / "curve_flat5.csv")
+    base_sets = _demo_pair()
+    scaled_sets = tuple(_scaled(s, factor) for s in base_sets)
+    k = 8 * (base_sets[0].horizon + 2) * EPS
+    for base, scaled in zip(base_sets, scaled_sets):
+        growth = np.array(curve.growth_factors[: base.horizon])
+        magnitude = np.abs(base.flows[:, 0]) + np.abs(base.flows[:, 1:] / growth).sum(axis=1)
+        b, s = evaluate_set(base, curve), evaluate_set(scaled, curve)
+        for name in ("npv", "total_outlay"):
+            assert np.all(np.abs(getattr(s, name) - factor * getattr(b, name)) <= k * factor * magnitude)
+        mu_base = b.annualized_return
+        assert np.all(np.abs(s.annualized_return - mu_base) <= k * (1.0 + np.abs(mu_base)))
+    for metric, scale in (("npv", factor), ("mu", 1.0)):
+        base_projects = [evaluate_project(x, curve, metric) for x in base_sets]
+        scaled_projects = [evaluate_project(x, curve, metric) for x in scaled_sets]
+        base = rank_with_crossings(base_projects, HURDLE, metric, curve, GRID)
+        scaled = rank_with_crossings(scaled_projects, HURDLE, metric, curve, GRID)
+        assert scaled.order == base.order
+        entries = {e.project_id: e for e in scaled.entries}
+        for b, bp, sp in zip(base.entries, base_projects, scaled_projects):
+            s = entries[b.project_id]
+            moved = float(np.max(np.abs(sp.distribution.values - scale * bp.distribution.values)))
+            threshold_moved = abs(s.threshold - scale * b.threshold)
+            assert threshold_moved <= k * scale * abs(b.threshold)
+            bounds = [moved + threshold_moved + 16 * EPS * (new + scale * old)
+                      for new, old in ((s.call, b.call), (s.put, b.put))]
+            assert abs(s.call - scale * b.call) <= bounds[0]
+            assert abs(s.put - scale * b.put) <= bounds[1]
+            rel_call, rel_put = bounds[0] / (scale * b.call), bounds[1] / (scale * b.put)
+            assert abs(s.omega - b.omega) <= b.omega * (rel_call + rel_put + 2 * EPS) / (1.0 - rel_put)
+        width = (GRID[1] - GRID[0]) / 1024.0
+        for bc, sc in zip(base.crossings, scaled.crossings):
+            assert bc.brackets  # the property is not vacuous
+            assert len(sc.brackets) == len(bc.brackets)
+            for (lo, hi), (slo, shi) in zip(bc.brackets, sc.brackets):
+                assert max(lo, slo) - min(hi, shi) <= width
 
 
 @st.composite
