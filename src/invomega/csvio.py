@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ScenarioParseError, decoding
+
+# rows formed per write: bounds the Python objects alive at once, whatever N is
+_CHUNK_ROWS = 65_536
 
 
 def data_rows(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
@@ -24,13 +29,17 @@ def data_rows(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
             yield lineno, row
 
 
-def write_csv(target: str | Path | IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write to a path (creating its directory) or an open handle; floats print as repr,
-    so pass Python floats, not numpy scalars."""
+def write_csv(target: str | Path | IO[str], columns: Mapping[str, Sequence]) -> None:
+    """Write ``columns`` (name -> array, range or list, all of one length; the names are
+    the header) to a path (creating its directory) or an open handle, ``_CHUNK_ROWS`` rows
+    at a time. Cells go through ``np.asarray(chunk).tolist()``, so floats print as repr."""
     if isinstance(target, (str, Path)):
         Path(target).parent.mkdir(parents=True, exist_ok=True)
         with open(target, "w", newline="") as handle:
-            return write_csv(handle, header, rows)
+            return write_csv(handle, columns)
     writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    n_rows = len(next(iter(columns.values())))
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        writer.writerows(zip(*(np.asarray(column[chunk]).tolist() for column in columns.values())))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence, TypeVar
 
@@ -294,8 +293,7 @@ def crossing_on_grid(
 def write_omega_curve_csv(curve: OmegaResult, target: str | Path | IO[str]) -> None:
     """Write one row per threshold of ``curve``, the ``OmegaResult`` fields as columns
     (``threshold,call,put,omega``; omega prints as inf/nan when flagged)."""
-    columns = [f.name for f in fields(OmegaResult)]
-    write_csv(target, columns, zip(*(getattr(curve, c).tolist() for c in columns)))
+    write_csv(target, {f.name: getattr(curve, f.name) for f in fields(OmegaResult)})
 
 
 def write_summary_csv(
@@ -303,12 +301,6 @@ def write_summary_csv(
 ) -> None:
     """Write one row per metric, its name and then the ``SummaryStats`` fields
     (``metric,mean,median,std,skewness``); an undefined statistic prints as nan."""
-    columns = [f.name for f in fields(SummaryStats)]
-    write_csv(
-        target,
-        ["metric", *columns],
-        (
-            [name, *(math.nan if v is None else v for v in attrgetter(*columns)(s))]
-            for name, s in summaries.items()
-        ),
-    )
+    stats = {f.name: np.array([getattr(s, f.name) for s in summaries.values()], dtype=float)
+             for f in fields(SummaryStats)}
+    write_csv(target, {"metric": list(summaries), **stats})

@@ -212,6 +212,7 @@ def mirr(flows: Sequence[float], reinvest_rate: float, finance_rate: float) -> f
 
     Inflows compound at the reinvestment rate to the horizon; outflows
     (including the initial outlay) discount at the financing rate to t = 0.
+    Raises OverflowError when the financed total or the ratio leaves the float range.
     """
     if reinvest_rate <= -1.0 or finance_rate <= -1.0:
         raise InputError("rates must exceed -1")
@@ -228,20 +229,9 @@ def mirr(flows: Sequence[float], reinvest_rate: float, finance_rate: float) -> f
             f"MIRR undefined: financed outflows total {financed}, must be positive"
         )
     ratio = compounded / financed
+    if not (math.isfinite(financed) and math.isfinite(ratio)):
+        raise OverflowError(f"MIRR ratio {compounded} / {financed} leaves the float range")
     return ratio ** (1.0 / horizon) - 1.0 if ratio > 0.0 else -1.0
-
-
-EVALUATION_COLUMNS = (
-    "scenario",
-    "npv",
-    "profit",
-    "terminal_return",
-    "mu",
-    "pi",
-    "premium_npv",
-    "premium_return",
-    "total_outlay",
-)
 
 
 def write_evaluation_csv(results: EvaluationResult, target: str | Path | IO[str]) -> None:
@@ -250,9 +240,17 @@ def write_evaluation_csv(results: EvaluationResult, target: str | Path | IO[str]
     The ``premium_npv`` column equals ``npv``; it stays for layout compatibility.
     """
     r = results
-    columns = (r.npv, r.terminal_profit, r.terminal_return, r.annualized_return,
-               r.profitability_index, r.npv, r.premium_return, r.total_outlay)
-    write_csv(target, EVALUATION_COLUMNS, zip(range(len(r.npv)), *(c.tolist() for c in columns)))
+    write_csv(target, {
+        "scenario": range(len(r.npv)),
+        "npv": r.npv,
+        "profit": r.terminal_profit,
+        "terminal_return": r.terminal_return,
+        "mu": r.annualized_return,
+        "pi": r.profitability_index,
+        "premium_npv": r.npv,
+        "premium_return": r.premium_return,
+        "total_outlay": r.total_outlay,
+    })
 
 
 def mean_basis_outlay(results: EvaluationResult, weights: np.ndarray) -> float:

@@ -237,11 +237,10 @@ def rank_with_crossings(
 
 def write_ranking_csv(report: RankingReport, target: str | Path | IO[str]) -> None:
     """Tabular ranking: ``rank,project,omega,call,put,threshold,accept``."""
-    write_csv(
-        target,
-        ["rank", "project", "omega", "call", "put", "threshold", "accept"],
-        (
-            [i, e.project_id, e.omega, e.call, e.put, e.threshold, e.accept]
-            for i, e in enumerate(report.entries, start=1)
-        ),
-    )
+    entries = report.entries
+    write_csv(target, {
+        "rank": range(1, len(entries) + 1),
+        "project": [e.project_id for e in entries],
+        **{name: [getattr(e, name) for e in entries]
+           for name in ("omega", "call", "put", "threshold", "accept")},
+    })

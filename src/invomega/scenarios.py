@@ -411,13 +411,10 @@ def _is_float(cell: str) -> bool:
 
 def write_scenarios(scenario_set: ScenarioSet, target: str | Path | IO[str]) -> None:
     """Write the standard scenario CSV (weight column only when non-uniform)."""
-    names = [f"t{i}" for i in range(scenario_set.horizon + 1)]
     weights = scenario_set.weights
-    if np.all(weights == 1.0 / len(weights)):
-        write_csv(target, names, scenario_set.flows.tolist())
-    else:
-        table = np.column_stack((weights, scenario_set.flows))
-        write_csv(target, ["weight", *names], table.tolist())
+    columns = {} if np.all(weights == 1.0 / len(weights)) else {"weight": weights}
+    columns.update((f"t{i}", column) for i, column in enumerate(scenario_set.flows.T))
+    write_csv(target, columns)
 
 
 def read_project(path: str | Path) -> tuple[str, int, GeneratorSpec | Path]:

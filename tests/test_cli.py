@@ -679,6 +679,8 @@ class TestInputBounds:
             ("evaluate", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
             ("rank", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
             ("omega-curve", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
+            ("radr-compare", "tiny_outlay.json", 2, "tiny_outlay.json: the valuations"),
+            ("radr-compare --mode paper-table4", "tiny_outlay.json", 2, "tiny_outlay.json: the valuations"),
         ],
     )
     def test_exit_code_contract_without_traceback(self, workspace, command, source, code, named):

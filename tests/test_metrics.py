@@ -272,6 +272,17 @@ class TestMirr:
         with pytest.raises(DomainError):
             mirr((0.0, 100.0), 0.1, 0.1)
 
+    @pytest.mark.parametrize(
+        "flows",
+        [
+            (-1e-320, 1.0, 1.0),  # a subnormal outlay: the ratio overflows
+            (-1e308, -1e308, 1.0),  # the financed total overflows
+        ],
+    )
+    def test_ratio_outside_the_float_range_raises(self, flows):
+        with pytest.raises(OverflowError):
+            mirr(flows, 0.15, 0.15)
+
     def test_rate_bounds(self, mixed_stream):
         with pytest.raises(InputError):
             mirr(mixed_stream.flows, -1.0, 0.1)

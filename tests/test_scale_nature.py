@@ -28,7 +28,11 @@ and total outlay within the kernel tolerance of ``test_evaluation_kernel``,
 8 (T'+2) eps times the magnitude of the discounted terms (the padded sums
 may group their terms differently). A delta_mu = 0 hurdle is mu* = r_T,
 whose NPV equivalent (1+r_T)^T / (1+r_T)^T - 1 times the basis is exactly
-0.0 on every horizon.
+0.0 on every horizon. At delta_mu > 0 on a flat curve at r, the NPV
+threshold, the basis times (1 + r + delta_mu)^T / (1 + r)^T - 1, grows
+with T while the NPVs stay put: the padded project must earn the premium
+over more periods, so its threshold is strictly larger and its Omega there
+no larger.
 """
 
 import json
@@ -49,6 +53,7 @@ from invomega import (
     evaluate_project,
     evaluate_set,
     generate,
+    omega,
     rank_with_crossings,
     read_project,
 )
@@ -211,3 +216,20 @@ def test_zero_padding_to_a_longer_lifespan(curve, horizon):
         for scenario_set in (base, padded):
             project = evaluate_project(scenario_set, curve, "npv")
             assert metric_threshold(project, delta_mu_zero, curve) == 0.0
+
+
+@pytest.mark.parametrize("rate", [-0.20, 0.0, 0.05, 0.30])
+def test_zero_padding_raises_the_npv_threshold_at_a_positive_premium(rate):
+    curve = YieldCurve.flat(rate, LONGEST)
+    for base in _demo_pair():
+        short = evaluate_project(base, curve, "npv")
+        for horizon in (3, 5, 12, LONGEST):
+            long = evaluate_project(_padded(base, horizon), curve, "npv")
+            for delta_mu in (0.01, 0.10, 0.50):
+                hurdle = HurdleSpec("delta_mu", delta_mu)
+                short_threshold = metric_threshold(short, hurdle, curve)
+                long_threshold = metric_threshold(long, hurdle, curve)
+                assert long_threshold > short_threshold
+                assert omega(long.distribution, long_threshold).omega <= omega(
+                    short.distribution, short_threshold
+                ).omega

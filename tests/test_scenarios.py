@@ -17,7 +17,10 @@ from invomega import (
     HorizonMismatchError,
     InputError,
     ScenarioParseError,
+    ScenarioSet,
     SeededStream,
+    YieldCurve,
+    evaluate_set,
     generate,
     load_project,
     load_scenarios,
@@ -27,7 +30,8 @@ from invomega import (
     write_scenarios,
 )
 import invomega
-from invomega import DomainError
+from invomega import DomainError, csvio
+from invomega.metrics import write_evaluation_csv
 from invomega.scenarios import _lognormal_w, _ndtri, _scan_table, generator_spec_from_dict
 
 
@@ -41,6 +45,12 @@ def spec_right(n=100, seed=555) -> GeneratorSpec:
         n_scenarios=n,
         seed=seed,
     )
+
+
+def weighted_right(n) -> ScenarioSet:
+    """spec_right's flows under weights 1..n, normalised."""
+    weights = np.arange(1.0, n + 1.0)
+    return ScenarioSet("w", generate(spec_right(n=n)).flows, weights / math.fsum(weights.tolist()))
 
 
 class TestSeededStream:
@@ -516,6 +526,29 @@ class TestScenarioCsv:
         assert path.read_text().startswith("weight,t0,t1\n")
         loaded = load_scenarios(path)
         assert loaded.weights.tolist() == [0.125, 0.875]
+
+    @pytest.mark.parametrize(
+        "write, table",
+        [
+            (write_scenarios, lambda n: generate(spec_right(n=n))),
+            (write_scenarios, weighted_right),
+            (write_evaluation_csv, lambda n: evaluate_set(generate(spec_right(n=n)), YieldCurve.flat(0.05, 2))),
+        ],
+        ids=["uniform-scenarios", "weighted-scenarios", "evaluation"],
+    )
+    def test_writer_peak_memory_is_bounded_by_the_chunk(self, tmp_path, monkeypatch, write, table):
+        # the writers used to copy every column whole into Python floats first
+        monkeypatch.setattr(csvio, "_CHUNK_ROWS", 1_000)
+        peaks = []
+        for n in (4_000, 16_000):
+            written = table(n)
+            tracemalloc.start()
+            try:
+                write(written, tmp_path / "out.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestProjectDescriptor:
