@@ -86,7 +86,8 @@ def _shown(stat: float | None, spec: str) -> str:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     project_id, _, spec = read_project(args.spec)
     if not isinstance(spec, GeneratorSpec):
-        raise InputError(f"{args.spec}: simulate needs a generator block, not a 'scenario_file'")
+        with located(args.spec):
+            raise InputError("simulate needs a generator block, not a 'scenario_file'")
     if args.n is not None:
         if args.n < 1:
             raise InputError(f"--n must be a positive integer, got {args.n}")
@@ -181,8 +182,8 @@ def _cmd_omega_curve(args: argparse.Namespace) -> int:
 
 def _cmd_radr_compare(args: argparse.Namespace) -> int:
     scenario_set = load_project(Path(args.project))
-    radr_input = RadrInput(scenario_set, riskless_rate=args.r, radr_rate=args.k, mode=args.mode)
     with located(args.project):
+        radr_input = RadrInput(scenario_set, riskless_rate=args.r, radr_rate=args.k, mode=args.mode)
         result = radr_valuation(radr_input)
     _write_json(result.to_dict(), Path(args.out))
     verdict = "accept" if result.accept else "reject"

@@ -8,7 +8,7 @@ from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ScenarioParseError, decoding
+from .errors import ScenarioParseError
 
 # rows formed per write: bounds the Python objects alive at once, whatever N is
 _CHUNK_ROWS = 65_536
@@ -16,16 +16,15 @@ _CHUNK_ROWS = 65_536
 
 def data_rows(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
     """(1-based line, cells) of each data row after the header line, blank and
-    all-empty rows skipped; a row of another width than ``width`` is an error."""
-    with decoding(path), open(path, newline="") as handle:
+    all-empty rows skipped; a row of another width than ``width`` is an error. Errors
+    name the row, not the file: the caller locates them."""
+    with open(path, newline="") as handle:
         handle.readline()
         for lineno, row in enumerate(csv.reader(handle), start=2):
             if not any(cell.strip() for cell in row):
                 continue
             if len(row) != width:
-                raise ScenarioParseError(
-                    f"{path}: row {lineno}: expected {width} columns, got {len(row)}"
-                )
+                raise ScenarioParseError(f"row {lineno}: expected {width} columns, got {len(row)}")
             yield lineno, row
 
 

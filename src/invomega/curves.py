@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .csvio import data_rows
-from .errors import InputError, TenorOutOfRangeError, decoding
+from .errors import InputError, TenorOutOfRangeError, located
 
 
 @dataclass(frozen=True)
@@ -56,33 +56,31 @@ class YieldCurve:
     @classmethod
     def from_csv(cls, path: str | Path) -> "YieldCurve":
         """Load a curve from CSV with header ``tenor,rate`` and tenors 1..T."""
-        with decoding(path), open(path, newline="") as handle:
+        with located(path), open(path, newline="") as handle:
             header = next(csv.reader(handle), None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["tenor", "rate"]:
-            raise InputError(f"{path}: expected header 'tenor,rate', got {header!r}")
-        rows: list[tuple[int, float]] = []
-        for lineno, (tenor, rate) in data_rows(path, 2):
-            try:
-                rows.append((int(tenor), float(rate)))
-            except ValueError as exc:
-                raise InputError(f"{path}: row {lineno}: {exc}") from exc
-        if not rows:
-            raise InputError(f"{path}: no curve rows")
-        rows.sort(key=lambda item: item[0])
-        tenors = [t for t, _ in rows]
-        if tenors != list(range(1, len(rows) + 1)):
-            raise InputError(f"{path}: tenors must be contiguous 1..T, got {tenors}")
-        return cls(tuple(r for _, r in rows))
+            if header is None or [h.strip().lower() for h in header[:2]] != ["tenor", "rate"]:
+                raise InputError(f"expected header 'tenor,rate', got {header!r}")
+            rows: list[tuple[int, float]] = []
+            for lineno, (tenor, rate) in data_rows(path, 2):
+                try:
+                    rows.append((int(tenor), float(rate)))
+                except ValueError as exc:
+                    raise InputError(f"row {lineno}: {exc}") from exc
+            if not rows:
+                raise InputError("no curve rows")
+            rows.sort(key=lambda item: item[0])
+            tenors = [t for t, _ in rows]
+            if tenors != list(range(1, len(rows) + 1)):
+                raise InputError(f"tenors must be contiguous 1..T, got {tenors}")
+            return cls(tuple(r for _, r in rows))
 
     @property
     def horizon(self) -> int:
         return len(self.rates)
 
-    def _check_tenor(self, t: int, minimum: int = 1) -> None:
-        if not minimum <= t <= self.horizon:
-            raise TenorOutOfRangeError(
-                f"tenor {t} outside curve range {minimum}..{self.horizon}"
-            )
+    def _check_tenor(self, t: int) -> None:
+        if not 1 <= t <= self.horizon:
+            raise TenorOutOfRangeError(f"tenor {t} outside curve range 1..{self.horizon}")
 
     def annual_rate(self, t: int) -> float:
         self._check_tenor(t)

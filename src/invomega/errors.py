@@ -49,18 +49,12 @@ class NonCanonicalFlowError(DomainError):
 
 
 @contextmanager
-def decoding(path: str | Path) -> Iterator[None]:
-    """Report text in ``path`` that does not decode as an InputError naming the file."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not valid {exc.encoding} text: {exc.reason}") from None
-
-
-@contextmanager
 def located(where: str | Path) -> Iterator[None]:
-    """Re-raise an EngineError as the same class with ``"{where}: "`` in front of its message."""
+    """The one rule that names an input in an error: an EngineError is re-raised as the
+    same class with ``"{where}: "`` in front, undecodable text as an InputError naming it."""
     try:
         yield
     except EngineError as exc:
         raise type(exc)(f"{where}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{where}: not valid {exc.encoding} text: {exc.reason}") from None

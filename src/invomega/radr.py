@@ -12,7 +12,7 @@ scale lambda_radr.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,29 +28,26 @@ MODES = (MODE_CANONICAL, MODE_TABLE4)
 
 @dataclass(frozen=True)
 class RadrInput:
-    """Scenario set plus flat riskless rate r and risk-adjusted rate k >= r."""
+    """Scenario set plus flat riskless rate r and risk-adjusted rate k >= r, and their curves."""
 
     scenario_set: ScenarioSet
     riskless_rate: float
     radr_rate: float
     mode: str = MODE_CANONICAL
+    curve_r: YieldCurve = field(init=False, repr=False, compare=False)
+    curve_k: YieldCurve = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        r, k = self.riskless_rate, self.radr_rate
+        r, k, horizon = self.riskless_rate, self.radr_rate, self.scenario_set.horizon
         for name, rate in (("r", r), ("k", k)):
-            _flat_curve(rate, self.scenario_set.horizon, name)
+            with located(f"rate {name}"):
+                object.__setattr__(self, f"curve_{name}", YieldCurve.flat(rate, horizon))
         if k < r:
             raise InputError(f"risk-adjusted rate {k} must be >= riskless rate {r}")
         if self.mode == MODE_CANONICAL:
             _check_canonical(self.scenario_set)
-
-
-def _flat_curve(rate: float, horizon: int, name: str) -> YieldCurve:
-    """The flat curve at ``rate``; an error for a rate it refuses names ``name``."""
-    with located(f"rate {name}"):
-        return YieldCurve.flat(rate, horizon)
 
 
 def _check_canonical(scenario_set: ScenarioSet) -> None:
@@ -99,7 +96,7 @@ def radr_valuation(radr_input: RadrInput) -> RadrResult:
         r, k = radr_input.riskless_rate, radr_input.radr_rate
         means = vertical_average(radr_input.scenario_set)
         horizon = len(means) - 1
-        curve_r, curve_k = _flat_curve(r, horizon, "r"), _flat_curve(k, horizon, "k")
+        curve_r, curve_k = radr_input.curve_r, radr_input.curve_k
         alpha = tuple(((1.0 + r) / (1.0 + k)) ** t for t in range(1, horizon + 1))
         npv_at_k = means[0] + math.fsum(f / g for f, g in zip(means[1:], curve_k.growth_factors))
         flows, weights = radr_input.scenario_set.flows, radr_input.scenario_set.weights

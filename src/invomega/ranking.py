@@ -30,8 +30,10 @@ from .distributions import (
     omega,
     summarize,
 )
-from .errors import InputError
-from .metrics import HurdleSpec, evaluate_set, mean_basis_outlay, npv_from_mus, thresholds
+from .errors import InputError, located
+from .metrics import (
+    HurdleSpec, evaluate_set, mean_basis_outlay, npv_from_mus, npv_from_profit, thresholds,
+)
 
 METRICS = ("npv", "mu")
 
@@ -69,7 +71,12 @@ def evaluate_project(
 
 
 def metric_threshold(project: ProjectEvaluation, hurdle: HurdleSpec, curve: YieldCurve) -> float:
-    """The hurdle expressed on the project's metric scale."""
+    """The hurdle expressed on the project's metric scale. On the npv metric an NPV or profit
+    floor converts to NPV* alone: the mu* it never uses may not exist."""
+    if project.metric == "npv" and hurdle.kind == "npv_star":
+        return hurdle.value
+    if project.metric == "npv" and hurdle.kind == "profit_star":
+        return npv_from_profit(hurdle.value, project.basis_outlay, curve, project.horizon)
     ts = thresholds(hurdle, project.basis_outlay, curve, project.horizon)
     return ts.npv_star if project.metric == "npv" else ts.mu_star
 
@@ -152,7 +159,8 @@ def rank(
     ranked: list[RankingEntry] = []
     excluded: list[str] = []
     for p in projects:
-        lam = metric_threshold(p, hurdle, curve)
+        with located(p.project_id):
+            lam = metric_threshold(p, hurdle, curve)
         result = omega(p.distribution, lam)
         if result.is_indeterminate:
             excluded.append(p.project_id)

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -23,7 +23,7 @@ from .cashflows import ScenarioSet, check_flow_rows
 from .csvio import data_rows, write_csv
 from .distributions import validated_weights
 from .errors import (
-    DomainError, HorizonMismatchError, InputError, ScenarioParseError, decoding, located,
+    DomainError, HorizonMismatchError, InputError, ScenarioParseError, located,
 )
 
 FAMILIES = ("shifted_lognormal", "mirrored_shifted_lognormal", "normal", "discrete")
@@ -262,7 +262,8 @@ def moment_match(family: str, mean: float, std: float, skew: float) -> MatchedDi
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for a synthetic scenario set with one stochastic flow: the one check on
-    generator fields, whose errors name the fields of a JSON generator block."""
+    generator fields, whose errors name the fields of a JSON generator block, and the
+    distribution they moment-match (``matched``, computed once here)."""
 
     family: str
     target_mean: float
@@ -271,11 +272,12 @@ class GeneratorSpec:
     flow_template: tuple[float | None, ...]
     n_scenarios: int
     seed: int
+    matched: MatchedDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for attr, key in (("target_mean", "mean"), ("target_std", "std"), ("target_skewness", "skew")):
             object.__setattr__(self, attr, _number(getattr(self, attr), f"field '{key}'"))
-        moment_match(self.family, self.target_mean, self.target_std, self.target_skewness)
+        matched = moment_match(self.family, self.target_mean, self.target_std, self.target_skewness)
         template = tuple(
             None if f is None else _number(f, f"field 'template' at t={t}")
             for t, f in enumerate(self.flow_template)
@@ -294,6 +296,7 @@ class GeneratorSpec:
         if not _is_int(self.seed):
             raise InputError(f"field 'seed': must be an integer, got {self.seed!r}")
         object.__setattr__(self, "flow_template", template)
+        object.__setattr__(self, "matched", matched)
 
     @property
     def slot(self) -> int:
@@ -325,16 +328,13 @@ def generator_spec_from_dict(block: dict) -> GeneratorSpec:
 
 def generate(spec: GeneratorSpec, project_id: str = "generated") -> ScenarioSet:
     """Deterministically generate the scenario set described by ``spec``."""
-    matched = moment_match(
-        spec.family, spec.target_mean, spec.target_std, spec.target_skewness
-    )
     stream = SeededStream(spec.seed)
     template = [0.0 if f is None else f for f in spec.flow_template]
     try:
         flows = np.tile(template, (spec.n_scenarios, 1))
     except (OverflowError, ValueError, MemoryError) as exc:  # numpy refuses before allocating
         raise InputError(f"n = {spec.n_scenarios} scenarios do not fit in one array: {exc}") from None
-    flows[:, spec.slot] = matched.sample(stream, np.arange(spec.n_scenarios, dtype=np.uint64))
+    flows[:, spec.slot] = spec.matched.sample(stream, np.arange(spec.n_scenarios, dtype=np.uint64))
     return ScenarioSet.uniform(project_id, flows)
 
 
@@ -343,23 +343,23 @@ def load_scenarios(
 ) -> ScenarioSet:
     """Load a scenario CSV (header ``t0,...,tT`` with optional leading ``weight``)."""
     path = Path(path)
-    with decoding(path), open(path, newline="") as handle:
+    with located(path), open(path, newline="") as handle:
         first = handle.readline()
         if not first:
-            raise ScenarioParseError(f"{path}: empty file")
+            raise ScenarioParseError("empty file")
         header = [h.strip() for h in next(csv.reader([first]), [])]
         has_weights = bool(header) and header[0] == "weight"
         flow_names = header[1:] if has_weights else header
         expected = [f"t{i}" for i in range(len(flow_names))]
         if not flow_names or flow_names != expected:
             raise ScenarioParseError(
-                f"{path}: header must be {'weight,' if has_weights else ''}t0,...,tT, "
+                f"header must be {'weight,' if has_weights else ''}t0,...,tT, "
                 f"got {','.join(header)}"
             )
         file_horizon = len(flow_names) - 1
         if horizon is not None and file_horizon != horizon:
             raise HorizonMismatchError(
-                f"{path}: file horizon {file_horizon} does not match expected {horizon}"
+                f"file horizon {file_horizon} does not match expected {horizon}"
             )
         n_cols = len(header)
         try:
@@ -370,35 +370,35 @@ def load_scenarios(
                 raise ValueError  # the scan names the line with the wrong column count
         except ValueError:
             table = _scan_table(path, n_cols)
-    if not len(table):
-        raise ScenarioParseError(f"{path}: no scenario rows")
+        if not len(table):
+            raise ScenarioParseError("no scenario rows")
 
-    linenos: list[int] = []  # file line of each data row, found only when an error needs it
+        linenos: list[int] = []  # file line of each data row, found only when an error needs it
 
-    def where(i: int) -> str:
-        if not linenos:
-            linenos.extend(lineno for lineno, _ in data_rows(path, n_cols))
-        return f"{path}: row {linenos[i]}"
+        def where(i: int) -> str:
+            if not linenos:
+                linenos.extend(lineno for lineno, _ in data_rows(path, n_cols))
+            return f"row {linenos[i]}"
 
-    table.setflags(write=False)  # so that the ScenarioSet keeps it without a copy
-    flows, weights = (table[:, 1:], table[:, 0]) if has_weights else (table, None)
-    check_flow_rows(flows, where)
-    if weights is not None:
-        weights = validated_weights(weights, len(table), lambda i: f"{where(i)}: weight")
-    pid = project_id if project_id is not None else path.stem
-    return ScenarioSet(pid, flows, weights)
+        table.setflags(write=False)  # so that the ScenarioSet keeps it without a copy
+        flows, weights = (table[:, 1:], table[:, 0]) if has_weights else (table, None)
+        check_flow_rows(flows, where)
+        if weights is not None:
+            weights = validated_weights(weights, len(table), lambda i: f"{where(i)}: weight")
+        pid = project_id if project_id is not None else path.stem
+        return ScenarioSet(pid, flows, weights)
 
 
 def _scan_table(path: Path, n_cols: int) -> np.ndarray:
     # np.loadtxt refuses a few inputs that the csv grammar accepts (whitespace-only
     # lines, all-empty rows such as ",,", quoted cells); this row-by-row scan parses
-    # those and names the file and line of the first bad row in any other refusal.
+    # those and names the line of the first bad row in any other refusal.
     numbered = list(data_rows(path, n_cols))
     try:
         return np.array([row for _, row in numbered], dtype=float)
     except ValueError:
         lineno, bad = next((n, c) for n, row in numbered for c in row if not _is_float(c))
-        raise ScenarioParseError(f"{path}: row {lineno}: non-numeric value {bad!r}") from None
+        raise ScenarioParseError(f"row {lineno}: non-numeric value {bad!r}") from None
 
 
 def _is_float(cell: str) -> bool:
@@ -427,39 +427,38 @@ def read_project(path: str | Path) -> tuple[str, int, GeneratorSpec | Path]:
     GeneratorSpec or the resolved scenario CSV path.
     """
     path = Path(path)
-    try:
-        with decoding(path):
-            data = json.loads(path.read_text())
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: descriptor must be a JSON object")
-    if "family" in data:
-        with located(path):
-            spec = generator_spec_from_dict(data)
-        return path.stem, spec.horizon, spec
-    for key in ("id", "horizon"):
-        if key not in data:
-            raise InputError(f"{path}: missing field '{key}'")
-    project_id, horizon = data["id"], data["horizon"]
-    if not isinstance(project_id, str):
-        raise InputError(f"{path}: field 'id' must be a string, got {project_id!r}")
-    if not _is_int(horizon) or horizon < 1:
-        raise InputError(f"{path}: field 'horizon' must be a positive integer, got {horizon!r}")
-    if ("scenario_file" in data) == ("generator" in data):
-        raise InputError(f"{path}: need exactly one of 'scenario_file' or 'generator'")
-    if "scenario_file" in data:
-        scenario_file = data["scenario_file"]
-        if not isinstance(scenario_file, str):
-            raise InputError(f"{path}: field 'scenario_file' must be a string, got {scenario_file!r}")
-        return project_id, horizon, (path.parent / scenario_file).resolve()
     with located(path):
+        text = path.read_text()  # outside the try: a UnicodeDecodeError is a ValueError too
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+            raise InputError(f"invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InputError("descriptor must be a JSON object")
+        if "family" in data:
+            spec = generator_spec_from_dict(data)
+            return path.stem, spec.horizon, spec
+        for key in ("id", "horizon"):
+            if key not in data:
+                raise InputError(f"missing field '{key}'")
+        project_id, horizon = data["id"], data["horizon"]
+        if not isinstance(project_id, str):
+            raise InputError(f"field 'id' must be a string, got {project_id!r}")
+        if not _is_int(horizon) or horizon < 1:
+            raise InputError(f"field 'horizon' must be a positive integer, got {horizon!r}")
+        if ("scenario_file" in data) == ("generator" in data):
+            raise InputError("need exactly one of 'scenario_file' or 'generator'")
+        if "scenario_file" in data:
+            scenario_file = data["scenario_file"]
+            if not isinstance(scenario_file, str):
+                raise InputError(f"field 'scenario_file' must be a string, got {scenario_file!r}")
+            return project_id, horizon, (path.parent / scenario_file).resolve()
         spec = generator_spec_from_dict(data["generator"])
-    if spec.horizon != horizon:
-        raise HorizonMismatchError(
-            f"{path}: template horizon {spec.horizon} does not match 'horizon' {horizon}"
-        )
-    return project_id, horizon, spec
+        if spec.horizon != horizon:
+            raise HorizonMismatchError(
+                f"template horizon {spec.horizon} does not match 'horizon' {horizon}"
+            )
+        return project_id, horizon, spec
 
 
 def load_project(path: str | Path) -> ScenarioSet:

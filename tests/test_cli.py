@@ -302,6 +302,19 @@ class TestRank:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {overflow}: samples and their spread") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("metric, code", [("npv", 0), ("mu", 1)])
+    def test_npv_floor_below_minus_the_outlay(self, workspace, demo_dir, capsys, metric, code):
+        # an NPV floor of -2000 is a valid NPV threshold, but no return reaches it
+        out = workspace / "rank.json"
+        projects = [str(demo_dir / f"project_{side}.json") for side in ("left", "right")]
+        argv = ["rank", "--projects", *projects, "--curve", str(demo_dir / "curve_flat5.csv"),
+                "--metric", metric, "--npv-star", "-2000", "--out", str(out)]
+        assert main(argv) == code
+        if code == 0:
+            assert [e["threshold"] for e in json.loads(out.read_text())["entries"]] == [-2000.0] * 2
+        else:
+            assert capsys.readouterr().err.startswith("error: left-skewed: return undefined: ")
+
     @pytest.mark.parametrize("grid", [(), ("--grid", "0.0:0.1:0.05")])
     def test_excluded_project_is_reported_once(self, workspace, grid):
         # NPV is 0 in every scenario: a point mass at the threshold, so Omega is indeterminate
@@ -681,6 +694,8 @@ class TestInputBounds:
             ("omega-curve", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
             ("radr-compare", "tiny_outlay.json", 2, "tiny_outlay.json: the valuations"),
             ("radr-compare --mode paper-table4", "tiny_outlay.json", 2, "tiny_outlay.json: the valuations"),
+            # canonical-strict refuses the negative flow at t=2
+            ("radr-compare", "mean_right.json", 1, "mean_right.json: scenario 0 has negative flow"),
         ],
     )
     def test_exit_code_contract_without_traceback(self, workspace, command, source, code, named):

@@ -202,3 +202,10 @@ class TestCsv:
         path.write_text("tenor,rate\n1,abc\n")
         with pytest.raises(InputError, match="row 2"):
             YieldCurve.from_csv(path)
+
+    def test_refused_rate_names_the_file(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("tenor,rate\n1,0.05\n2,-2\n")
+        with pytest.raises(InputError) as exc:
+            YieldCurve.from_csv(path)
+        assert str(exc.value).startswith(f"{path}: rate at tenor 2 must exceed -1")

@@ -19,6 +19,7 @@ from invomega import (
     omega_vs_hurdle,
     rank,
     rank_with_crossings,
+    thresholds,
 )
 from invomega.ranking import ProjectEvaluation, metric_threshold, write_ranking_csv
 
@@ -170,6 +171,20 @@ def test_shared_delta_mu_maps_to_project_specific_npv_thresholds(flat5):
         project_from_dist("m", [0.0], basis=100.0, metric="mu"), hurdle, flat5
     )
     assert mu_small == pytest.approx(0.15, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["npv_star", "profit_star"])
+@pytest.mark.parametrize("value", [30.0, 0.0, -50.0, -100.0, -2000.0])
+def test_npv_floor_needs_no_return_threshold(flat5, kind, value):
+    # at or below minus the outlay of 100 no mu* exists, but the NPV threshold does
+    project, hurdle = project_from_dist("p", [0.0, 1.0], basis=100.0), HurdleSpec(kind, value)
+    lam = metric_threshold(project, hurdle, flat5)
+    if value > -100.0:
+        assert lam == thresholds(hurdle, 100.0, flat5, 2).npv_star
+        return
+    with pytest.raises(ReturnUndefinedError):
+        thresholds(hurdle, 100.0, flat5, 2)
+    assert lam == (value if kind == "npv_star" else (value + 100.0) / flat5.growth_factor(2) - 100.0)
 
 
 def test_first_order_dominance_implies_omega_dominance():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -375,9 +376,8 @@ class TestGenerate:
         ],
     )
     def test_fields_checked_in_json_terms(self, field, change):
-        fields = {**vars(spec_right()), **change}
         with pytest.raises(InputError, match=f"field '{field}'"):
-            GeneratorSpec(**fields)
+            replace(spec_right(), **change)
 
     def test_json_integers_become_floats(self):
         spec = GeneratorSpec("normal", 110, 1, 0, (-100, None), 5, 21)
@@ -503,6 +503,13 @@ class TestScenarioCsv:
         path.write_text("weight,t0,t1\n0.3,-10,5\n0.3,-10,20\n")
         with pytest.raises(InputError, match="sum to 1"):
             load_scenarios(path)
+
+    def test_weight_sum_violation_names_the_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("weight,t0,t1\n0.4,-10,5\n0.5,-10,20\n")
+        with pytest.raises(InputError) as exc:
+            load_scenarios(path)
+        assert str(exc.value).startswith(f"{path}: weights must sum to 1 within 1e-12, got 0.9")
 
     def test_round_trip_uniform(self, tmp_path):
         ss = generate(spec_right(n=7))
