@@ -94,7 +94,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec = replace(spec, n_scenarios=args.n)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    scenario_set = generate(spec, project_id=project_id)
+    with located(args.spec):
+        scenario_set = generate(spec, project_id=project_id)
     out = Path(args.out)
     write_scenarios(scenario_set, out)
     slot = spec.slot

@@ -185,25 +185,35 @@ def npv_from_profit(
     return (profit + basis_outlay) / curve.growth_factor(horizon) - basis_outlay
 
 
+def metric_thresholds(
+    kind: str, values: Sequence[float], metric: str, basis_outlay: float, curve: YieldCurve,
+    horizon: int,
+) -> list[float]:
+    """The threshold on ``metric`` ("mu" or "npv") of each hurdle value of one ``kind``, the
+    one hurdle conversion. A return hurdle gives mu* and its NPV from ``npv_from_mus`` on
+    either metric, so both refuse the same hurdles; an NPV or profit floor gives NPV*, the
+    npv metric's threshold as it is, and only the mu metric derives ``mu_from_npv``."""
+    if kind in ("delta_mu", "mu_star"):
+        mus = [curve.annual_rate(horizon) + v if kind == "delta_mu" else v for v in values]
+        npvs = npv_from_mus(mus, basis_outlay, curve, horizon)
+        return mus if metric == "mu" else npvs
+    npvs = [npv_from_profit(v, basis_outlay, curve, horizon) if kind == "profit_star" else v
+            for v in values]
+    return [mu_from_npv(v, basis_outlay, curve, horizon) for v in npvs] if metric == "mu" else npvs
+
+
 def thresholds(
     hurdle: HurdleSpec, basis_outlay: float, curve: YieldCurve, horizon: int
 ) -> ThresholdSet:
-    """Derive the consistent (mu*, NPV*) pair from any supported hurdle form.
+    """Derive the consistent (mu*, NPV*) pair from any supported hurdle form
+    (``metric_thresholds`` on "mu", then on "npv").
 
     Every conversion refuses a basis outlay that is not positive (ZeroOutlayError).
     """
-    if hurdle.kind == "delta_mu":
-        mu_star = curve.annual_rate(horizon) + hurdle.value
-        npv_star = npv_from_mu(mu_star, basis_outlay, curve, horizon)
-    elif hurdle.kind == "mu_star":
-        mu_star = hurdle.value
-        npv_star = npv_from_mu(mu_star, basis_outlay, curve, horizon)
-    elif hurdle.kind == "npv_star":
-        npv_star = hurdle.value
-        mu_star = mu_from_npv(npv_star, basis_outlay, curve, horizon)
-    else:  # profit_star
-        npv_star = npv_from_profit(hurdle.value, basis_outlay, curve, horizon)
-        mu_star = mu_from_npv(npv_star, basis_outlay, curve, horizon)
+    mu_star, npv_star = (
+        metric_thresholds(hurdle.kind, [hurdle.value], metric, basis_outlay, curve, horizon)[0]
+        for metric in ("mu", "npv")
+    )
     return ThresholdSet(mu_star=mu_star, npv_star=npv_star, basis_outlay=basis_outlay)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -31,9 +30,7 @@ from .distributions import (
     summarize,
 )
 from .errors import InputError, located
-from .metrics import (
-    HurdleSpec, evaluate_set, mean_basis_outlay, npv_from_mus, npv_from_profit, thresholds,
-)
+from .metrics import HurdleSpec, evaluate_set, mean_basis_outlay, metric_thresholds
 
 METRICS = ("npv", "mu")
 
@@ -70,15 +67,21 @@ def evaluate_project(
     )
 
 
+def _thresholds(
+    project: ProjectEvaluation, kind: str, values: Sequence[float], curve: YieldCurve
+) -> list[float]:
+    """``metrics.metric_thresholds`` of the project at each hurdle value of one kind, as
+    Python floats (libm ``pow``), with every refusal naming the project."""
+    with located(project.project_id):
+        return metric_thresholds(
+            kind, np.asarray(values, dtype=float).tolist(), project.metric,
+            project.basis_outlay, curve, project.horizon,
+        )
+
+
 def metric_threshold(project: ProjectEvaluation, hurdle: HurdleSpec, curve: YieldCurve) -> float:
-    """The hurdle expressed on the project's metric scale. On the npv metric an NPV or profit
-    floor converts to NPV* alone: the mu* it never uses may not exist."""
-    if project.metric == "npv" and hurdle.kind == "npv_star":
-        return hurdle.value
-    if project.metric == "npv" and hurdle.kind == "profit_star":
-        return npv_from_profit(hurdle.value, project.basis_outlay, curve, project.horizon)
-    ts = thresholds(hurdle, project.basis_outlay, curve, project.horizon)
-    return ts.npv_star if project.metric == "npv" else ts.mu_star
+    """The hurdle expressed on the project's metric scale."""
+    return _thresholds(project, hurdle.kind, [hurdle.value], curve)[0]
 
 
 # The fields of the report types below, in order, are the rank.json layout.
@@ -159,8 +162,7 @@ def rank(
     ranked: list[RankingEntry] = []
     excluded: list[str] = []
     for p in projects:
-        with located(p.project_id):
-            lam = metric_threshold(p, hurdle, curve)
+        lam = metric_threshold(p, hurdle, curve)
         result = omega(p.distribution, lam)
         if result.is_indeterminate:
             excluded.append(p.project_id)
@@ -189,29 +191,7 @@ def omega_vs_hurdle(
     is nonincreasing in mu*.
     """
     _check_grid(mu_grid)
-    return _omega_at(project.distribution, _thresholds_at(project, curve, mu_grid))
-
-
-def _thresholds_at(
-    project: ProjectEvaluation, curve: YieldCurve, mu_stars: Sequence[float]
-) -> np.ndarray:
-    """The project's metric threshold at each mu* hurdle: mu* itself, or its NPV
-    equivalent from ``npv_from_mus`` (Python floats, libm ``pow``).
-
-    The conversion is increasing in mu*, so on the mu metric converting only
-    the smallest and the largest mu* rejects the same hurdles as converting all.
-    """
-    mus = np.array(mu_stars, dtype=float)
-    on_mu = project.metric == "mu"
-    points = [float(mus.min()), float(mus.max())] if on_mu else mus.tolist()
-    npv = npv_from_mus(points, project.basis_outlay, curve, project.horizon)
-    return mus if on_mu else np.array(npv)
-
-
-def _hurdle_omega(
-    project: ProjectEvaluation, curve: YieldCurve, mu_stars: np.ndarray
-) -> np.ndarray:
-    return _omega_at(project.distribution, _thresholds_at(project, curve, mu_stars)).omega
+    return _omega_at(project.distribution, _thresholds(project, "mu_star", mu_grid, curve))
 
 
 def hurdle_crossings(
@@ -221,7 +201,10 @@ def hurdle_crossings(
     mu_grid: Sequence[float],
 ) -> list[tuple[float, float]]:
     """Hurdle intervals (width <= grid step / 1024) where the pair's ranking flips."""
-    omega_a, omega_b = (partial(_hurdle_omega, p, curve) for p in (project_a, project_b))
+    omega_a, omega_b = (
+        lambda mus, p=p: _omega_at(p.distribution, _thresholds(p, "mu_star", mus, curve)).omega
+        for p in (project_a, project_b)
+    )
     return crossing_on_grid(mu_grid, omega_a, omega_b)
 
 

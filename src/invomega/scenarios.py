@@ -466,5 +466,6 @@ def load_project(path: str | Path) -> ScenarioSet:
     generated from its generator block, or loaded from its scenario CSV."""
     project_id, horizon, source = read_project(path)
     if isinstance(source, GeneratorSpec):
-        return generate(source, project_id=project_id)
+        with located(path):
+            return generate(source, project_id=project_id)
     return load_scenarios(source, horizon=horizon, project_id=project_id)

@@ -315,6 +315,28 @@ class TestRank:
         else:
             assert capsys.readouterr().err.startswith("error: left-skewed: return undefined: ")
 
+    @pytest.mark.parametrize(
+        "command, flags, code, message",
+        [
+            ("rank", ("--grid=-2:0.1:0.1",), 1, "left-skewed: annualized return must exceed -1, got -2.0"),
+            ("omega-curve", ("--grid=-3:0.3:0.5",), 1, "right-skewed: annualized return must exceed -1, got -3.0"),
+            ("rank", ("--metric", "npv", "--grid", "0:1e200:1e199"), 2,
+             "left-skewed: annualized return 1e+199 overflows (1+mu)^2"),
+            ("rank", ("--metric", "mu", "--grid", "0:1e200:1e199"), 2,
+             "left-skewed: annualized return 1e+199 overflows (1+mu)^2"),
+        ],
+    )
+    def test_grid_hurdle_refusal_names_its_project(self, workspace, demo_dir, capsys, command, flags, code, message):
+        # every grid point is converted, on either metric, under the project's id
+        curve, out = str(demo_dir / "curve_flat5.csv"), str(workspace / "out")
+        if command == "rank":
+            projects = [str(demo_dir / f"project_{side}.json") for side in ("left", "right")]
+            argv = ["rank", "--projects", *projects, "--curve", curve, "--delta-mu", "0.1", "--out", out]
+        else:
+            argv = ["omega-curve", "--project", str(demo_dir / "project_right.json"), "--curve", curve, "--out", out]
+        assert main([*argv, *flags]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("grid", [(), ("--grid", "0.0:0.1:0.05")])
     def test_excluded_project_is_reported_once(self, workspace, grid):
         # NPV is 0 in every scenario: a point mass at the threshold, so Omega is indeterminate
@@ -677,6 +699,10 @@ class TestInputBounds:
             ("rank", "huge_n.json", 2, "n = 10"),
             ("simulate", "huge_n.json", 2, "n = 10"),
             ("simulate --n 1" + "0" * 30, "right.json", 2, "n = 10"),
+            ("evaluate", "huge_n.json", 2, "huge_n.json: n = 10"),
+            ("rank", "huge_n.json", 2, "huge_n.json: n = 10"),
+            ("simulate", "huge_n.json", 2, "huge_n.json: n = 10"),
+            ("simulate --n 1" + "0" * 30, "right.json", 2, "right.json: n = 10"),
             ("simulate --n 0", "right.json", 2, "--n"),
             # NPVs of +-1e308: their spread leaves the float range
             ("evaluate", "overflow.json", 2, "spread x_max - x_min must be finite"),

@@ -6,6 +6,7 @@ import pytest
 
 from invomega import (
     EmpiricalDistribution,
+    EngineError,
     GeneratorSpec,
     HurdleSpec,
     InputError,
@@ -21,6 +22,7 @@ from invomega import (
     rank_with_crossings,
     thresholds,
 )
+from invomega.metrics import HURDLE_KINDS
 from invomega.ranking import ProjectEvaluation, metric_threshold, write_ranking_csv
 
 import reference
@@ -173,18 +175,33 @@ def test_shared_delta_mu_maps_to_project_specific_npv_thresholds(flat5):
     assert mu_small == pytest.approx(0.15, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["npv_star", "profit_star"])
+@pytest.mark.parametrize("kind", HURDLE_KINDS)
 @pytest.mark.parametrize("value", [30.0, 0.0, -50.0, -100.0, -2000.0])
 def test_npv_floor_needs_no_return_threshold(flat5, kind, value):
     # at or below minus the outlay of 100 no mu* exists, but the NPV threshold does
     project, hurdle = project_from_dist("p", [0.0, 1.0], basis=100.0), HurdleSpec(kind, value)
-    lam = metric_threshold(project, hurdle, flat5)
-    if value > -100.0:
-        assert lam == thresholds(hurdle, 100.0, flat5, 2).npv_star
+    on_mu = project_from_dist("p", [0.0, 1.0], basis=100.0, metric="mu")
+    if kind in ("npv_star", "profit_star"):
+        lam = metric_threshold(project, hurdle, flat5)
+        if value > -100.0:
+            assert lam == thresholds(hurdle, 100.0, flat5, 2).npv_star
+        else:
+            with pytest.raises(ReturnUndefinedError):
+                thresholds(hurdle, 100.0, flat5, 2)
+            assert lam == (value if kind == "npv_star" else (value + 100.0) / flat5.growth_factor(2) - 100.0)
+    # one conversion: each metric's threshold is bitwise the field of ``thresholds``, and a
+    # hurdle it refuses is refused on the mu metric (on both, for a return hurdle) naming p
+    try:
+        expected = thresholds(hurdle, 100.0, flat5, 2)
+    except EngineError as exc:
+        for refusing in (on_mu, project) if kind in ("delta_mu", "mu_star") else (on_mu,):
+            with pytest.raises(EngineError) as refused:
+                metric_threshold(refusing, hurdle, flat5)
+            assert type(refused.value) is type(exc)
+            assert str(refused.value) == f"p: {exc}"
         return
-    with pytest.raises(ReturnUndefinedError):
-        thresholds(hurdle, 100.0, flat5, 2)
-    assert lam == (value if kind == "npv_star" else (value + 100.0) / flat5.growth_factor(2) - 100.0)
+    for p, field in ((project, expected.npv_star), (on_mu, expected.mu_star)):
+        assert metric_threshold(p, hurdle, flat5).hex() == field.hex()
 
 
 def test_first_order_dominance_implies_omega_dominance():
