@@ -148,11 +148,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             projects.append(evaluate_project(scenario_set, curve, args.metric))
     hurdle = _hurdle_from_args(args)
     if args.grid is not None:
-        report = rank_with_crossings(
-            projects, hurdle, args.metric, curve, _parse_grid(args.grid)
-        )
+        report = rank_with_crossings(projects, hurdle, _parse_grid(args.grid))
     else:
-        report = rank(projects, hurdle, args.metric, curve)
+        report = rank(projects, hurdle)
     _write_json(report.to_dict(), Path(args.out))
     if args.out_csv is not None:
         write_ranking_csv(report, Path(args.out_csv))
@@ -174,7 +172,7 @@ def _cmd_omega_curve(args: argparse.Namespace) -> int:
     with located(args.project):
         project = evaluate_project(scenario_set, curve, args.metric)
     grid = _parse_grid(args.grid)
-    points = omega_vs_hurdle(project, curve, grid)
+    points = omega_vs_hurdle(project, grid)
     out = Path(args.out)
     write_omega_curve_csv(points, out)
     print(f"wrote {len(points.omega)} omega-curve points for {project.project_id!r} to {out}")

@@ -58,7 +58,7 @@ class YieldCurve:
         """Load a curve from CSV with header ``tenor,rate`` and tenors 1..T."""
         with located(path), open(path, newline="") as handle:
             header = next(csv.reader(handle), None)
-            if header is None or [h.strip().lower() for h in header[:2]] != ["tenor", "rate"]:
+            if header is None or [h.strip().lower() for h in header] != ["tenor", "rate"]:
                 raise InputError(f"expected header 'tenor,rate', got {header!r}")
             rows: list[tuple[int, float]] = []
             for lineno, (tenor, rate) in data_rows(path, 2):

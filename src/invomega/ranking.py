@@ -37,13 +37,18 @@ METRICS = ("npv", "mu")
 
 @dataclass(frozen=True)
 class ProjectEvaluation:
-    """One project's metric distribution plus what hurdle conversion needs."""
+    """One project's metric distribution and the basis, horizon and curve of its hurdles."""
 
     project_id: str
     metric: str
     distribution: EmpiricalDistribution
     basis_outlay: float
     horizon: int
+    curve: YieldCurve
+
+    def __post_init__(self):
+        if self.metric not in METRICS:
+            raise InputError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
 
 
 def evaluate_project(
@@ -54,8 +59,6 @@ def evaluate_project(
     The threshold basis is the weighted mean of the per-scenario total
     outlays (a single number when the negative flows are deterministic).
     """
-    if metric not in METRICS:
-        raise InputError(f"unknown metric {metric!r}, expected one of {METRICS}")
     results = evaluate_set(scenario_set, curve)
     samples = results.npv if metric == "npv" else results.annualized_return
     return ProjectEvaluation(
@@ -64,24 +67,23 @@ def evaluate_project(
         distribution=EmpiricalDistribution(samples, scenario_set.weights),
         basis_outlay=mean_basis_outlay(results, scenario_set.weights),
         horizon=scenario_set.horizon,
+        curve=curve,
     )
 
 
-def _thresholds(
-    project: ProjectEvaluation, kind: str, values: Sequence[float], curve: YieldCurve
-) -> list[float]:
-    """``metrics.metric_thresholds`` of the project at each hurdle value of one kind, as
-    Python floats (libm ``pow``), with every refusal naming the project."""
+def _thresholds(project: ProjectEvaluation, kind: str, values: Sequence[float]) -> list[float]:
+    """``metrics.metric_thresholds`` of the project, on its own curve, at each hurdle value of
+    one kind, as Python floats (libm ``pow``), with every refusal naming the project."""
     with located(project.project_id):
         return metric_thresholds(
             kind, np.asarray(values, dtype=float).tolist(), project.metric,
-            project.basis_outlay, curve, project.horizon,
+            project.basis_outlay, project.curve, project.horizon,
         )
 
 
-def metric_threshold(project: ProjectEvaluation, hurdle: HurdleSpec, curve: YieldCurve) -> float:
+def metric_threshold(project: ProjectEvaluation, hurdle: HurdleSpec) -> float:
     """The hurdle expressed on the project's metric scale."""
-    return _thresholds(project, hurdle.kind, [hurdle.value], curve)[0]
+    return _thresholds(project, hurdle.kind, [hurdle.value])[0]
 
 
 # The fields of the report types below, in order, are the rank.json layout.
@@ -137,32 +139,26 @@ def _sort_key(entry: RankingEntry):
     )
 
 
-def rank(
-    projects: Sequence[ProjectEvaluation],
-    hurdle: HurdleSpec,
-    metric: str,
-    curve: YieldCurve,
-) -> RankingReport:
-    """Rank projects by Omega at the hurdle, best first.
+def rank(projects: Sequence[ProjectEvaluation], hurdle: HurdleSpec) -> RankingReport:
+    """Rank projects, all evaluated on one metric, by Omega at the hurdle, best first.
 
     A project is flagged accepted when its Omega is at least 1. Projects whose
     Omega is indeterminate at the threshold (no mass on either side) are left
     out of the order and listed in ``excluded``.
     """
-    if metric not in METRICS:
-        raise InputError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if not projects:
         raise InputError("need at least one project to rank")
+    metric = projects[0].metric
     for p in projects:
         if p.metric != metric:
             raise InputError(
-                f"project {p.project_id!r} was evaluated on metric {p.metric!r}, "
-                f"but the ranking metric is {metric!r}"
+                f"projects {projects[0].project_id!r} and {p.project_id!r} were evaluated on "
+                f"different metrics, {metric!r} and {p.metric!r}"
             )
     ranked: list[RankingEntry] = []
     excluded: list[str] = []
     for p in projects:
-        lam = metric_threshold(p, hurdle, curve)
+        lam = metric_threshold(p, hurdle)
         result = omega(p.distribution, lam)
         if result.is_indeterminate:
             excluded.append(p.project_id)
@@ -181,9 +177,7 @@ def rank(
     )
 
 
-def omega_vs_hurdle(
-    project: ProjectEvaluation, curve: YieldCurve, mu_grid: Sequence[float]
-) -> OmegaResult:
+def omega_vs_hurdle(project: ProjectEvaluation, mu_grid: Sequence[float]) -> OmegaResult:
     """Omega along a grid of annualized-return hurdles mu*, one row per point.
 
     For the npv metric each mu* is first converted to its NPV threshold on the
@@ -191,35 +185,28 @@ def omega_vs_hurdle(
     is nonincreasing in mu*.
     """
     _check_grid(mu_grid)
-    return _omega_at(project.distribution, _thresholds(project, "mu_star", mu_grid, curve))
+    return _omega_at(project.distribution, _thresholds(project, "mu_star", mu_grid))
 
 
 def hurdle_crossings(
-    project_a: ProjectEvaluation,
-    project_b: ProjectEvaluation,
-    curve: YieldCurve,
-    mu_grid: Sequence[float],
+    project_a: ProjectEvaluation, project_b: ProjectEvaluation, mu_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Hurdle intervals (width <= grid step / 1024) where the pair's ranking flips."""
     omega_a, omega_b = (
-        lambda mus, p=p: _omega_at(p.distribution, _thresholds(p, "mu_star", mus, curve)).omega
+        lambda mus, p=p: _omega_at(p.distribution, _thresholds(p, "mu_star", mus)).omega
         for p in (project_a, project_b)
     )
     return crossing_on_grid(mu_grid, omega_a, omega_b)
 
 
 def rank_with_crossings(
-    projects: Sequence[ProjectEvaluation],
-    hurdle: HurdleSpec,
-    metric: str,
-    curve: YieldCurve,
-    mu_grid: Sequence[float],
+    projects: Sequence[ProjectEvaluation], hurdle: HurdleSpec, mu_grid: Sequence[float]
 ) -> RankingReport:
     """rank() plus pairwise ranking-flip brackets over a shared mu* grid."""
-    report = rank(projects, hurdle, metric, curve)
+    report = rank(projects, hurdle)
     _check_grid(mu_grid)
     pairs = tuple(
-        PairCrossings(a.project_id, b.project_id, tuple(hurdle_crossings(a, b, curve, mu_grid)))
+        PairCrossings(a.project_id, b.project_id, tuple(hurdle_crossings(a, b, mu_grid)))
         for i, a in enumerate(projects)
         for b in projects[i + 1:]
     )

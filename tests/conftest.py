@@ -6,6 +6,8 @@ from invomega import CashFlowScenario, YieldCurve
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def flat5() -> YieldCurve:

@@ -223,7 +223,7 @@ def test_c4_omega_reference_values(skewed_pair):
         evaluate_project(skewed_pair["right"]["set"], CURVE, "npv"),
         evaluate_project(skewed_pair["left"]["set"], CURVE, "npv"),
     ]
-    report = rank(projects, HurdleSpec("delta_mu", 0.10), "npv", CURVE)
+    report = rank(projects, HurdleSpec("delta_mu", 0.10))
     check(
         gates,
         "right ranked above left on the npv metric",
@@ -537,14 +537,14 @@ def test_c7_crossover_localization(tmp_path):
     narrow = evaluate_project(generate(_spec_from(narrow_path)), curve, "mu")
     wide = evaluate_project(generate(_spec_from(wide_path)), curve, "mu")
     grid = [0.06 + 0.005 * i for i in range(21)]
-    brackets = hurdle_crossings(narrow, wide, curve, grid)
+    brackets = hurdle_crossings(narrow, wide, grid)
     check(gates, "exactly one ranking flip found", len(brackets) == 1, f"{brackets}")
     lo, hi = brackets[0]
     check(gates, "bracket width within grid step / 1024", hi - lo <= 0.005 / 1024.0)
 
     def sign_at(mu_star: float) -> int:
-        ln = metric_threshold(narrow, HurdleSpec("mu_star", mu_star), curve)
-        lw = metric_threshold(wide, HurdleSpec("mu_star", mu_star), curve)
+        ln = metric_threshold(narrow, HurdleSpec("mu_star", mu_star))
+        lw = metric_threshold(wide, HurdleSpec("mu_star", mu_star))
         a, b = omega(narrow.distribution, ln), omega(wide.distribution, lw)
         if a.is_infinite or b.is_infinite:
             return 1 if a.is_infinite and not b.is_infinite else -1

@@ -187,9 +187,11 @@ class TestCsv:
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "curve.csv"
-        path.write_text("maturity,rate\n1,0.04\n")
-        with pytest.raises(InputError):
-            YieldCurve.from_csv(path)
+        # an extra header column is refused even over two-cell rows
+        for text in ("maturity,rate\n1,0.04\n", "tenor,rate,extra\n1,0.04\n"):
+            path.write_text(text)
+            with pytest.raises(InputError, match="expected header 'tenor,rate'"):
+                YieldCurve.from_csv(path)
 
     def test_gap_in_tenors(self, tmp_path):
         path = tmp_path / "curve.csv"

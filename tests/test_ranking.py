@@ -22,20 +22,22 @@ from invomega import (
     rank_with_crossings,
     thresholds,
 )
-from invomega.metrics import HURDLE_KINDS
+from invomega.metrics import HURDLE_KINDS, metric_thresholds
 from invomega.ranking import ProjectEvaluation, metric_threshold, write_ranking_csv
 
 import reference
 from reference import rows
 
 
-def project_from_dist(pid, values, basis=100.0, horizon=2, metric="npv", weights=None):
+def project_from_dist(pid, values, basis=100.0, horizon=2, metric="npv", weights=None,
+                      curve=YieldCurve.flat(0.05, 2)):  # the flat5 fixture's curve
     return ProjectEvaluation(
         project_id=pid,
         metric=metric,
         distribution=EmpiricalDistribution(values, weights),
         basis_outlay=basis,
         horizon=horizon,
+        curve=curve,
     )
 
 
@@ -70,108 +72,138 @@ class TestEvaluateProject:
         with pytest.raises(InputError):
             evaluate_project(ss, flat5, "irr")
 
+    def test_hand_built_unknown_metric(self):
+        # every metric but "mu" would convert hurdles as npv, so the evaluation refuses it
+        with pytest.raises(InputError, match="unknown metric 'irr'"):
+            project_from_dist("p", [0.0, 1.0], metric="irr")
+
+
+class TestOwnCurve:
+    """A project converts every hurdle on the curve it was evaluated on."""
+
+    SLOPED = YieldCurve((0.02, 0.06))
+
+    @pytest.mark.parametrize("metric", ["npv", "mu"])
+    def test_threshold_is_the_conversion_on_the_evaluation_curve(self, metric):
+        ss = ScenarioSet.uniform("p", [(-200.0, 350.0, -100.0), (-200.0, 300.0, -100.0)])
+        project = evaluate_project(ss, self.SLOPED, metric)
+        assert project.curve is self.SLOPED
+        hurdle = HurdleSpec("delta_mu", 0.1)
+
+        def converted(curve):
+            return metric_thresholds(
+                "delta_mu", [0.1], project.metric, project.basis_outlay, curve, project.horizon
+            )[0]
+
+        lam = metric_threshold(project, hurdle)
+        assert lam.hex() == converted(self.SLOPED).hex()
+        assert lam != converted(YieldCurve.flat(0.05, 2))
+        assert rank([project], hurdle).entries[0].threshold.hex() == lam.hex()
+
 
 class TestRank:
-    def test_single_project(self, flat5):
+    def test_single_project(self):
         project = project_from_dist("only", [0.0, 100.0])
-        report = rank([project], HurdleSpec("npv_star", 25.0), "npv", flat5)
+        report = rank([project], HurdleSpec("npv_star", 25.0))
         assert report.order == ("only",)
         assert report.entries[0].omega == pytest.approx(3.0)
         assert report.entries[0].accept
 
-    def test_std_undefined_where_the_variance_overflows(self, flat5):
-        report = rank([project_from_dist("wide", [-1e200, 1e200])], HurdleSpec("npv_star", 0.0), "npv", flat5)
+    def test_std_undefined_where_the_variance_overflows(self):
+        report = rank([project_from_dist("wide", [-1e200, 1e200])], HurdleSpec("npv_star", 0.0))
         assert report.to_dict()["entries"][0]["summary"] == {
             "mean": 0.0, "median": -1e200, "std": None, "skewness": None,
         }
 
-    def test_duplicate_project_ties_break_on_id(self, flat5):
+    def test_duplicate_project_ties_break_on_id(self):
         a = project_from_dist("beta", [0.0, 100.0])
         b = project_from_dist("alpha", [0.0, 100.0])
-        report = rank([a, b], HurdleSpec("npv_star", 25.0), "npv", flat5)
+        report = rank([a, b], HurdleSpec("npv_star", 25.0))
         assert report.order == ("alpha", "beta")
         assert report.entries[0].omega == report.entries[1].omega
 
-    def test_equal_omega_breaks_on_higher_mean(self, flat5):
+    def test_equal_omega_breaks_on_higher_mean(self):
         # B = 25 + 2*(A - 25) scales both call and put by 2: same omega, higher mean
         a = project_from_dist("a", [0.0, 100.0])
         b = project_from_dist("b", [-25.0, 175.0])
-        report = rank([a, b], HurdleSpec("npv_star", 25.0), "npv", flat5)
+        report = rank([a, b], HurdleSpec("npv_star", 25.0))
         assert report.entries[0].omega == report.entries[1].omega
         assert report.order == ("b", "a")
 
-    def test_infinite_sorts_above_finite(self, flat5):
+    def test_infinite_sorts_above_finite(self):
         fin = project_from_dist("finite", [0.0, 100.0])
         inf = project_from_dist("sure", [10.0, 10.0])
-        report = rank([fin, inf], HurdleSpec("npv_star", 5.0), "npv", flat5)
+        report = rank([fin, inf], HurdleSpec("npv_star", 5.0))
         assert report.order == ("sure", "finite")
         assert math.isinf(report.entries[0].omega)
         assert report.entries[0].accept
 
-    def test_two_infinities_break_on_call(self, flat5):
+    def test_two_infinities_break_on_call(self):
         small = project_from_dist("small", [10.0, 10.0])
         large = project_from_dist("large", [20.0, 20.0])
-        report = rank([small, large], HurdleSpec("npv_star", 5.0), "npv", flat5)
+        report = rank([small, large], HurdleSpec("npv_star", 5.0))
         assert report.order == ("large", "small")
 
-    def test_indeterminate_excluded_without_warning(self, flat5):
+    def test_indeterminate_excluded_without_warning(self):
         degenerate = project_from_dist("flatline", [5.0, 5.0])
         normal = project_from_dist("normal", [0.0, 100.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = rank([degenerate, normal], HurdleSpec("npv_star", 5.0), "npv", flat5)
+            report = rank([degenerate, normal], HurdleSpec("npv_star", 5.0))
         assert report.order == ("normal",)
         assert report.excluded == ("flatline",)
 
-    def test_acceptance_flag_is_omega_at_least_one(self, flat5):
+    def test_acceptance_flag_is_omega_at_least_one(self):
         rich = project_from_dist("rich", [90.0, 110.0])  # mean 100 >> threshold
         poor = project_from_dist("poor", [-90.0, 10.0])
-        report = rank([rich, poor], HurdleSpec("npv_star", 20.0), "npv", flat5)
+        report = rank([rich, poor], HurdleSpec("npv_star", 20.0))
         by_id = {e.project_id: e for e in report.entries}
         assert by_id["rich"].accept
         assert not by_id["poor"].accept
 
-    def test_metric_mismatch(self, flat5):
-        project = project_from_dist("p", [0.0, 1.0], metric="mu")
-        with pytest.raises(InputError, match="metric"):
-            rank([project], HurdleSpec("npv_star", 0.5), "npv", flat5)
+    def test_metric_mismatch(self):
+        # thresholds on two metrics share no scale: the ranking names both projects
+        on_npv = project_from_dist("p", [0.0, 1.0])
+        on_mu = project_from_dist("q", [0.0, 1.0], metric="mu")
+        for projects in ([on_npv, on_mu], [on_mu, on_npv]):
+            with pytest.raises(InputError, match="different metrics") as refused:
+                rank(projects, HurdleSpec("delta_mu", 0.1))
+            assert "'p'" in str(refused.value) and "'q'" in str(refused.value)
 
-    def test_input_order_invariance(self, flat5):
+    def test_input_order_invariance(self):
         projects = [
             project_from_dist("a", [0.0, 100.0]),
             project_from_dist("b", [-25.0, 175.0]),
             project_from_dist("c", [40.0, 60.0]),
         ]
         hurdle = HurdleSpec("npv_star", 30.0)
-        forward = rank(projects, hurdle, "npv", flat5)
-        backward = rank(list(reversed(projects)), hurdle, "npv", flat5)
+        forward = rank(projects, hurdle)
+        backward = rank(list(reversed(projects)), hurdle)
         assert forward.order == backward.order
 
-    def test_omega_descending_along_order(self, flat5):
+    def test_omega_descending_along_order(self):
         projects = [
             project_from_dist("a", [0.0, 100.0]),
             project_from_dist("b", [20.0, 90.0]),
             project_from_dist("c", [40.0, 60.0]),
         ]
-        report = rank(projects, HurdleSpec("npv_star", 45.0), "npv", flat5)
+        report = rank(projects, HurdleSpec("npv_star", 45.0))
         omegas = [e.omega for e in report.entries]
         assert omegas == sorted(omegas, reverse=True)
 
-    def test_empty_project_list(self, flat5):
+    def test_empty_project_list(self):
         with pytest.raises(InputError):
-            rank([], HurdleSpec("npv_star", 0.0), "npv", flat5)
+            rank([], HurdleSpec("npv_star", 0.0))
 
 
-def test_shared_delta_mu_maps_to_project_specific_npv_thresholds(flat5):
+def test_shared_delta_mu_maps_to_project_specific_npv_thresholds():
     small = project_from_dist("small", [0.0, 1.0], basis=100.0)
     large = project_from_dist("large", [0.0, 1.0], basis=300.0)
     hurdle = HurdleSpec("delta_mu", 0.10)
-    lam_small = metric_threshold(small, hurdle, flat5)
-    lam_large = metric_threshold(large, hurdle, flat5)
+    lam_small = metric_threshold(small, hurdle)
+    lam_large = metric_threshold(large, hurdle)
     assert lam_large == pytest.approx(3.0 * lam_small, rel=1e-12)
-    mu_small = metric_threshold(
-        project_from_dist("m", [0.0], basis=100.0, metric="mu"), hurdle, flat5
-    )
+    mu_small = metric_threshold(project_from_dist("m", [0.0], basis=100.0, metric="mu"), hurdle)
     assert mu_small == pytest.approx(0.15, abs=1e-12)
 
 
@@ -182,7 +214,7 @@ def test_npv_floor_needs_no_return_threshold(flat5, kind, value):
     project, hurdle = project_from_dist("p", [0.0, 1.0], basis=100.0), HurdleSpec(kind, value)
     on_mu = project_from_dist("p", [0.0, 1.0], basis=100.0, metric="mu")
     if kind in ("npv_star", "profit_star"):
-        lam = metric_threshold(project, hurdle, flat5)
+        lam = metric_threshold(project, hurdle)
         if value > -100.0:
             assert lam == thresholds(hurdle, 100.0, flat5, 2).npv_star
         else:
@@ -196,12 +228,12 @@ def test_npv_floor_needs_no_return_threshold(flat5, kind, value):
     except EngineError as exc:
         for refusing in (on_mu, project) if kind in ("delta_mu", "mu_star") else (on_mu,):
             with pytest.raises(EngineError) as refused:
-                metric_threshold(refusing, hurdle, flat5)
+                metric_threshold(refusing, hurdle)
             assert type(refused.value) is type(exc)
             assert str(refused.value) == f"p: {exc}"
         return
     for p, field in ((project, expected.npv_star), (on_mu, expected.mu_star)):
-        assert metric_threshold(p, hurdle, flat5).hex() == field.hex()
+        assert metric_threshold(p, hurdle).hex() == field.hex()
 
 
 def test_first_order_dominance_implies_omega_dominance():
@@ -224,7 +256,7 @@ class TestOmegaVsHurdle:
         flows = [-30.0] + [b * flat5.growth_factor(t) for t, b in enumerate(notionals, 1)]
         ss = ScenarioSet.uniform("riskless", [flows] * 2)
         project = evaluate_project(ss, flat5, "mu")
-        points = rows(omega_vs_hurdle(project, flat5, [0.03, 0.07]))
+        points = rows(omega_vs_hurdle(project, [0.03, 0.07]))
         assert points[0].is_infinite  # below r_T
         assert points[1].omega == 0.0  # above r_T: no upside left
 
@@ -233,7 +265,7 @@ class TestOmegaVsHurdle:
         curve = YieldCurve.flat(0.0, 2)
         ss = ScenarioSet.uniform("riskless", [(-30.0, 10.0, 20.0)] * 2)
         project = evaluate_project(ss, curve, "mu")
-        points = rows(omega_vs_hurdle(project, curve, [-0.01, 0.0, 0.01]))
+        points = rows(omega_vs_hurdle(project, [-0.01, 0.0, 0.01]))
         assert points[0].is_infinite
         assert points[1].is_indeterminate
         assert points[2].omega == 0.0
@@ -253,36 +285,36 @@ class TestOmegaVsHurdle:
         )
         for metric in ("npv", "mu"):
             project = evaluate_project(ss, flat5, metric)
-            points = rows(omega_vs_hurdle(project, flat5, np.arange(0.0, 0.25, 0.02).tolist()))
+            points = rows(omega_vs_hurdle(project, np.arange(0.0, 0.25, 0.02).tolist()))
             finite = [p.omega for p in points if not p.is_infinite]
             assert finite == sorted(finite, reverse=True)
 
     @pytest.mark.parametrize("metric", ["mu", "npv"])
-    def test_both_metrics_reject_the_same_hurdles(self, flat5, metric):
+    def test_both_metrics_reject_the_same_hurdles(self, metric):
         # mu* <= -1 has no NPV equivalent and (1+mu*)^T overflows at 1e200, on either metric
         a = project_from_dist("a", [0.0, 1.0], metric=metric)
         b = project_from_dist("b", [0.5, 0.6], metric=metric)
         for grid, error in (([-2.0, 0.1], ReturnUndefinedError), ([0.1, 1e200], InputError)):
             with pytest.raises(error):
-                omega_vs_hurdle(a, flat5, grid)
+                omega_vs_hurdle(a, grid)
             with pytest.raises(error):
-                hurdle_crossings(a, b, flat5, grid)
+                hurdle_crossings(a, b, grid)
 
     @pytest.mark.parametrize("metric", ["mu", "npv"])
-    def test_points_are_omega_at_each_metric_threshold(self, flat5, metric):
+    def test_points_are_omega_at_each_metric_threshold(self, metric):
         project = project_from_dist("p", [-40.0, 0.05, 0.1, 25.0], metric=metric)
         grid = [0.0, 0.05, 0.1, 0.2]
-        points = rows(omega_vs_hurdle(project, flat5, grid))
+        points = rows(omega_vs_hurdle(project, grid))
         for mu_star, point in zip(grid, points):
-            lam = metric_threshold(project, HurdleSpec("mu_star", mu_star), flat5)
+            lam = metric_threshold(project, HurdleSpec("mu_star", mu_star))
             assert point == omega(project.distribution, lam)
 
-    def test_grid_validation(self, flat5):
+    def test_grid_validation(self):
         project = project_from_dist("p", [0.0, 1.0], metric="mu")
         with pytest.raises(InputError):
-            omega_vs_hurdle(project, flat5, [])
+            omega_vs_hurdle(project, [])
         with pytest.raises(InputError):
-            omega_vs_hurdle(project, flat5, [0.1, 0.1])
+            omega_vs_hurdle(project, [0.1, 0.1])
 
 
 class TestHurdleCrossings:
@@ -295,14 +327,14 @@ class TestHurdleCrossings:
             generate(mu_project("wide", 112.0, 6.0, seed=32), "wide"), curve, "mu"
         )
         grid = np.arange(0.06, 0.161, 0.005).tolist()
-        brackets = hurdle_crossings(narrow, wide, curve, grid)
+        brackets = hurdle_crossings(narrow, wide, grid)
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert hi - lo <= 0.005 / 1024.0
         # verify the flip by direct omega evaluation at the bracket ends
         def omegas(mu_star):
-            ln = metric_threshold(narrow, HurdleSpec("mu_star", mu_star), curve)
-            lw = metric_threshold(wide, HurdleSpec("mu_star", mu_star), curve)
+            ln = metric_threshold(narrow, HurdleSpec("mu_star", mu_star))
+            lw = metric_threshold(wide, HurdleSpec("mu_star", mu_star))
             return omega(narrow.distribution, ln), omega(wide.distribution, lw)
 
         at_lo = omegas(lo)
@@ -319,14 +351,19 @@ class TestHurdleCrossings:
             generate(mu_project("wide", 112.0, 6.0, seed=32), "wide"), curve, "mu"
         )
         grid = np.arange(0.06, 0.161, 0.005).tolist()
-        report = rank_with_crossings(
-            [narrow, wide], HurdleSpec("mu_star", 0.08), "mu", curve, grid
-        )
+        report = rank_with_crossings([narrow, wide], HurdleSpec("mu_star", 0.08), grid)
         assert len(report.crossings) == 1
         assert report.crossings[0].project_a == "narrow"
         assert len(report.crossings[0].brackets) == 1
         # below the flip the narrow project must rank first
         assert report.order[0] == "narrow"
+
+    def test_single_project_grid_is_checked(self):
+        # one project makes no pair, so rank_with_crossings checks the grid itself
+        project = project_from_dist("only", [0.0, 100.0])
+        for grid, message in (([], "empty"), ([0.2, 0.1], "strictly increasing")):
+            with pytest.raises(InputError, match=message):
+                rank_with_crossings([project], HurdleSpec("npv_star", 25.0), grid)
 
     @pytest.mark.parametrize("metric", ["mu", "npv"])
     def test_shared_curves_give_the_per_pair_brackets(self, metric):
@@ -344,11 +381,11 @@ class TestHurdleCrossings:
         ]
         projects = [evaluate_project(generate(spec, pid), curve, metric) for pid, spec in specs]
         grid = np.arange(0.06, 0.161, 0.005).tolist()
-        report = rank_with_crossings(projects, HurdleSpec("mu_star", 0.08), metric, curve, grid)
+        report = rank_with_crossings(projects, HurdleSpec("mu_star", 0.08), grid)
 
         def at(project):
             return lambda m: omega(
-                project.distribution, metric_threshold(project, HurdleSpec("mu_star", m), curve)
+                project.distribution, metric_threshold(project, HurdleSpec("mu_star", m))
             )
 
         pairs = [(a, b) for i, a in enumerate(projects) for b in projects[i + 1:]]
@@ -359,12 +396,10 @@ class TestHurdleCrossings:
         assert sum(len(pair.brackets) for pair in report.crossings) >= 3
 
 
-def test_ranking_csv_layout(tmp_path, flat5):
+def test_ranking_csv_layout(tmp_path):
     report = rank(
         [project_from_dist("a", [0.0, 100.0]), project_from_dist("b", [40.0, 60.0])],
         HurdleSpec("npv_star", 45.0),
-        "npv",
-        flat5,
     )
     path = tmp_path / "rank.csv"
     write_ranking_csv(report, path)
@@ -374,12 +409,10 @@ def test_ranking_csv_layout(tmp_path, flat5):
     assert lines[1].startswith("1,")
 
 
-def test_report_json_round_trip(flat5):
+def test_report_json_round_trip():
     import json
 
-    report = rank(
-        [project_from_dist("a", [0.0, 100.0])], HurdleSpec("delta_mu", 0.1), "npv", flat5
-    )
+    report = rank([project_from_dist("a", [0.0, 100.0])], HurdleSpec("delta_mu", 0.1))
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["order"] == ["a"]
     assert payload["hurdle"] == {"kind": "delta_mu", "value": 0.1}

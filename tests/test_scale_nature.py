@@ -118,7 +118,7 @@ def _brackets(report) -> list:
 
 def _report(sets, metric, curve):
     projects = [evaluate_project(s, curve, metric) for s in sets]
-    return rank_with_crossings(projects, HURDLE, metric, curve, GRID)
+    return rank_with_crossings(projects, HURDLE, GRID)
 
 
 @PROPERTY
@@ -164,8 +164,8 @@ def test_scaling_every_flow_by_a_general_factor(factor):
     for metric, scale in (("npv", factor), ("mu", 1.0)):
         base_projects = [evaluate_project(x, curve, metric) for x in base_sets]
         scaled_projects = [evaluate_project(x, curve, metric) for x in scaled_sets]
-        base = rank_with_crossings(base_projects, HURDLE, metric, curve, GRID)
-        scaled = rank_with_crossings(scaled_projects, HURDLE, metric, curve, GRID)
+        base = rank_with_crossings(base_projects, HURDLE, GRID)
+        scaled = rank_with_crossings(scaled_projects, HURDLE, GRID)
         assert scaled.order == base.order
         entries = {e.project_id: e for e in scaled.entries}
         for b, bp, sp in zip(base.entries, base_projects, scaled_projects):
@@ -215,7 +215,7 @@ def test_zero_padding_to_a_longer_lifespan(curve, horizon):
         assert np.all(np.abs(long.total_outlay - short.total_outlay) <= tolerance)
         for scenario_set in (base, padded):
             project = evaluate_project(scenario_set, curve, "npv")
-            assert metric_threshold(project, delta_mu_zero, curve) == 0.0
+            assert metric_threshold(project, delta_mu_zero) == 0.0
 
 
 @pytest.mark.parametrize("rate", [-0.20, 0.0, 0.05, 0.30])
@@ -227,8 +227,8 @@ def test_zero_padding_raises_the_npv_threshold_at_a_positive_premium(rate):
             long = evaluate_project(_padded(base, horizon), curve, "npv")
             for delta_mu in (0.01, 0.10, 0.50):
                 hurdle = HurdleSpec("delta_mu", delta_mu)
-                short_threshold = metric_threshold(short, hurdle, curve)
-                long_threshold = metric_threshold(long, hurdle, curve)
+                short_threshold = metric_threshold(short, hurdle)
+                long_threshold = metric_threshold(long, hurdle)
                 assert long_threshold > short_threshold
                 assert omega(long.distribution, long_threshold).omega <= omega(
                     short.distribution, short_threshold
