@@ -270,8 +270,9 @@ def crossing_on_grid(
     the two points when there are none. So (+, 0, -) gives one bracket in the
     first step, while (+, 0, +) and a run of zeros at either end of the grid
     give none. All brackets are bisected together, with one call of each
-    curve per step at the midpoints of the brackets still open, until each is
-    no wider than its grid step divided by 1024.
+    curve per step at the midpoints of the brackets still open. A bracket
+    stays open while it is wider than its grid step divided by 1024 and its
+    ends are not adjacent floats (no float lies between them to bisect at).
     """
     _check_grid(grid)
     points = np.array(grid, dtype=float)
@@ -280,13 +281,13 @@ def crossing_on_grid(
     flips = nonzero[:-1][signs[nonzero[:-1]] != signs[nonzero[1:]]]
     lo, hi, side = points[flips], points[flips + 1], signs[flips]
     limit = (hi - lo) / 1024.0
-    open_ = np.flatnonzero(hi - lo > limit)
-    while open_.size:
+    open_ = np.arange(flips.size)
+    while (open_ := open_[(hi[open_] - lo[open_] > limit[open_])
+                          & (np.nextafter(lo[open_], hi[open_]) < hi[open_])]).size:
         mid = 0.5 * (lo[open_] + hi[open_])
         stay = _signs(omega_a(mid), omega_b(mid)) == side[open_]
         lo[open_[stay]] = mid[stay]
         hi[open_[~stay]] = mid[~stay]
-        open_ = open_[hi[open_] - lo[open_] > limit[open_]]
     return list(zip(lo.tolist(), hi.tolist()))
 
 

@@ -136,70 +136,55 @@ def evaluate_set(scenario_set: ScenarioSet, curve: YieldCurve) -> EvaluationResu
     return _evaluate_flows(scenario_set.flows, curve)
 
 
-def mu_from_npv(npv: float, basis_outlay: float, curve: YieldCurve, horizon: int) -> float:
-    """Annualized return implied by an NPV on a given outlay basis.
-
-    Inverts (1+mu)^T = (1+r_T)^T * (npv/basis + 1); strictly increasing in npv.
-    """
-    if basis_outlay <= 0.0:
-        raise ZeroOutlayError(f"basis outlay must be positive, got {basis_outlay}")
-    ratio = npv / basis_outlay + 1.0
-    if ratio <= 0.0:
-        raise ReturnUndefinedError(
-            f"return undefined: 1 + npv/outlay = {ratio} is not positive"
-        )
-    return (curve.growth_factor(horizon) * ratio) ** (1.0 / horizon) - 1.0
-
-
-def npv_from_mu(mu: float, basis_outlay: float, curve: YieldCurve, horizon: int) -> float:
-    """NPV equivalent of an annualized return floor; exact inverse of mu_from_npv."""
-    return npv_from_mus([mu], basis_outlay, curve, horizon)[0]
-
-
-def npv_from_mus(
-    mus: Sequence[float], basis_outlay: float, curve: YieldCurve, horizon: int
-) -> list[float]:
-    """npv_from_mu at each mu in turn (Python floats, libm ``pow``), with the basis
-    checked and the curve's growth factor looked up once."""
-    if basis_outlay <= 0.0:
-        raise ZeroOutlayError(f"basis outlay must be positive, got {basis_outlay}")
-    growth = []
-    for mu in mus:
-        if mu <= -1.0:
-            raise ReturnUndefinedError(f"annualized return must exceed -1, got {mu}")
-        try:
-            growth.append((1.0 + mu) ** horizon)
-        except OverflowError:
-            raise InputError(f"annualized return {mu} overflows (1+mu)^{horizon}") from None
-    g = curve.growth_factor(horizon)
-    return [(x / g - 1.0) * basis_outlay for x in growth]
-
-
-def npv_from_profit(
-    profit: float, basis_outlay: float, curve: YieldCurve, horizon: int
-) -> float:
-    """NPV equivalent of a terminal-profit floor on a given outlay basis."""
-    if basis_outlay <= 0.0:
-        raise ZeroOutlayError(f"basis outlay must be positive, got {basis_outlay}")
-    # terminal profit = (npv + basis) * (1+r_T)^T - basis
-    return (profit + basis_outlay) / curve.growth_factor(horizon) - basis_outlay
-
-
 def metric_thresholds(
     kind: str, values: Sequence[float], metric: str, basis_outlay: float, curve: YieldCurve,
     horizon: int,
 ) -> list[float]:
-    """The threshold on ``metric`` ("mu" or "npv") of each hurdle value of one ``kind``, the
-    one hurdle conversion. A return hurdle gives mu* and its NPV from ``npv_from_mus`` on
-    either metric, so both refuse the same hurdles; an NPV or profit floor gives NPV*, the
-    npv metric's threshold as it is, and only the mu metric derives ``mu_from_npv``."""
+    """The threshold on ``metric`` ("mu" or "npv") of each hurdle value of one ``kind``, as
+    Python floats (libm ``pow``): the one hurdle conversion, with B the basis outlay and g the
+    growth factor (1+r_T)^T. A return hurdle gives mu* and its NPV on either metric, so both
+    refuse the same hurdles; an NPV or profit floor gives NPV*, the npv metric's threshold as
+    it is (a profit p is (npv + B) g - B), and only the mu metric derives its mu*."""
+    if kind == "npv_star" and metric != "mu":
+        return list(values)
+    if basis_outlay <= 0.0:
+        raise ZeroOutlayError(f"basis outlay must be positive, got {basis_outlay}")
     if kind in ("delta_mu", "mu_star"):
-        mus = [curve.annual_rate(horizon) + v if kind == "delta_mu" else v for v in values]
-        npvs = npv_from_mus(mus, basis_outlay, curve, horizon)
-        return mus if metric == "mu" else npvs
-    npvs = [npv_from_profit(v, basis_outlay, curve, horizon) if kind == "profit_star" else v
-            for v in values]
-    return [mu_from_npv(v, basis_outlay, curve, horizon) for v in npvs] if metric == "mu" else npvs
+        values = [curve.annual_rate(horizon) + v for v in values] if kind == "delta_mu" else values
+        growth = []
+        for mu in values:
+            if mu <= -1.0:
+                raise ReturnUndefinedError(f"annualized return must exceed -1, got {mu}")
+            try:
+                growth.append((1.0 + mu) ** horizon)
+            except OverflowError:
+                raise InputError(f"annualized return {mu} overflows (1+mu)^{horizon}") from None
+        g = curve.growth_factor(horizon)
+        return list(values) if metric == "mu" else [(x / g - 1.0) * basis_outlay for x in growth]
+    if kind == "profit_star":
+        g = curve.growth_factor(horizon)
+        values = [(p + basis_outlay) / g - basis_outlay for p in values]
+    if metric != "mu":
+        return values
+    ratios = [npv / basis_outlay + 1.0 for npv in values]
+    for ratio in ratios:
+        if ratio <= 0.0:
+            raise ReturnUndefinedError(f"return undefined: 1 + npv/outlay = {ratio} is not positive")
+    g = curve.growth_factor(horizon)
+    return [(g * ratio) ** (1.0 / horizon) - 1.0 for ratio in ratios]
+
+
+def mu_from_npv(npv: float, basis_outlay: float, curve: YieldCurve, horizon: int) -> float:
+    """Annualized return implied by an NPV on a given outlay basis (one NPV floor's mu*).
+
+    Inverts (1+mu)^T = (1+r_T)^T * (npv/basis + 1); strictly increasing in npv.
+    """
+    return metric_thresholds("npv_star", [npv], "mu", basis_outlay, curve, horizon)[0]
+
+
+def npv_from_mu(mu: float, basis_outlay: float, curve: YieldCurve, horizon: int) -> float:
+    """NPV equivalent of an annualized return floor; exact inverse of mu_from_npv."""
+    return metric_thresholds("mu_star", [mu], "npv", basis_outlay, curve, horizon)[0]
 
 
 def thresholds(

@@ -140,7 +140,7 @@ def _sort_key(entry: RankingEntry):
 
 
 def rank(projects: Sequence[ProjectEvaluation], hurdle: HurdleSpec) -> RankingReport:
-    """Rank projects, all evaluated on one metric, by Omega at the hurdle, best first.
+    """Rank projects (one metric, distinct ids) by Omega at the hurdle, best first.
 
     A project is flagged accepted when its Omega is at least 1. Projects whose
     Omega is indeterminate at the threshold (no mass on either side) are left
@@ -149,12 +149,16 @@ def rank(projects: Sequence[ProjectEvaluation], hurdle: HurdleSpec) -> RankingRe
     if not projects:
         raise InputError("need at least one project to rank")
     metric = projects[0].metric
+    ids: set[str] = set()
     for p in projects:
         if p.metric != metric:
             raise InputError(
                 f"projects {projects[0].project_id!r} and {p.project_id!r} were evaluated on "
                 f"different metrics, {metric!r} and {p.metric!r}"
             )
+        if p.project_id in ids:
+            raise InputError(f"two projects have the id {p.project_id!r}")
+        ids.add(p.project_id)
     ranked: list[RankingEntry] = []
     excluded: list[str] = []
     for p in projects:

@@ -55,7 +55,7 @@ def _finalize(z: np.ndarray) -> np.ndarray:
 
 
 class SeededStream:
-    """Counter-based random stream: value(i, draw) depends only on (seed, i, draw)."""
+    """Counter-based random stream: value(i) depends only on (seed, i)."""
 
     def __init__(self, seed: int):
         if not _is_int(seed):
@@ -63,20 +63,19 @@ class SeededStream:
         self.seed = seed
         self._key = np.uint64(seed % 2**64)
 
-    def raw(self, indices: Sequence[int] | np.ndarray, draw: int = 0) -> np.ndarray:
+    def raw(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.uint64)
         substream = _finalize(self._key + (idx + np.uint64(1)) * _GOLDEN)
-        offset = np.uint64((draw + 1) * 0x9E3779B97F4A7C15 % 2**64)
-        return _finalize(substream + offset)
+        return _finalize(substream + _GOLDEN)
 
-    def uniforms(self, indices: Sequence[int] | np.ndarray, draw: int = 0) -> np.ndarray:
+    def uniforms(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Uniform draws strictly inside (0, 1)."""
-        bits = self.raw(indices, draw) >> np.uint64(11)
+        bits = self.raw(indices) >> np.uint64(11)
         return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
-    def normals(self, indices: Sequence[int] | np.ndarray, draw: int = 0) -> np.ndarray:
+    def normals(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Standard normal draws: the Cephes normal quantile of ``uniforms`` (numpy only)."""
-        return _ndtri(self.uniforms(indices, draw))
+        return _ndtri(self.uniforms(indices))
 
 
 # Cephes ndtri (S. L. Moshier, "Methods and Programs for Mathematical
@@ -163,9 +162,8 @@ class ShiftedLognormal:
             return mean, std, skew
         return 2.0 * self.mirror_center - mean, std, -skew
 
-    def sample(self, stream: SeededStream, indices: Sequence[int] | np.ndarray) -> np.ndarray:
-        z = stream.normals(indices)
-        base = self.shift + np.exp(self.mu_log + self.sigma_log * z)
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        base = self.shift + np.exp(self.mu_log + self.sigma_log * _ndtri(u))
         if self.mirror_center is None:
             return base
         return 2.0 * self.mirror_center - base
@@ -179,8 +177,8 @@ class MatchedNormal:
     def analytic_moments(self) -> tuple[float, float, float]:
         return self.mean, self.std, 0.0
 
-    def sample(self, stream: SeededStream, indices: Sequence[int] | np.ndarray) -> np.ndarray:
-        return self.mean + self.std * stream.normals(indices)
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        return self.mean + self.std * _ndtri(u)
 
 
 @dataclass(frozen=True)
@@ -198,8 +196,7 @@ class MatchedTwoPoint:
         skew = (1.0 - 2.0 * p) / math.sqrt(p * (1.0 - p))
         return mean, std, skew
 
-    def sample(self, stream: SeededStream, indices: Sequence[int] | np.ndarray) -> np.ndarray:
-        u = stream.uniforms(indices)
+    def sample(self, u: np.ndarray) -> np.ndarray:
         return np.where(u < self.p_high, self.high, self.low)
 
 
@@ -327,14 +324,16 @@ def generator_spec_from_dict(block: dict) -> GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec, project_id: str = "generated") -> ScenarioSet:
-    """Deterministically generate the scenario set described by ``spec``."""
-    stream = SeededStream(spec.seed)
+    """Deterministically generate the scenario set described by ``spec``: scenario i's
+    stochastic flow is the matched family's ``sample`` of the stream's uniform i."""
     template = [0.0 if f is None else f for f in spec.flow_template]
     try:
         flows = np.tile(template, (spec.n_scenarios, 1))
     except (OverflowError, ValueError, MemoryError) as exc:  # numpy refuses before allocating
         raise InputError(f"n = {spec.n_scenarios} scenarios do not fit in one array: {exc}") from None
-    flows[:, spec.slot] = spec.matched.sample(stream, np.arange(spec.n_scenarios, dtype=np.uint64))
+    u = SeededStream(spec.seed).uniforms(np.arange(spec.n_scenarios, dtype=np.uint64))
+    flows[:, spec.slot] = spec.matched.sample(u)
+    flows.setflags(write=False)  # so that the ScenarioSet keeps it without a copy
     return ScenarioSet.uniform(project_id, flows)
 
 

@@ -71,7 +71,7 @@ def crossing_on_grid(
 
     A flip between the last non-zero sign and the next one is bracketed in the
     grid step that starts at the former, then bisected until the bracket is no
-    wider than that step divided by 1024.
+    wider than that step divided by 1024 or its ends are adjacent floats.
     """
     signs = [compare(eval_a(x), eval_b(x)) for x in grid]
     brackets: list[tuple[float, float]] = []
@@ -83,7 +83,7 @@ def crossing_on_grid(
             s_lo = signs[last]
             lo, hi = float(grid[last]), float(grid[last + 1])
             limit = (hi - lo) / 1024.0
-            while hi - lo > limit:
+            while hi - lo > limit and math.nextafter(lo, hi) < hi:
                 mid = 0.5 * (lo + hi)
                 if compare(eval_a(mid), eval_b(mid)) == s_lo:
                     lo = mid

@@ -421,6 +421,8 @@ def test_c6_determinism(tmp_path):
     curve_csv.write_text("tenor,rate\n1,0.05\n2,0.05\n")
     project_path = tmp_path / "p.json"
     project_path.write_text(json.dumps(project))
+    twin_path = tmp_path / "twin.json"  # the same project under its own id: ids must be unique
+    twin_path.write_text(json.dumps({**project, "id": "det-twin"}))
 
     artifacts = {}
     for run in ("one", "two"):
@@ -447,7 +449,7 @@ def test_c6_determinism(tmp_path):
                     "rank",
                     "--projects",
                     str(project_path),
-                    str(project_path),
+                    str(twin_path),
                     "--curve",
                     str(curve_csv),
                     "--delta-mu",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -378,6 +379,39 @@ class TestRank:
         report = json.loads(out.read_text())
         assert "crossings" in report
         assert report["crossings"][0]["project_a"] == "right-skewed"
+
+    def test_duplicate_project_ids_exit_2(self, workspace, capsys):
+        twin = json.loads((workspace / "left.json").read_text())
+        twin["id"] = "right-skewed"
+        (workspace / "twin.json").write_text(json.dumps(twin))
+        out = workspace / "rank.json"
+        code = main([
+            "rank", "--projects", str(workspace / "twin.json"), str(workspace / "right.json"),
+            "--curve", str(workspace / "curve.csv"), "--delta-mu", "0.1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: two projects have the id 'right-skewed'\n"
+        assert not out.exists()
+
+    def test_grid_finer_than_the_float_spacing_ends(self, demo_dir, tmp_path):
+        # the demo pair crosses near mu* = 0.15408151861672; a 1e-15 step there is a
+        # few float spacings, so its bracket ends as two adjacent floats
+        paths = []
+        for side in ("left", "right"):
+            descriptor = json.loads((demo_dir / f"project_{side}.json").read_text())
+            descriptor["generator"]["n"] = 10000
+            paths.append(tmp_path / f"{side}.json")
+            paths[-1].write_text(json.dumps(descriptor))
+        out = tmp_path / "rank.json"
+        proc = run_cli(
+            "rank", "--projects", *map(str, paths), "--curve", str(demo_dir / "curve_flat5.csv"),
+            "--delta-mu", "0.1", "--grid", "0.1540815186:0.1540815187:1e-15", "--out", str(out),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (pair,) = strict_json(out.read_text())["crossings"]
+        (lo, hi), = pair["brackets"]
+        assert lo < hi and math.nextafter(lo, hi) == hi
 
     def test_infinite_omega_serialization(self, workspace):
         # a sure thing above the hurdle has no downside mass: omega is infinite

@@ -1,11 +1,17 @@
+import ast
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invomega
 from invomega import (
     EmpiricalDistribution,
     InputError,
@@ -422,6 +428,25 @@ class TestZeroSigns:
         assert len(brackets) == 6  # the zeros of cos in (0, 20)
         assert calls[0] == 41
         assert len(calls) <= 1 + 11 and calls[1] == 6
+
+    def test_bisection_stops_at_adjacent_floats(self):
+        # a grid step of a few float spacings: step/1024 is below one spacing, so the
+        # bracket ends as two adjacent floats; run in a child process, so that a
+        # bisection that never ends fails by timeout instead of hanging the suite
+        code = (
+            "from invomega import crossing_on_grid\n"
+            "x0 = 0.1 + 5e-15\n"
+            "print(crossing_on_grid([0.1 + i * 1e-15 for i in range(11)],"
+            " lambda m: 1 + (m - x0), lambda m: 1 - (m - x0)))\n"
+        )
+        src = Path(invomega.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        (lo, hi), = ast.literal_eval(proc.stdout)
+        assert 0.1 <= lo < hi <= 0.1 + 1e-14 and math.nextafter(lo, hi) == hi
 
 
 class TestCsvOutput:

@@ -18,7 +18,7 @@ from invomega import (
     npv_from_mu,
     thresholds,
 )
-from invomega.metrics import npv_from_mus, npv_from_profit
+from invomega.metrics import HURDLE_KINDS, metric_thresholds
 
 
 def random_mixed_scenario(rng: random.Random, horizon: int) -> CashFlowScenario:
@@ -154,8 +154,26 @@ class TestMuNpvConversion:
             mus = [rng.uniform(-0.99, 2.0) for _ in range(20)]
             g = curve.growth_factor(horizon)
             expected = [((1.0 + mu) ** horizon / g - 1.0) * basis for mu in mus]
-            assert npv_from_mus(mus, basis, curve, horizon) == expected
+            assert metric_thresholds("mu_star", mus, "npv", basis, curve, horizon) == expected
             assert [npv_from_mu(mu, basis, curve, horizon) for mu in mus] == expected
+            # every kind on both metrics: the list conversion is its one-value calls, bitwise
+            npvs = [mu * basis for mu in mus]  # 1 + npv/basis = 1 + mu > 0
+            assert metric_thresholds("npv_star", npvs, "mu", basis, curve, horizon) == [
+                mu_from_npv(npv, basis, curve, horizon) for npv in npvs
+            ]
+            rate = curve.annual_rate(horizon)
+            values = {
+                "delta_mu": [mu - rate for mu in mus],
+                "mu_star": mus,
+                "npv_star": npvs,
+                "profit_star": [(npv + basis) * g - basis for npv in npvs],
+            }
+            for kind in HURDLE_KINDS:
+                for metric in ("mu", "npv"):
+                    got = metric_thresholds(kind, values[kind], metric, basis, curve, horizon)
+                    one = [metric_thresholds(kind, [v], metric, basis, curve, horizon)[0]
+                           for v in values[kind]]
+                    assert [x.hex() for x in got] == [x.hex() for x in one]
 
     @pytest.mark.parametrize(
         "mus, error, named",
@@ -166,7 +184,7 @@ class TestMuNpvConversion:
     )
     def test_batch_error_names_the_first_failing_mu(self, flat5, mus, error, named):
         with pytest.raises(error) as batch:
-            npv_from_mus(mus, 290.7, flat5, 2)
+            metric_thresholds("mu_star", mus, "npv", 290.7, flat5, 2)
         with pytest.raises(error) as scalar:
             npv_from_mu(float(named), 290.7, flat5, 2)
         assert named in str(batch.value)
@@ -208,7 +226,8 @@ class TestThresholds:
         profit = (npv_ref + outlay) * 1.05**2 - outlay
         ts = thresholds(HurdleSpec("profit_star", profit), outlay, flat5, 2)
         assert ts.npv_star == pytest.approx(npv_ref, rel=1e-12)
-        assert npv_from_profit(profit, outlay, flat5, 2) == pytest.approx(npv_ref, rel=1e-12)
+        npv = metric_thresholds("profit_star", [profit], "npv", outlay, flat5, 2)[0]
+        assert npv == pytest.approx(npv_ref, rel=1e-12)
 
     def test_pair_is_consistent(self, flat5):
         rng = random.Random(29)

@@ -122,6 +122,15 @@ class TestRank:
         assert report.order == ("alpha", "beta")
         assert report.entries[0].omega == report.entries[1].omega
 
+    @pytest.mark.parametrize("grid", [None, [0.05, 0.1]])
+    def test_duplicate_ids_are_refused(self, grid):
+        # the id is the last tie-break of the order, so the report needs unique ids
+        a = project_from_dist("same", [0.0, 100.0])
+        b = project_from_dist("same", [10.0, 50.0])
+        hurdle = HurdleSpec("npv_star", 25.0)
+        with pytest.raises(InputError, match="two projects have the id 'same'"):
+            rank([a, b], hurdle) if grid is None else rank_with_crossings([a, b], hurdle, grid)
+
     def test_equal_omega_breaks_on_higher_mean(self):
         # B = 25 + 2*(A - 25) scales both call and put by 2: same omega, higher mean
         a = project_from_dist("a", [0.0, 100.0])
