@@ -8,7 +8,7 @@ zero-coupon outlays covering every F- and bond notionals paying every F+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -117,8 +117,15 @@ def present_value(flows: Sequence[float] | Iterable[float], curve: YieldCurve) -
     return float(_discounted(np.array([float(f) for f in flows]), curve).sum())
 
 
-def _flow_array(rows: Iterable[Sequence[float]] | np.ndarray) -> np.ndarray:
-    """Validated float flow rows F_0..F_T, shape (N, T+1).
+def _scenario_name(i: int) -> str:
+    return f"scenario {i}"
+
+
+def _flow_array(
+    rows: Iterable[Sequence[float]] | np.ndarray, row_name: Callable[[int], str] = _scenario_name
+) -> np.ndarray:
+    """Validated float flow rows F_0..F_T, shape (N, T+1): every flow finite and
+    F_0 <= 0, with ``row_name(i)`` naming row i in the error.
 
     An array already marked read-only is kept as it is, without a copy;
     anything else is copied.
@@ -130,48 +137,46 @@ def _flow_array(rows: Iterable[Sequence[float]] | np.ndarray) -> np.ndarray:
         for i, row in enumerate(rows):
             if len(row) != len(rows[0]):
                 raise HorizonMismatchError(
-                    f"scenario {i} has horizon {len(row) - 1}, expected {len(rows[0]) - 1}"
+                    f"{row_name(i)} has horizon {len(row) - 1}, expected {len(rows[0]) - 1}"
                 )
         flows = np.array(rows, dtype=float)
     if flows.ndim != 2 or len(flows) == 0:
         raise InputError("a scenario set needs at least one scenario")
     if flows.shape[1] < 2:
         raise InputError("a scenario needs flows F_0..F_T with T >= 1")
-    check_flow_rows(flows)
-    return flows
-
-
-def check_flow_rows(
-    flows: np.ndarray, where: Callable[[int], str] = lambda i: f"scenario {i}"
-) -> None:
-    """Every flow finite and F_0 <= 0; ``where(i)`` names row i in the error."""
     bad = np.argwhere(~np.isfinite(flows))
     if bad.size:
         i, t = bad[0]
-        raise InputError(f"{where(i)}: flow at t={t} is not finite: {float(flows[i, t])!r}")
+        raise InputError(f"{row_name(i)}: flow at t={t} is not finite: {float(flows[i, t])!r}")
     bad = np.flatnonzero(flows[:, 0] > 0.0)
     if bad.size:
+        i = bad[0]
         raise InputError(
-            f"{where(bad[0])}: F_0 must be the initial outlay (<= 0), got {float(flows[bad[0], 0])}"
+            f"{row_name(i)}: F_0 must be the initial outlay (<= 0), got {float(flows[i, 0])}"
         )
+    return flows
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioSet:
-    """Weighted scenarios sharing one horizon, stored as columns.
+    """Weighted scenarios sharing one horizon, stored as columns: the one check of
+    scenario flows and weights.
 
     ``flows`` is a read-only (N, T+1) array whose row i holds F_0..F_T of
     scenario i; ``weights`` is a read-only (N,) array of probabilities
-    (uniform when given as None).
+    (uniform when given as None). ``row_name(i)`` names row i in every error
+    about it, here and in the layers that read the set: ``scenario i``,
+    unless the loader names its file's lines.
     """
 
     project_id: str
     flows: np.ndarray
     weights: np.ndarray
+    row_name: Callable[[int], str] = field(default=_scenario_name, repr=False)
 
     def __post_init__(self) -> None:
-        flows = _flow_array(self.flows)
-        weights = validated_weights(self.weights, len(flows))
+        flows = _flow_array(self.flows, self.row_name)
+        weights = validated_weights(self.weights, len(flows), lambda i: f"{self.row_name(i)}: weight")
         for name, array in (("flows", flows), ("weights", weights)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)

@@ -42,6 +42,8 @@ if _PIN_BLAS:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
 MAX_GRID_POINTS = 1_000_000
+# argparse reads "--grid -0.5:..." as an option without its argument
+_GRID_FORM = "lo:hi:step (a negative lo needs --grid=lo:hi:step)"
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     hurdle.add_argument("--mu-star", type=float, default=None, help="annualized return floor")
     hurdle.add_argument("--npv-star", type=float, default=None, help="NPV floor")
     p.add_argument("--metric", choices=METRICS, default="mu")
-    p.add_argument("--grid", default=None, help="mu* grid lo:hi:step for crossing analysis")
+    p.add_argument("--grid", default=None, help=f"mu* grid for crossing analysis, {_GRID_FORM}")
     p.add_argument("--out", required=True, help="output JSON report")
     p.add_argument("--out-csv", default=None, help="optional tabular CSV report")
     p.set_defaults(func=_cmd_rank)
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--project", required=True, help="JSON project descriptor")
     p.add_argument("--curve", required=True, help="riskless curve CSV")
     p.add_argument("--metric", choices=METRICS, default="mu")
-    p.add_argument("--grid", required=True, help="mu* grid lo:hi:step")
+    p.add_argument("--grid", required=True, help=f"mu* grid {_GRID_FORM}")
     p.add_argument("--out", required=True, help="output CSV (threshold,call,put,omega)")
     p.set_defaults(func=_cmd_omega_curve)
 

@@ -86,8 +86,8 @@ def in_float_range(what: str) -> Iterator[None]:
         raise InputError(f"{what} leave the float range") from None
 
 
-def _evaluate_flows(flows: np.ndarray, curve: YieldCurve) -> EvaluationResult:
-    """The evaluation kernel over flow rows F_0..F_T, shape (N, T+1).
+def evaluate_set(scenario_set: ScenarioSet, curve: YieldCurve) -> EvaluationResult:
+    """NPV, profits, returns, PI and premium return of every row, as arrays in row order.
 
     Later flows are priced by their riskless replication (``_replicate_rows``):
     outflows by the zero-coupon outlays covering them, inflows by the bonds
@@ -96,13 +96,14 @@ def _evaluate_flows(flows: np.ndarray, curve: YieldCurve) -> EvaluationResult:
     returns. Flows whose replication sums or returns overflow are an InputError.
     """
     with in_float_range("the replication sums or returns of these flows"):
-        horizon = flows.shape[1] - 1
+        flows, horizon = scenario_set.flows, scenario_set.horizon
         replication = _replicate_rows(flows, curve)
         pv_plus, total_outlay = replication.certainty_equivalent_outlay, replication.total_outlay
         zero = np.flatnonzero(total_outlay <= 0.0)
         if zero.size:
             raise ZeroOutlayError(
-                f"scenario {zero[0]}: total outlay is zero: returns and PI are undefined"
+                f"{scenario_set.row_name(zero[0])}: total outlay is zero: "
+                "returns and PI are undefined"
             )
         growth_T = curve.growth_factors[horizon - 1]
         fv_plus = pv_plus * growth_T
@@ -122,18 +123,13 @@ def _evaluate_flows(flows: np.ndarray, curve: YieldCurve) -> EvaluationResult:
 
 
 def evaluate(scenario: CashFlowScenario, curve: YieldCurve) -> EvaluationResult:
-    """Compute NPV, terminal profit/return, annualized return, PI and premium return.
+    """``evaluate_set`` on the one-row set of ``scenario``, as Python floats.
 
     Raises ZeroOutlayError when the total outlay is zero (returns and PI are
     undefined in that case). A scenario with no inflows at all yields an
     annualized return of -1 (total loss), not an error.
     """
-    return _evaluate_flows(np.array([scenario.flows]), curve).row(0)
-
-
-def evaluate_set(scenario_set: ScenarioSet, curve: YieldCurve) -> EvaluationResult:
-    """evaluate() for every scenario of the set at once, as arrays in row order."""
-    return _evaluate_flows(scenario_set.flows, curve)
+    return evaluate_set(ScenarioSet.uniform("", [scenario.flows]), curve).row(0)
 
 
 def metric_thresholds(

@@ -55,8 +55,8 @@ def _check_canonical(scenario_set: ScenarioSet) -> None:
     if negative.size:
         i, t = negative[0][0], negative[0][1] + 1
         raise NonCanonicalFlowError(
-            f"scenario {i} has negative flow {float(scenario_set.flows[i, t])} at t={t}; "
-            "only a t=0 outlay may be negative"
+            f"{scenario_set.row_name(i)} has negative flow {float(scenario_set.flows[i, t])} "
+            f"at t={t}; only a t=0 outlay may be negative"
         )
 
 

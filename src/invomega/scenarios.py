@@ -19,9 +19,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .cashflows import ScenarioSet, check_flow_rows
+from .cashflows import ScenarioSet
 from .csvio import data_rows, write_csv
-from .distributions import validated_weights
 from .errors import (
     DomainError, HorizonMismatchError, InputError, ScenarioParseError, located,
 )
@@ -374,18 +373,15 @@ def load_scenarios(
 
         linenos: list[int] = []  # file line of each data row, found only when an error needs it
 
-        def where(i: int) -> str:
+        def row_name(i: int) -> str:
             if not linenos:
                 linenos.extend(lineno for lineno, _ in data_rows(path, n_cols))
             return f"row {linenos[i]}"
 
         table.setflags(write=False)  # so that the ScenarioSet keeps it without a copy
         flows, weights = (table[:, 1:], table[:, 0]) if has_weights else (table, None)
-        check_flow_rows(flows, where)
-        if weights is not None:
-            weights = validated_weights(weights, len(table), lambda i: f"{where(i)}: weight")
         pid = project_id if project_id is not None else path.stem
-        return ScenarioSet(pid, flows, weights)
+        return ScenarioSet(pid, flows, weights, row_name)
 
 
 def _scan_table(path: Path, n_cols: int) -> np.ndarray:

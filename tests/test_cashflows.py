@@ -187,3 +187,22 @@ class TestScenarioSet:
         n = 99999
         scenarios = [(-1.0, 1.0)] * n
         assert len(ScenarioSet.uniform("p", scenarios)) == n
+
+    @pytest.mark.parametrize(
+        "flows, weights, message",
+        [
+            ([(-1.0, 2.0), (-1.0, math.nan)], None, "line 11: flow at t=1 is not finite: nan"),
+            ([(-1.0, 2.0), (3.0, 2.0)], None, "line 11: F_0 must be the initial outlay (<= 0), got 3.0"),
+            ([(-1.0, 2.0), (-1.0, 3.0)], (1.5, -0.5), "line 11: weight must be finite and >= 0, got -0.5"),
+            ([(-1.0, 2.0), (-1.0, 3.0, 4.0)], None, "line 11 has horizon 2, expected 1"),
+        ],
+        ids=["non-finite", "positive-F0", "weight", "ragged"],
+    )
+    def test_row_name_names_the_row_in_every_check(self, flows, weights, message):
+        with pytest.raises(InputError) as exc:
+            ScenarioSet("p", flows, weights, lambda i: f"line {10 + i}")
+        assert str(exc.value) == message
+
+    def test_default_row_name_is_the_index(self):
+        with pytest.raises(InputError, match=r"^scenario 1: weight must be finite"):
+            ScenarioSet("p", [(-1.0, 2.0), (-1.0, 3.0)], (1.0, math.nan))

@@ -754,8 +754,12 @@ class TestInputBounds:
             ("omega-curve", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
             ("radr-compare", "tiny_outlay.json", 2, "tiny_outlay.json: the valuations"),
             ("radr-compare --mode paper-table4", "tiny_outlay.json", 2, "tiny_outlay.json: the valuations"),
-            # canonical-strict refuses the negative flow at t=2
-            ("radr-compare", "mean_right.json", 1, "mean_right.json: scenario 0 has negative flow"),
+            # canonical-strict refuses the negative flow at t=2, naming its scenario CSV line
+            ("radr-compare", "mean_right.json", 1, "mean_right.json: row 2 has negative flow"),
+            ("radr-compare", "mixed.json", 1, "mixed.json: row 4 has negative flow -5.0 at t=2"),
+            # a zero total outlay names its scenario CSV line after loading
+            ("evaluate", "zero_outlay.json", 1, "zero_outlay.json: row 4: total outlay is zero"),
+            ("rank", "zero_outlay.json", 1, "zero_outlay.json: row 4: total outlay is zero"),
         ],
     )
     def test_exit_code_contract_without_traceback(self, workspace, command, source, code, named):
@@ -764,7 +768,9 @@ class TestInputBounds:
         (workspace / "wide.csv").write_text("t0,t1,t2\n-1.0,1e200,0.0\n-1e200,0.0,0.0\n")
         (workspace / "sum_overflow.csv").write_text("t0,t1,t2\n-100,1e308,1e308\n")
         (workspace / "tiny_outlay.csv").write_text("t0,t1,t2\n-1e-320,1,1\n")
-        for stem in ("subnormal", "huge_flows", "wide", "sum_overflow", "tiny_outlay"):
+        (workspace / "zero_outlay.csv").write_text("t0,t1,t2\n-1,2,0\n\n0,0,0\n")
+        (workspace / "mixed.csv").write_text("t0,t1,t2\n-1,2,3\n\n-1,2,-5\n")
+        for stem in ("subnormal", "huge_flows", "wide", "sum_overflow", "tiny_outlay", "zero_outlay", "mixed"):
             (workspace / f"{stem}.json").write_text(
                 json.dumps({"id": stem.replace("_flows", ""), "horizon": 2, "scenario_file": f"{stem}.csv"})
             )
