@@ -9,11 +9,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cashflows": (
-        "CashFlowScenario", "ReplicationDecomposition", "ScenarioSet", "SplitStream",
-        "present_value", "replicate", "split",
-    ),
-    "curves": ("ForwardCurve", "YieldCurve"),
+    "cashflows": ("ReplicationDecomposition", "ScenarioSet", "replicate"),
+    "curves": ("YieldCurve",),
     "distributions": (
         "EmpiricalDistribution", "OmegaResult", "SummaryStats", "crossing_on_grid",
         "omega", "omega_curve", "summarize",
@@ -24,13 +21,9 @@ _EXPORTS = {
         "TenorOutOfRangeError", "ZeroOutlayError",
     ),
     "metrics": (
-        "EvaluationResult", "HurdleSpec", "ThresholdSet", "evaluate", "evaluate_set",
-        "mirr", "mu_from_npv", "npv_from_mu", "thresholds",
+        "EvaluationResult", "HurdleSpec", "ThresholdSet", "evaluate_set", "mirr", "thresholds",
     ),
-    "radr": (
-        "EquivalenceReport", "RadrInput", "RadrResult", "equivalence_check",
-        "radr_valuation", "vertical_average",
-    ),
+    "radr": ("RadrInput", "RadrResult", "radr_valuation", "vertical_average"),
     "ranking": (
         "ProjectEvaluation", "RankingReport", "evaluate_project", "hurdle_crossings",
         "omega_vs_hurdle", "rank", "rank_with_crossings",

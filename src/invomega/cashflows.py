@@ -1,9 +1,9 @@
 """Cash-flow streams, scenario sets and the riskless replication of a stream.
 
-A scenario is the full vector F_0..F_T with F_0 <= 0 the initial flow.
-Splitting separates the later flows into inflows F+ and outflows F-; the
-replication prices the riskless portfolio that reproduces both sides:
-zero-coupon outlays covering every F- and bond notionals paying every F+.
+A scenario is the full vector F_0..F_T with F_0 <= 0 the initial flow. The
+replication splits the later flows into inflows F+ and outflows F- and prices
+the riskless portfolio that reproduces both sides: zero-coupon outlays
+covering every F- and bond notionals paying every F+.
 """
 
 from __future__ import annotations
@@ -19,59 +19,19 @@ from .errors import HorizonMismatchError, InputError
 
 
 @dataclass(frozen=True)
-class CashFlowScenario:
-    """One realization F_0..F_T of a project's cash flows (T >= 1)."""
-
-    flows: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flows", tuple(_flow_array([tuple(self.flows)])[0].tolist()))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.flows) - 1
-
-    @property
-    def initial_outlay(self) -> float:
-        return -self.flows[0]
-
-
-@dataclass(frozen=True)
-class SplitStream:
-    """Sign split of the t >= 1 flows plus the initial outlay."""
-
-    initial_outlay: float
-    positive: tuple[float, ...]
-    negative: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ReplicationDecomposition:
-    """Riskless portfolio replicating one scenario, or each row of a flow array.
+    """Riskless portfolio replicating one flow row, or each row of a flow array.
 
-    ``partial_outlays`` are the zero-coupon purchases I0^(t) guaranteeing each
-    future outflow; ``bond_notionals`` B_t pay each inflow at maturity.
-    ``total_outlay`` is the initial outlay plus the cost of covering the
-    outflows; ``certainty_equivalent_outlay`` is the riskless investment that
-    generates the same inflow pattern. For one scenario the sums are floats and
-    the per-tenor parts tuples; over N rows they are (N,) and (N, T) arrays.
+    ``additional_outlay`` is the cost of the zero-coupon bonds covering the
+    later outflows; ``total_outlay`` adds the initial outlay to it;
+    ``certainty_equivalent_outlay`` is the cost of the bonds paying the
+    inflows, the riskless investment that generates the same inflow pattern.
+    For one row they are floats; over N rows they are (N,) arrays.
     """
 
     additional_outlay: np.ndarray | float
-    partial_outlays: np.ndarray | tuple[float, ...]
     total_outlay: np.ndarray | float
-    bond_notionals: np.ndarray | tuple[float, ...]
     certainty_equivalent_outlay: np.ndarray | float
-
-
-def split(scenario: CashFlowScenario) -> SplitStream:
-    """Separate flows for t >= 1 into non-negative inflow/outflow parts."""
-    later = scenario.flows[1:]
-    return SplitStream(
-        initial_outlay=max(-scenario.flows[0], 0.0),
-        positive=tuple(max(f, 0.0) for f in later),
-        negative=tuple(max(-f, 0.0) for f in later),
-    )
 
 
 def _discounted(later: np.ndarray, curve: YieldCurve) -> np.ndarray:
@@ -87,34 +47,26 @@ def _discounted(later: np.ndarray, curve: YieldCurve) -> np.ndarray:
 def _replicate_rows(flows: np.ndarray, curve: YieldCurve) -> ReplicationDecomposition:
     """The replication of every flow row F_0..F_T of ``flows``, shape (N, T+1).
 
-    The discounted later flows split by sign: the positive ones are the bond
-    notionals, the negated negative ones the zero-coupon outlays.
+    The discounted later flows split by sign: the positive ones sum to the
+    bond cost, the negated negative ones to the zero-coupon outlays.
     """
     pv = _discounted(flows[:, 1:], curve)
-    partial_outlays = np.maximum(-pv, 0.0)
-    bond_notionals = np.maximum(pv, 0.0)
-    additional = partial_outlays.sum(axis=1)
+    additional = np.maximum(-pv, 0.0).sum(axis=1)
     return ReplicationDecomposition(
         additional_outlay=additional,
-        partial_outlays=partial_outlays,
         total_outlay=-flows[:, 0] + additional,
-        bond_notionals=bond_notionals,
-        certainty_equivalent_outlay=bond_notionals.sum(axis=1),
+        certainty_equivalent_outlay=np.maximum(pv, 0.0).sum(axis=1),
     )
 
 
-def replicate(scenario: CashFlowScenario, curve: YieldCurve) -> ReplicationDecomposition:
-    """Price the riskless portfolio replicating ``scenario`` on ``curve``.
+def replicate(flows: Sequence[float], curve: YieldCurve) -> ReplicationDecomposition:
+    """Price the riskless portfolio replicating one flow row F_0..F_T on ``curve``.
 
-    It is the one-row case of the evaluation kernel's replication, so
-    ``certainty_equivalent_outlay - total_outlay`` is bitwise ``evaluate``'s NPV.
+    It is the one-row case of the evaluation kernel's replication, checked as
+    ``ScenarioSet`` checks its row 0, so ``certainty_equivalent_outlay -
+    total_outlay`` is bitwise ``evaluate_set``'s NPV.
     """
-    return record_row(_replicate_rows(np.array([scenario.flows]), curve), 0)
-
-
-def present_value(flows: Sequence[float] | Iterable[float], curve: YieldCurve) -> float:
-    """Present value of flows indexed by tenor 1..T on ``curve``."""
-    return float(_discounted(np.array([float(f) for f in flows]), curve).sum())
+    return record_row(_replicate_rows(_flow_array([flows]), curve), 0)
 
 
 def _scenario_name(i: int) -> str:
@@ -188,9 +140,9 @@ class ScenarioSet:
         return cls(project_id, flows, None)
 
     @property
-    def scenarios(self) -> tuple[CashFlowScenario, ...]:
-        """The rows as scalar scenarios, for the single-scenario reference path."""
-        return tuple(CashFlowScenario(tuple(row)) for row in self.flows.tolist())
+    def scenarios(self) -> tuple[tuple[float, ...], ...]:
+        """The rows F_0..F_T as tuples of Python floats."""
+        return tuple(map(tuple, self.flows.tolist()))
 
     @property
     def horizon(self) -> int:

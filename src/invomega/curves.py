@@ -1,8 +1,8 @@
-"""Riskless term structure: zero rates, discount factors and reinvestment forwards.
+"""Riskless term structure: zero rates, growth factors and reinvestment forwards.
 
 The time grid is integer periods 1..horizon. Rates are stored annualized;
-cumulative rates are always derived via (1+r_t)^t - 1, never stored. There is
-no extrapolation: asking for a tenor beyond the curve horizon is an error.
+growth factors (1+r_t)^t are derived from them once. There is no
+extrapolation: asking for a tenor beyond the curve horizon is an error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .csvio import data_rows
 from .errors import InputError, TenorOutOfRangeError, located
@@ -93,62 +92,15 @@ class YieldCurve:
         self._check_tenor(t)
         return self.growth_factors[t - 1]
 
-    def cumulative_rate(self, t: int) -> float:
-        """Cumulative (non-annualized) rate R_t = (1+r_t)^t - 1."""
-        self._check_tenor(t)
-        return self.growth_factor(t) - 1.0
+    def forward_curve(self, horizon: int) -> tuple[float, ...]:
+        """Reinvestment factors locked today for rolling each tenor t = 1..horizon to it.
 
-    def discount_factor(self, t: int) -> float:
-        """Present value of one unit paid at tenor t (1 at t = 0)."""
-        return 1.0 / self.growth_factor(t)
-
-    def forward_curve(self, horizon: int) -> "ForwardCurve":
-        """Reinvestment forwards locked today for rolling each tenor to ``horizon``.
-
-        The rate from tenor t satisfies (1+r_t)^t * (1+R^f) = (1+r_T)^T, i.e.
-        reinvesting a tenor-t payoff forward must replicate a direct hold to T.
-        Cash received at t = horizon is not reinvested (rate exactly 0).
+        The factor from tenor t is 1 + R^f with (1+r_t)^t * (1+R^f) = (1+r_T)^T,
+        i.e. reinvesting a tenor-t payoff forward must replicate a direct hold
+        to T. Each is (1+r_T)^T / (1+r_t)^t rounded once, so the roll keeps full
+        relative precision however small the factor is; cash received at the
+        horizon is not reinvested (factor exactly 1).
         """
         self._check_tenor(horizon)
         top = self.growth_factors[horizon - 1]
-        return ForwardCurve(horizon, tuple(top / g for g in self.growth_factors[:horizon]))
-
-
-@dataclass(frozen=True)
-class ForwardCurve:
-    """Reinvestment from each tenor t to a common horizon T at the locked forwards.
-
-    ``factors`` holds the growth 1 + R^f from each tenor to the horizon; from
-    ``YieldCurve.forward_curve`` it is (1+r_T)^T / (1+r_t)^t rounded once, so
-    the roll keeps full relative precision however small the factor is.
-    """
-
-    horizon: int
-    factors: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.horizon < 1 or len(self.factors) != self.horizon:
-            raise InputError(
-                f"forward curve needs one factor per tenor 1..{self.horizon}, "
-                f"got {len(self.factors)}"
-            )
-        if self.factors[-1] != 1.0:
-            raise InputError("factor at the horizon tenor must be exactly 1")
-
-    def rate_from(self, t: int) -> float:
-        """Total reinvestment rate R^f from tenor t to the horizon (exactly 0 at it)."""
-        if not 1 <= t <= self.horizon:
-            raise TenorOutOfRangeError(f"tenor {t} outside 1..{self.horizon}")
-        return self.factors[t - 1] - 1.0
-
-    def future_value(self, positive_flows: Sequence[float] | Iterable[float]) -> float:
-        """Horizon value of non-negative flows F_1..F_T rolled at the locked forwards."""
-        flows = tuple(float(f) for f in positive_flows)
-        if len(flows) != self.horizon:
-            raise InputError(
-                f"expected {self.horizon} flows (tenors 1..{self.horizon}), got {len(flows)}"
-            )
-        for t, f in enumerate(flows, start=1):
-            if not math.isfinite(f) or f < 0.0:
-                raise InputError(f"flow at tenor {t} must be finite and >= 0, got {f}")
-        return sum(f * g for f, g in zip(flows, self.factors))
+        return tuple(top / g for g in self.growth_factors[:horizon])

@@ -188,10 +188,8 @@ Record = TypeVar("Record")
 
 
 def record_row(record: Record, i: int) -> Record:
-    """Row ``i`` of a dataclass of per-row arrays, as the same dataclass of Python
-    floats, with tuples for the per-tenor (N, T) fields."""
-    cells = (getattr(record, f.name)[i] for f in fields(record))
-    return type(record)(*(tuple(c.tolist()) if np.ndim(c) else float(c) for c in cells))
+    """Row ``i`` of a dataclass of (N,) arrays, as the same dataclass of Python floats."""
+    return type(record)(*(float(getattr(record, f.name)[i]) for f in fields(record)))
 
 
 def partial_moments(

@@ -17,7 +17,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .cashflows import CashFlowScenario, ScenarioSet, _replicate_rows
+from .cashflows import ScenarioSet, _replicate_rows
 from .csvio import write_csv
 from .curves import YieldCurve
 from .distributions import record_row
@@ -122,16 +122,6 @@ def evaluate_set(scenario_set: ScenarioSet, curve: YieldCurve) -> EvaluationResu
         )
 
 
-def evaluate(scenario: CashFlowScenario, curve: YieldCurve) -> EvaluationResult:
-    """``evaluate_set`` on the one-row set of ``scenario``, as Python floats.
-
-    Raises ZeroOutlayError when the total outlay is zero (returns and PI are
-    undefined in that case). A scenario with no inflows at all yields an
-    annualized return of -1 (total loss), not an error.
-    """
-    return evaluate_set(ScenarioSet.uniform("", [scenario.flows]), curve).row(0)
-
-
 def metric_thresholds(
     kind: str, values: Sequence[float], metric: str, basis_outlay: float, curve: YieldCurve,
     horizon: int,
@@ -168,19 +158,6 @@ def metric_thresholds(
             raise ReturnUndefinedError(f"return undefined: 1 + npv/outlay = {ratio} is not positive")
     g = curve.growth_factor(horizon)
     return [(g * ratio) ** (1.0 / horizon) - 1.0 for ratio in ratios]
-
-
-def mu_from_npv(npv: float, basis_outlay: float, curve: YieldCurve, horizon: int) -> float:
-    """Annualized return implied by an NPV on a given outlay basis (one NPV floor's mu*).
-
-    Inverts (1+mu)^T = (1+r_T)^T * (npv/basis + 1); strictly increasing in npv.
-    """
-    return metric_thresholds("npv_star", [npv], "mu", basis_outlay, curve, horizon)[0]
-
-
-def npv_from_mu(mu: float, basis_outlay: float, curve: YieldCurve, horizon: int) -> float:
-    """NPV equivalent of an annualized return floor; exact inverse of mu_from_npv."""
-    return metric_thresholds("mu_star", [mu], "npv", basis_outlay, curve, horizon)[0]
 
 
 def thresholds(

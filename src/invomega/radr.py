@@ -18,7 +18,7 @@ import numpy as np
 
 from .cashflows import ScenarioSet, _discounted
 from .curves import YieldCurve
-from .errors import DomainError, InputError, NonCanonicalFlowError, located
+from .errors import InputError, NonCanonicalFlowError, located
 from .metrics import in_float_range, mirr
 
 MODE_CANONICAL = "canonical-strict"
@@ -116,50 +116,3 @@ def radr_valuation(radr_input: RadrInput) -> RadrResult:
         accept=npv_at_k > 0.0,
         mode=radr_input.mode,
     )
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """The three equivalent acceptance predicates and their margins."""
-
-    npv_at_k_positive: bool
-    mirr_exceeds_rate: bool
-    premium_exceeds_lambda: bool
-    margins: tuple[float, float, float]
-    valuation: RadrResult
-
-    @property
-    def agree(self) -> bool:
-        return self.npv_at_k_positive == self.mirr_exceeds_rate == self.premium_exceeds_lambda
-
-    @property
-    def accept(self) -> bool:
-        return self.npv_at_k_positive
-
-
-def equivalence_check(radr_input: RadrInput) -> EquivalenceReport:
-    """Evaluate NPV(k)>0, MIRR(k)>k and mean-premium>lambda_radr; they must agree.
-
-    Only defined for canonical flows (the equivalences do not hold otherwise).
-    """
-    _check_canonical(radr_input.scenario_set)
-    valuation = radr_valuation(radr_input)
-    k = radr_input.radr_rate
-    margins = (
-        valuation.npv_at_k,
-        valuation.mirr_at_k - k,
-        valuation.mean_npv_at_r - valuation.lambda_radr,
-    )
-    report = EquivalenceReport(
-        npv_at_k_positive=margins[0] > 0.0,
-        mirr_exceeds_rate=margins[1] > 0.0,
-        premium_exceeds_lambda=margins[2] > 0.0,
-        margins=margins,
-        valuation=valuation,
-    )
-    if not report.agree:
-        raise DomainError(
-            f"acceptance predicates disagree (margins {margins}); "
-            "this indicates a numerically degenerate boundary case"
-        )
-    return report

@@ -2,11 +2,16 @@ from pathlib import Path
 
 import pytest
 
-from invomega import CashFlowScenario, YieldCurve
+from invomega import ScenarioSet, YieldCurve, evaluate_set
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
 
 pytest_plugins = ["pytester"]
+
+
+def evaluate_row(flows, curve: YieldCurve):
+    """The characteristics of one flow row F_0..F_T: row 0 of its one-row set, as floats."""
+    return evaluate_set(ScenarioSet.uniform("one", [flows]), curve).row(0)
 
 
 @pytest.fixture
@@ -16,9 +21,9 @@ def flat5() -> YieldCurve:
 
 
 @pytest.fixture
-def mixed_stream() -> CashFlowScenario:
-    """Outlay 200, one risky inflow, one fixed later outflow."""
-    return CashFlowScenario((-200.0, 350.0, -100.0))
+def mixed_stream() -> tuple[float, ...]:
+    """Flows F_0..F_2: outlay 200, one risky inflow, one fixed later outflow."""
+    return (-200.0, 350.0, -100.0)
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from invomega import (
-    CashFlowScenario,
     EmpiricalDistribution,
     GeneratorSpec,
     HurdleSpec,
@@ -27,25 +26,22 @@ from invomega import (
     ScenarioSet,
     SeededStream,
     YieldCurve,
-    equivalence_check,
-    evaluate,
     evaluate_set,
     generate,
     mirr,
-    mu_from_npv,
     omega,
+    radr_valuation,
     rank,
     replicate,
-    split,
     summarize,
     thresholds,
 )
-from invomega.cashflows import present_value
 from invomega.cli import main
 from invomega.distributions import omega_curve
-from invomega.metrics import npv_from_mu
+from invomega.metrics import metric_thresholds
 from invomega.ranking import evaluate_project, hurdle_crossings, metric_threshold
-from reference import rows
+from conftest import evaluate_row as evaluate
+from reference import future_value, rows, split
 
 CURVE = YieldCurve.flat(0.05, 2)
 RIGHT_SPEC = GeneratorSpec(
@@ -138,7 +134,7 @@ def test_c1_radr_reference_projects(tmp_path, demo_dir):
 def test_c2_threshold_reference_values():
     """A 10% return premium converts to mu*=15% and an NPV floor of 58."""
     gates = []
-    basis = replicate(CashFlowScenario((-200.0, 350.0, -100.0)), CURVE).total_outlay
+    basis = replicate((-200.0, 350.0, -100.0), CURVE).total_outlay
     ts = thresholds(HurdleSpec("delta_mu", 0.10), basis, CURVE, 2)
     check(gates, "mu* equals 15% exactly", abs(ts.mu_star - 0.15) <= 1e-12, f"{ts.mu_star}")
     check(
@@ -199,7 +195,7 @@ def test_c4_omega_reference_values(skewed_pair):
     module docstring); they are asserted as stated, not weakened.
     """
     gates = []
-    basis = replicate(CashFlowScenario((-200.0, 350.0, -100.0)), CURVE).total_outlay
+    basis = replicate((-200.0, 350.0, -100.0), CURVE).total_outlay
     ts = thresholds(HurdleSpec("delta_mu", 0.10), basis, CURVE, 2)
     om_npv = {
         name: omega(skewed_pair[name]["npv"], ts.npv_star) for name in ("right", "left")
@@ -317,10 +313,10 @@ def test_c5_property_suite():
     for _ in range(200):
         curve = random_curve(rng.randint(1, 10))
         horizon = rng.randint(1, curve.horizon)
-        fwd = curve.forward_curve(horizon)
+        factors = curve.forward_curve(horizon)
         top = curve.growth_factor(horizon)
         for t in range(1, horizon + 1):
-            lhs = curve.growth_factor(t) * (1.0 + fwd.rate_from(t))
+            lhs = curve.growth_factor(t) * factors[t - 1]
             ok &= abs(lhs - top) <= 1e-12 * abs(top)
     check(gates, "replication identity (1+r_t)^t (1+Rf) == (1+r_T)^T", ok)
 
@@ -330,11 +326,12 @@ def test_c5_property_suite():
         horizon = rng.randint(1, 8)
         curve = random_curve(horizon)
         flows = [-rng.uniform(1, 400)] + [rng.uniform(-200, 500) for _ in range(horizon)]
-        parts = split(CashFlowScenario(tuple(flows)))
-        fv = curve.forward_curve(horizon).future_value(parts.positive)
-        pv = present_value(parts.positive, curve)
+        positive = split(flows)[1]
+        fv = math.fsum(f * g for f, g in zip(positive, curve.forward_curve(horizon)))
+        pv = replicate(flows, curve).certainty_equivalent_outlay
         grown = pv * curve.growth_factor(horizon)
         ok &= abs(fv - grown) <= 1e-10 * (abs(grown) + 1.0)
+        ok &= fv == future_value(positive, curve)
     check(gates, "FV of inflows equals PV grown at the horizon rate", ok)
 
     # threshold equivalence: NPV above NPV* iff mu above mu*
@@ -344,7 +341,7 @@ def test_c5_property_suite():
         curve = random_curve(horizon)
         flows = [-rng.uniform(50, 400)] + [rng.uniform(-150, 500) for _ in range(horizon)]
         flows[rng.randint(1, horizon)] = rng.uniform(50, 600)
-        result = evaluate(CashFlowScenario(tuple(flows)), curve)
+        result = evaluate(flows, curve)
         ts = thresholds(
             HurdleSpec("delta_mu", rng.uniform(0.0, 0.3)),
             result.total_outlay,
@@ -362,9 +359,8 @@ def test_c5_property_suite():
         rate = rng.uniform(-0.2, 0.5)
         flows = [-rng.uniform(50, 400)] + [rng.uniform(-150, 500) for _ in range(horizon)]
         flows[rng.randint(1, horizon)] = rng.uniform(50, 600)
-        scenario = CashFlowScenario(tuple(flows))
-        mu = evaluate(scenario, YieldCurve.flat(rate, horizon)).annualized_return
-        ok &= math.isclose(mu, mirr(scenario.flows, rate, rate), rel_tol=1e-10, abs_tol=1e-12)
+        mu = evaluate(flows, YieldCurve.flat(rate, horizon)).annualized_return
+        ok &= math.isclose(mu, mirr(flows, rate, rate), rel_tol=1e-10, abs_tol=1e-12)
     check(gates, "flat-curve mu equals MIRR(r, r)", ok)
 
     # RADR equivalence chain and identity on 1000 randomized canonical flows
@@ -378,9 +374,13 @@ def test_c5_property_suite():
         scenario_set = ScenarioSet.uniform("p", scenarios)
         r = rng.uniform(-0.05, 0.15)
         k = r + rng.uniform(0.0, 0.35)
-        report = equivalence_check(RadrInput(scenario_set, r, k))
-        chain_ok &= report.agree
-        valuation = report.valuation
+        valuation = radr_valuation(RadrInput(scenario_set, r, k))
+        margins = (
+            valuation.npv_at_k,
+            valuation.mirr_at_k - k,
+            valuation.mean_npv_at_r - valuation.lambda_radr,
+        )
+        chain_ok &= len({m > 0.0 for m in margins}) == 1
         identity_ok &= abs(
             valuation.mean_npv_at_r - valuation.lambda_radr - valuation.npv_at_k
         ) <= 1e-10 * (abs(valuation.npv_at_k) + 1.0)
@@ -394,7 +394,8 @@ def test_c5_property_suite():
         curve = random_curve(horizon)
         basis = rng.uniform(1, 1000)
         npv = rng.uniform(-0.9 * basis, 3 * basis)
-        back = npv_from_mu(mu_from_npv(npv, basis, curve, horizon), basis, curve, horizon)
+        mu = metric_thresholds("npv_star", [npv], "mu", basis, curve, horizon)[0]
+        back = metric_thresholds("mu_star", [mu], "npv", basis, curve, horizon)[0]
         ok &= math.isclose(back, npv, rel_tol=1e-10, abs_tol=1e-9)
     check(gates, "mu/NPV threshold conversions round-trip", ok)
 

@@ -1,56 +1,69 @@
+"""The riskless replication of one flow row, ``replicate``, against the scalar
+references in ``reference.py``, and the checks of ``ScenarioSet``."""
+
 import math
 import random
 
 import numpy as np
 import pytest
 
-from invomega import (
-    CashFlowScenario,
-    HorizonMismatchError,
-    InputError,
-    ScenarioSet,
-    YieldCurve,
-    present_value,
-    replicate,
-    split,
-)
+from invomega import HorizonMismatchError, InputError, ScenarioSet, YieldCurve, replicate
+
+import reference
+
+EPS = math.ulp(1.0)
+ZERO2 = YieldCurve.flat(0.0, 2)
 
 
-def random_scenario(rng: random.Random, horizon: int) -> CashFlowScenario:
+def random_scenario(rng: random.Random, horizon: int) -> tuple[float, ...]:
     flows = [-rng.uniform(1, 500)]
     flows += [rng.uniform(-300, 500) for _ in range(horizon)]
-    return CashFlowScenario(tuple(flows))
+    return tuple(flows)
+
+
+def random_curve(rng: random.Random, horizon: int) -> YieldCurve:
+    return YieldCurve(tuple(rng.uniform(-0.3, 0.8) for _ in range(horizon)))
 
 
 class TestSplit:
+    """At zero rates every growth factor is 1, so the replication sums are the
+    sums of the sign split: the outflows for the zero coupons, the inflows for
+    the bonds."""
+
     def test_mixed_stream(self, mixed_stream):
-        parts = split(mixed_stream)
-        assert parts.initial_outlay == 200.0
-        assert parts.positive == (350.0, 0.0)
-        assert parts.negative == (0.0, 100.0)
+        assert reference.split(mixed_stream) == (200.0, [350.0, 0.0], [0.0, 100.0])
+        rep = replicate(mixed_stream, ZERO2)
+        assert (rep.additional_outlay, rep.total_outlay, rep.certainty_equivalent_outlay) == (
+            100.0, 300.0, 350.0
+        )
 
     def test_outlay_only(self):
-        parts = split(CashFlowScenario((-100.0, 0.0, 0.0)))
-        assert parts.initial_outlay == 100.0
-        assert parts.positive == (0.0, 0.0)
-        assert parts.negative == (0.0, 0.0)
+        rep = replicate((-100.0, 0.0, 0.0), ZERO2)
+        assert (rep.additional_outlay, rep.total_outlay, rep.certainty_equivalent_outlay) == (
+            0.0, 100.0, 0.0
+        )
 
     def test_zero_initial_flow(self):
-        parts = split(CashFlowScenario((0.0, -50.0, 50.0)))
-        assert parts.initial_outlay == 0.0
-        assert parts.positive == (0.0, 50.0)
-        assert parts.negative == (50.0, 0.0)
+        rep = replicate((0.0, -50.0, 50.0), ZERO2)
+        assert (rep.additional_outlay, rep.total_outlay, rep.certainty_equivalent_outlay) == (
+            50.0, 50.0, 50.0
+        )
 
     def test_recombine_is_identity(self):
         rng = random.Random(23)
         for _ in range(200):
-            scenario = random_scenario(rng, rng.randint(1, 8))
-            parts = split(scenario)
-            for t in range(1, scenario.horizon + 1):
-                plus, minus = parts.positive[t - 1], parts.negative[t - 1]
-                assert plus - minus == scenario.flows[t]
-                assert plus * minus == 0.0
-                assert plus >= 0.0 and minus >= 0.0
+            horizon = rng.randint(1, 8)
+            flows = random_scenario(rng, horizon)
+            outlay, plus, minus = reference.split(flows)
+            for t in range(1, horizon + 1):
+                assert plus[t - 1] - minus[t - 1] == flows[t]
+                assert plus[t - 1] * minus[t - 1] == 0.0
+                assert plus[t - 1] >= 0.0 and minus[t - 1] >= 0.0
+            rep = replicate(flows, YieldCurve.flat(0.0, horizon))
+            tolerance = horizon * EPS * (math.fsum(plus) + math.fsum(minus))
+            assert abs(rep.certainty_equivalent_outlay - math.fsum(plus)) <= tolerance
+            assert abs(rep.additional_outlay - math.fsum(minus)) <= tolerance
+            assert rep.total_outlay == outlay + rep.additional_outlay
 
 
 class TestReplicate:
@@ -60,40 +73,30 @@ class TestReplicate:
         assert rep.total_outlay == pytest.approx(200.0 + 100.0 / 1.05**2, rel=1e-15)
         assert f"{rep.additional_outlay:.4f}" == "90.7029"
         assert f"{rep.total_outlay:.4f}" == "290.7029"
-        assert rep.bond_notionals[0] == pytest.approx(350.0 / 1.05, rel=1e-15)
-        assert rep.bond_notionals[1] == 0.0
         assert rep.certainty_equivalent_outlay == pytest.approx(350.0 / 1.05, rel=1e-15)
 
     def test_all_positive_stream(self, flat5):
-        rep = replicate(CashFlowScenario((-50.0, 10.0, 20.0)), flat5)
+        rep = replicate((-50.0, 10.0, 20.0), flat5)
         assert rep.additional_outlay == 0.0
         assert rep.total_outlay == 50.0
 
     def test_zero_rate_curve(self):
-        curve = YieldCurve.flat(0.0, 2)
-        rep = replicate(CashFlowScenario((-10.0, 0.0, -100.0)), curve)
+        rep = replicate((-10.0, 0.0, -100.0), ZERO2)
         assert rep.additional_outlay == 100.0
 
-    def test_portfolio_reproduces_flows(self, flat5):
-        # each partial outlay / bond notional grows back to the flow it covers
+    def test_portfolio_reproduces_flows(self):
+        # the zero coupons and bonds cost what the reference prices each flow at, within
+        # 8 (T+2) eps of the magnitude of the discounted terms
         rng = random.Random(31)
         for _ in range(100):
             horizon = rng.randint(1, 10)
-            curve = YieldCurve(tuple(rng.uniform(-0.3, 0.8) for _ in range(horizon)))
-            scenario = random_scenario(rng, horizon)
-            parts = split(scenario)
-            rep = replicate(scenario, curve)
-            for t in range(1, horizon + 1):
-                growth = curve.growth_factor(t)
-                assert rep.partial_outlays[t - 1] * growth == pytest.approx(
-                    parts.negative[t - 1], rel=1e-10, abs=1e-10
-                )
-                assert rep.bond_notionals[t - 1] * growth == pytest.approx(
-                    parts.positive[t - 1], rel=1e-10, abs=1e-10
-                )
-            assert rep.total_outlay == pytest.approx(
-                parts.initial_outlay + math.fsum(rep.partial_outlays), rel=1e-12
-            )
+            curve = random_curve(rng, horizon)
+            flows = random_scenario(rng, horizon)
+            total_outlay, ce_outlay = reference.replication(flows, curve)
+            scale = abs(flows[0]) + math.fsum(map(abs, reference.discounted(flows[1:], curve)))
+            rep = replicate(flows, curve)
+            assert abs(rep.total_outlay - total_outlay) <= 8 * (horizon + 2) * EPS * scale
+            assert abs(rep.certainty_equivalent_outlay - ce_outlay) <= 8 * (horizon + 2) * EPS * scale
 
     def test_horizon_mismatch(self, mixed_stream):
         with pytest.raises(HorizonMismatchError, match="tenor 2"):
@@ -105,47 +108,57 @@ class TestReplicate:
 
 
 class TestPresentValue:
+    """The present value of inflows F_1..F_T is the certainty-equivalent outlay of
+    the row with F_0 = 0."""
+
     def test_reference(self, flat5):
-        assert present_value((350.0, 0.0), flat5) == pytest.approx(350.0 / 1.05, rel=1e-15)
+        pv = replicate((0.0, 350.0, 0.0), flat5).certainty_equivalent_outlay
+        assert pv == pytest.approx(350.0 / 1.05, rel=1e-15)
 
     def test_zeros(self, flat5):
-        assert present_value((0.0, 0.0), flat5) == 0.0
+        rep = replicate((0.0, 0.0, 0.0), flat5)
+        assert rep.certainty_equivalent_outlay == 0.0 and rep.total_outlay == 0.0
 
     def test_one_period_round_number(self):
-        assert present_value((105.0,), YieldCurve.flat(0.05, 1)) == pytest.approx(
-            100.0, abs=1e-12
-        )
+        pv = replicate((0.0, 105.0), YieldCurve.flat(0.05, 1)).certainty_equivalent_outlay
+        assert pv == pytest.approx(100.0, abs=1e-12)
 
     def test_horizon_mismatch(self, flat5):
         with pytest.raises(HorizonMismatchError):
-            present_value((1.0, 2.0, 3.0), flat5)
+            replicate((0.0, 1.0, 2.0, 3.0), flat5)
 
 
 def test_pv_fv_consistency():
-    # reinvesting the inflows to the horizon must be worth their PV grown at r_T
+    # the inflows rolled to the horizon by the locked factors are worth their PV grown at
+    # r_T, and both agree with the reference roll
     rng = random.Random(47)
     for _ in range(200):
         horizon = rng.randint(1, 10)
-        curve = YieldCurve(tuple(rng.uniform(-0.3, 0.8) for _ in range(horizon)))
-        scenario = random_scenario(rng, horizon)
-        parts = split(scenario)
-        fv = curve.forward_curve(horizon).future_value(parts.positive)
-        pv = present_value(parts.positive, curve)
-        assert fv == pytest.approx(pv * curve.growth_factor(horizon), rel=1e-10, abs=1e-9)
+        curve = random_curve(rng, horizon)
+        flows = random_scenario(rng, horizon)
+        positive = reference.split(flows)[1]
+        fv = math.fsum(f * g for f, g in zip(positive, curve.forward_curve(horizon)))
+        grown = replicate(flows, curve).certainty_equivalent_outlay * curve.growth_factor(horizon)
+        assert fv == pytest.approx(grown, rel=1e-10, abs=1e-9)
+        assert fv == reference.future_value(positive, curve)
 
 
 class TestScenarioValidation:
+    """``replicate`` checks its row as ``ScenarioSet`` checks its row 0."""
+
     def test_positive_initial_flow_rejected(self):
-        with pytest.raises(InputError, match="F_0"):
-            CashFlowScenario((10.0, 50.0))
+        with pytest.raises(InputError) as exc:
+            replicate((10.0, 50.0), YieldCurve.flat(0.05, 1))
+        assert str(exc.value) == "scenario 0: F_0 must be the initial outlay (<= 0), got 10.0"
 
     def test_too_short(self):
-        with pytest.raises(InputError):
-            CashFlowScenario((-10.0,))
+        with pytest.raises(InputError, match="T >= 1"):
+            replicate((-10.0,), YieldCurve.flat(0.05, 1))
 
     def test_non_finite(self):
-        with pytest.raises(InputError):
-            CashFlowScenario((-10.0, math.inf))
+        with pytest.raises(InputError) as exc:
+            replicate((-10.0, math.inf), YieldCurve.flat(0.05, 1))
+        assert str(exc.value) == "scenario 0: flow at t=1 is not finite: inf"
 
 
 class TestScenarioSet:

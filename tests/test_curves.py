@@ -4,67 +4,84 @@ from fractions import Fraction
 
 import pytest
 
-from invomega import ForwardCurve, InputError, TenorOutOfRangeError, YieldCurve
+from invomega import InputError, TenorOutOfRangeError, YieldCurve
+
+from conftest import evaluate_row
 
 
 def random_curve(rng: random.Random, horizon: int) -> YieldCurve:
     return YieldCurve(tuple(rng.uniform(-0.5, 1.0) for _ in range(horizon)))
 
 
+def rolled(inflows, curve: YieldCurve) -> float:
+    """Inflows F_1..F_T rolled to T by the locked factors of ``forward_curve(T)``."""
+    return math.fsum(f * g for f, g in zip(inflows, curve.forward_curve(len(inflows))))
+
+
+def kernel_future_value(flows, curve: YieldCurve) -> float:
+    """FV+ of one row as the evaluation kernel reaches it: terminal profit plus total outlay."""
+    result = evaluate_row(flows, curve)
+    return result.terminal_profit + result.total_outlay
+
+
 class TestCumulativeRate:
+    """The cumulative rate R_t = (1+r_t)^t - 1 is the growth factor less one."""
+
     def test_one_period_equals_annual(self, flat5):
-        assert flat5.cumulative_rate(1) == pytest.approx(0.05, rel=1e-15)
+        assert flat5.growth_factor(1) - 1.0 == pytest.approx(0.05, rel=1e-15)
 
     def test_two_periods_compound(self, flat5):
-        assert flat5.cumulative_rate(2) == pytest.approx(0.1025, abs=1e-15)
+        assert flat5.growth_factor(2) - 1.0 == pytest.approx(0.1025, abs=1e-15)
 
     def test_zero_rate_curve(self):
         curve = YieldCurve.flat(0.0, 5)
         for t in range(1, 6):
-            assert curve.cumulative_rate(t) == 0.0
+            assert curve.growth_factor(t) == 1.0
 
     def test_out_of_range(self, flat5):
         with pytest.raises(TenorOutOfRangeError):
-            flat5.cumulative_rate(3)
+            flat5.growth_factor(3)
         with pytest.raises(TenorOutOfRangeError):
-            flat5.cumulative_rate(0)
+            flat5.growth_factor(-1)
 
 
 class TestDiscountFactor:
+    """The discount factor of tenor t is 1 / (1+r_t)^t."""
+
     def test_reference(self, flat5):
-        assert flat5.discount_factor(2) == pytest.approx(1.0 / 1.05**2, rel=1e-15)
-        assert f"{flat5.discount_factor(2):.6f}" == "0.907029"
+        assert 1.0 / flat5.growth_factor(2) == pytest.approx(1.0 / 1.05**2, rel=1e-15)
+        assert f"{1.0 / flat5.growth_factor(2):.6f}" == "0.907029"
 
     def test_time_zero_is_one(self, flat5):
-        assert flat5.discount_factor(0) == 1.0
+        assert flat5.growth_factor(0) == 1.0
 
     def test_zero_rate_curve(self):
-        assert YieldCurve.flat(0.0, 7).discount_factor(7) == 1.0
+        assert YieldCurve.flat(0.0, 7).growth_factor(7) == 1.0
 
     def test_positive(self):
         rng = random.Random(4)
         for _ in range(100):
             curve = random_curve(rng, rng.randint(1, 10))
             for t in range(curve.horizon + 1):
-                assert curve.discount_factor(t) > 0.0
+                assert 0.0 < curve.growth_factor(t) < math.inf
 
 
 class TestForwardCurve:
     def test_flat_one_period(self, flat5):
-        fwd = flat5.forward_curve(2)
-        assert fwd.rate_from(1) == pytest.approx(0.05, rel=1e-12)
+        assert flat5.forward_curve(2)[0] - 1.0 == pytest.approx(0.05, rel=1e-12)
 
     def test_steep_curve(self):
-        curve = YieldCurve((0.04, 0.05))
-        fwd = curve.forward_curve(2)
-        assert fwd.rate_from(1) == pytest.approx(1.05**2 / 1.04 - 1.0, rel=1e-15)
-        assert fwd.rate_from(1) == pytest.approx(0.0600961538, abs=1e-9)
+        factors = YieldCurve((0.04, 0.05)).forward_curve(2)
+        assert factors[0] - 1.0 == pytest.approx(1.05**2 / 1.04 - 1.0, rel=1e-15)
+        assert factors[0] - 1.0 == pytest.approx(0.0600961538, abs=1e-9)
 
     def test_maturity_leg_is_exactly_zero(self):
         rng = random.Random(7)
         for _ in range(20):
             curve = random_curve(rng, rng.randint(1, 8))
-            assert curve.forward_curve(curve.horizon).rate_from(curve.horizon) == 0.0
+            for horizon in range(1, curve.horizon + 1):
+                factors = curve.forward_curve(horizon)
+                assert len(factors) == horizon and factors[-1] == 1.0
 
     def test_horizon_out_of_range(self, flat5):
         with pytest.raises(TenorOutOfRangeError):
@@ -76,11 +93,10 @@ class TestForwardCurve:
         for _ in range(200):
             curve = random_curve(rng, rng.randint(1, 12))
             horizon = rng.randint(1, curve.horizon)
-            fwd = curve.forward_curve(horizon)
+            factors = curve.forward_curve(horizon)
             top = curve.growth_factor(horizon)
             for t in range(1, horizon + 1):
-                lhs = curve.growth_factor(t) * (1.0 + fwd.rate_from(t))
-                assert lhs == pytest.approx(top, rel=1e-12)
+                assert curve.growth_factor(t) * factors[t - 1] == pytest.approx(top, rel=1e-12)
 
     def test_roll_keeps_full_precision_on_a_falling_curve(self):
         # g_12 / g_t is far below 1 for t >= 8: rolling by 1 plus a stored rate g_12 / g_t - 1
@@ -88,58 +104,53 @@ class TestForwardCurve:
         rates = [0.05] * 12
         rates[7], rates[11] = 0.5, -0.5
         curve = YieldCurve(tuple(rates))
-        fwd = curve.forward_curve(12)
+        factors = curve.forward_curve(12)
         eps = Fraction(math.ulp(1.0))
         for t in range(1, 13):
-            unit = [0.0] * 12
-            unit[t - 1] = 1.0
             exact = Fraction(curve.growth_factor(12)) / Fraction(curve.growth_factor(t))
-            assert abs(Fraction(fwd.future_value(unit)) - exact) <= 4 * eps * exact, t
+            assert abs(Fraction(factors[t - 1]) - exact) <= 4 * eps * exact, t
 
     def test_flat_curve_forwards(self):
-        curve = YieldCurve.flat(0.07, 6)
-        fwd = curve.forward_curve(6)
+        factors = YieldCurve.flat(0.07, 6).forward_curve(6)
         for t in range(1, 7):
-            assert fwd.rate_from(t) == pytest.approx(1.07 ** (6 - t) - 1.0, rel=1e-12)
+            assert factors[t - 1] - 1.0 == pytest.approx(1.07 ** (6 - t) - 1.0, rel=1e-12)
 
 
 class TestFutureValue:
+    """The horizon value FV+ of the inflows: rolled by the locked factors, and as the
+    kernel reaches it, the inflows' present value grown at (1+r_T)^T."""
+
     def test_single_early_inflow(self, flat5):
-        assert flat5.forward_curve(2).future_value((350.0, 0.0)) == pytest.approx(
-            367.5, rel=1e-15
-        )
+        assert rolled((350.0, 0.0), flat5) == pytest.approx(367.5, rel=1e-15)
+        assert kernel_future_value((-100.0, 350.0, 0.0), flat5) == pytest.approx(367.5, rel=1e-14)
 
     def test_all_zero(self, flat5):
-        assert flat5.forward_curve(2).future_value((0.0, 0.0)) == 0.0
+        assert rolled((0.0, 0.0), flat5) == 0.0
+        result = evaluate_row((-100.0, 0.0, 0.0), flat5)
+        assert result.terminal_return == -1.0  # no inflow reaches the horizon
 
     def test_maturity_cash_not_reinvested(self):
         rng = random.Random(3)
         for _ in range(20):
             curve = random_curve(rng, rng.randint(2, 8))
-            fwd = curve.forward_curve(curve.horizon)
             flows = [0.0] * curve.horizon
             flows[-1] = 123.456
-            assert fwd.future_value(flows) == 123.456
-
-    def test_length_mismatch(self, flat5):
-        with pytest.raises(InputError):
-            flat5.forward_curve(2).future_value((1.0, 2.0, 3.0))
-
-    def test_negative_flow_rejected(self, flat5):
-        with pytest.raises(InputError):
-            flat5.forward_curve(2).future_value((-1.0, 0.0))
+            assert rolled(flows, curve) == 123.456
+            assert kernel_future_value((-1.0, *flows), curve) == pytest.approx(123.456, rel=1e-14)
 
     def test_linearity(self):
         rng = random.Random(19)
         for _ in range(100):
             curve = random_curve(rng, rng.randint(1, 8))
-            fwd = curve.forward_curve(curve.horizon)
             f = [rng.uniform(0, 500) for _ in range(curve.horizon)]
             g = [rng.uniform(0, 500) for _ in range(curve.horizon)]
             a, b = rng.uniform(0, 3), rng.uniform(0, 3)
-            combined = fwd.future_value([a * x + b * y for x, y in zip(f, g)])
-            expected = a * fwd.future_value(f) + b * fwd.future_value(g)
-            assert combined == pytest.approx(expected, rel=1e-12, abs=1e-9)
+            combined = [a * x + b * y for x, y in zip(f, g)]
+            expected = a * rolled(f, curve) + b * rolled(g, curve)
+            assert rolled(combined, curve) == pytest.approx(expected, rel=1e-12, abs=1e-9)
+            assert kernel_future_value((-1.0, *combined), curve) == pytest.approx(
+                expected, rel=1e-12, abs=1e-9
+            )
 
 
 class TestValidation:
@@ -169,8 +180,14 @@ class TestValidation:
         )
 
     def test_forward_curve_maturity_leg_enforced(self):
-        with pytest.raises(InputError):
-            ForwardCurve(horizon=2, factors=(1.05, 1.01))
+        # extreme rates, near -1 and near the overflow bound, still leave the horizon's
+        # own factor exactly 1: cash received at the horizon is never reinvested
+        for rates in ((-0.999999, 0.8), (0.8,) * 1200, (0.3, -0.999999, 5.0)):
+            curve = YieldCurve(rates)
+            for horizon in (1, curve.horizon):
+                factors = curve.forward_curve(horizon)
+                assert len(factors) == horizon and factors[-1] == 1.0
+                assert all(0.0 < f < math.inf for f in factors)
 
 
 class TestCsv:

@@ -3,9 +3,9 @@
 The reference is the paper's decomposition in Python floats and ``math.fsum``:
 the replication for NPV and total outlay, and the inflows rolled at the
 locked forwards for the annualized return. It shares no code with the kernel;
-``replicate`` is the kernel's one-row case, so it is only checked to be that,
-bitwise. Tolerances are ulp-level: 8 (T+2) eps times the magnitude of the
-discounted terms.
+``replicate`` and a one-row set are the kernel's one-row case, so they are
+only checked to be that, bitwise. Tolerances are ulp-level: 8 (T+2) eps times
+the magnitude of the discounted terms.
 """
 
 import math
@@ -16,16 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from invomega import (
-    CashFlowScenario,
-    ScenarioSet,
-    YieldCurve,
-    evaluate,
-    evaluate_set,
-    replicate,
-)
+from invomega import ScenarioSet, YieldCurve, evaluate_set, replicate
 
 import reference
+from conftest import evaluate_row as evaluate
 
 EPS = float(np.finfo(float).eps)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -123,5 +117,5 @@ def test_large_set_rows_equal_single_evaluation_bitwise():
     scenario_set = ScenarioSet.uniform("large", flows)
     whole = evaluate_set(scenario_set, curve)
     for i in range(0, n, 250):
-        single = evaluate(CashFlowScenario(tuple(flows[i])), curve)
+        single = evaluate(flows[i], curve)
         assert _bits(whole.row(i)) == _bits(single)

@@ -4,29 +4,40 @@ import random
 import pytest
 
 from invomega import (
-    CashFlowScenario,
     DomainError,
     HorizonMismatchError,
     HurdleSpec,
     InputError,
     ReturnUndefinedError,
+    ScenarioSet,
     YieldCurve,
     ZeroOutlayError,
-    evaluate,
+    evaluate_set,
     mirr,
-    mu_from_npv,
-    npv_from_mu,
     thresholds,
 )
-from invomega.metrics import HURDLE_KINDS, metric_thresholds
+from invomega.metrics import HURDLE_KINDS, mean_basis_outlay, metric_thresholds
+from invomega.ranking import evaluate_project, metric_threshold
+
+from conftest import evaluate_row as evaluate
 
 
-def random_mixed_scenario(rng: random.Random, horizon: int) -> CashFlowScenario:
+def mu_from_npv(npv: float, basis: float, curve: YieldCurve, horizon: int) -> float:
+    """The mu* of one NPV floor: the one-value call of ``metric_thresholds``."""
+    return metric_thresholds("npv_star", [npv], "mu", basis, curve, horizon)[0]
+
+
+def npv_from_mu(mu: float, basis: float, curve: YieldCurve, horizon: int) -> float:
+    """The NPV* of one return floor: the one-value call of ``metric_thresholds``."""
+    return metric_thresholds("mu_star", [mu], "npv", basis, curve, horizon)[0]
+
+
+def random_mixed_scenario(rng: random.Random, horizon: int) -> tuple[float, ...]:
     flows = [-rng.uniform(50, 500)]
     flows += [rng.uniform(-200, 600) for _ in range(horizon)]
     # guarantee at least one inflow so returns stay defined
     flows[rng.randint(1, horizon)] = rng.uniform(50, 600)
-    return CashFlowScenario(tuple(flows))
+    return tuple(flows)
 
 
 class TestEvaluate:
@@ -62,8 +73,8 @@ class TestEvaluate:
                 (growth_T - 1.0) + r.premium_return, rel=1e-10, abs=1e-10
             )
             assert r.terminal_profit == pytest.approx(
-                curve.forward_curve(horizon).future_value(
-                    tuple(max(f, 0.0) for f in scenario.flows[1:])
+                math.fsum(
+                    max(f, 0.0) * g for f, g in zip(scenario[1:], curve.forward_curve(horizon))
                 )
                 - r.total_outlay,
                 rel=1e-8,
@@ -71,47 +82,47 @@ class TestEvaluate:
             )
             # both NPV forms: PV(F+|R) - I0tot and PV(F|R) - I0
             pv_all = math.fsum(
-                f / curve.growth_factor(t) for t, f in enumerate(scenario.flows[1:], 1)
+                f / curve.growth_factor(t) for t, f in enumerate(scenario[1:], 1)
             )
-            assert r.npv == pytest.approx(pv_all - scenario.initial_outlay, rel=1e-10, abs=1e-8)
+            assert r.npv == pytest.approx(pv_all + scenario[0], rel=1e-10, abs=1e-8)
 
     def test_pure_riskless_replication_has_zero_premium(self):
         curve = YieldCurve((0.03, 0.05, 0.04))
         notionals = (10.0, 20.0, 30.0)
         flows = [-math.fsum(notionals)]
         flows += [b * curve.growth_factor(t) for t, b in enumerate(notionals, start=1)]
-        r = evaluate(CashFlowScenario(tuple(flows)), curve)
+        r = evaluate(flows, curve)
         assert r.npv == pytest.approx(0.0, abs=1e-10)
         assert r.premium_return == pytest.approx(0.0, abs=1e-12)
         assert r.annualized_return == pytest.approx(curve.annual_rate(3), rel=1e-12)
 
     def test_left_median_stream(self, flat5):
-        r = evaluate(CashFlowScenario((-200.0, 370.0, -100.0)), flat5)
+        r = evaluate((-200.0, 370.0, -100.0), flat5)
         assert r.npv == pytest.approx(61.68, abs=5e-3)
 
     def test_total_loss_reports_minus_one(self, flat5):
-        r = evaluate(CashFlowScenario((-100.0, 0.0, -50.0)), flat5)
+        r = evaluate((-100.0, 0.0, -50.0), flat5)
         assert r.terminal_return == -1.0
         assert r.annualized_return == -1.0
 
     def test_zero_total_outlay(self, flat5):
         with pytest.raises(ZeroOutlayError):
-            evaluate(CashFlowScenario((0.0, 50.0, 50.0)), flat5)
+            evaluate((0.0, 50.0, 50.0), flat5)
 
     def test_curve_too_short(self, mixed_stream):
         with pytest.raises(HorizonMismatchError, match="tenor 2"):
             evaluate(mixed_stream, YieldCurve.flat(0.05, 1))
 
     def test_npv_monotonic_in_flows(self, flat5):
-        base = CashFlowScenario((-200.0, 350.0, -100.0))
+        base = (-200.0, 350.0, -100.0)
         r0 = evaluate(base, flat5).npv
         for t in (1, 2):
-            flows = list(base.flows)
+            flows = list(base)
             flows[t] += 10.0
-            assert evaluate(CashFlowScenario(tuple(flows)), flat5).npv > r0
-        bigger_outlay = list(base.flows)
+            assert evaluate(flows, flat5).npv > r0
+        bigger_outlay = list(base)
         bigger_outlay[0] -= 10.0
-        assert evaluate(CashFlowScenario(tuple(bigger_outlay)), flat5).npv < r0
+        assert evaluate(bigger_outlay, flat5).npv < r0
 
 
 class TestMuNpvConversion:
@@ -264,12 +275,30 @@ def test_threshold_equivalence_per_trajectory(flat5):
         assert (r.npv > ts.npv_star) == (r.annualized_return > ts.mu_star)
 
 
+def test_mean_basis_hurdle_disagrees_on_rows_below_the_basis(flat5):
+    # a negative draw adds a zero coupon to its own row's total outlay, so the threshold
+    # basis, the weighted mean outlay, lies above the outlay B0 of every other row. A row
+    # whose NPV lies between NPV*(B0) and NPV*(basis) clears mu* but not NPV*.
+    flows = [(-200.0, x, -100.0) for x in (-100.0, 300.0, 367.0, 369.0, 400.0)]
+    scenario_set = ScenarioSet.uniform("stochastic-outlay", flows)
+    hurdle = HurdleSpec("delta_mu", 0.10)
+    results = evaluate_set(scenario_set, flat5)
+    ts = thresholds(hurdle, mean_basis_outlay(results, scenario_set.weights), flat5, 2)
+    own = thresholds(hurdle, results.total_outlay[1], flat5, 2)
+    assert own.npv_star < 58.01 < ts.npv_star
+    disagree = (results.annualized_return > ts.mu_star) & (results.npv < ts.npv_star)
+    assert disagree.tolist() == [False, False, True, True, False]
+    # the ranking layer converts the hurdle on the same basis
+    for metric, threshold in (("npv", ts.npv_star), ("mu", ts.mu_star)):
+        assert metric_threshold(evaluate_project(scenario_set, flat5, metric), hurdle) == threshold
+
+
 def test_npv_sweep_across_threshold(flat5):
     # sweep the risky inflow so NPV crosses the threshold exactly once
     outlay = 200.0 + 100.0 / 1.05**2
     ts = thresholds(HurdleSpec("delta_mu", 0.10), outlay, flat5, 2)
     for inflow in (300.0, 340.0, 366.0, 366.2, 400.0, 430.0):
-        r = evaluate(CashFlowScenario((-200.0, inflow, -100.0)), flat5)
+        r = evaluate((-200.0, inflow, -100.0), flat5)
         assert (r.npv > ts.npv_star) == (r.annualized_return > ts.mu_star)
 
 
@@ -304,7 +333,7 @@ class TestMirr:
 
     def test_rate_bounds(self, mixed_stream):
         with pytest.raises(InputError):
-            mirr(mixed_stream.flows, -1.0, 0.1)
+            mirr(mixed_stream, -1.0, 0.1)
 
     def test_flat_curve_mu_equals_mirr(self):
         rng = random.Random(41)
@@ -314,4 +343,4 @@ class TestMirr:
             curve = YieldCurve.flat(rate, horizon)
             scenario = random_mixed_scenario(rng, horizon)
             mu = evaluate(scenario, curve).annualized_return
-            assert mu == pytest.approx(mirr(scenario.flows, rate, rate), rel=1e-10, abs=1e-12)
+            assert mu == pytest.approx(mirr(scenario, rate, rate), rel=1e-10, abs=1e-12)

@@ -1,14 +1,22 @@
 """The benchmark's traced run wraps the module attributes named in
 ``perfbench/tracing.py`` ``HOOKS``, and its probes call a few names more. A
 rename must fail here, not only as ``missing_hooks`` in a traced benchmark run.
-The file is loaded by path and only read: no hook is installed."""
+The name checks load the file by path and only read it; the smoke test runs it
+as a child process on a small project."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
+import invomega
 from conftest import DEMO_DIR
 
 TRACING = DEMO_DIR.parent / "perfbench" / "tracing.py"
@@ -41,3 +49,27 @@ def test_every_hook_resolves_to_a_callable():
 )
 def test_the_probes_call_names_that_exist(module, name):
     attrgetter(name)(importlib.import_module(module))
+
+
+def test_traced_evaluate_runs_every_probe(tmp_path):
+    # the probes call replicate, ScenarioSet.scenarios and forward_curve with what the
+    # library returns, so a traced evaluate must end with every hook and probe span
+    descriptor = json.loads((DEMO_DIR / "project_right.json").read_text())
+    descriptor["generator"]["n"] = 500
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps(descriptor))
+    spans = tmp_path / "spans.json"
+    argv = ["evaluate", "--project", str(project), "--curve", str(DEMO_DIR / "curve_flat5.csv"),
+            "--out-dir", str(tmp_path / "report")]
+    proc = subprocess.run(
+        [sys.executable, str(TRACING), "--name", "evaluate", "--spans", str(spans),
+         "--probe-dir", str(tmp_path / "probe"), "--", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(invomega.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans.read_text())
+    assert record["missing_hooks"] == []
+    probes = Counter(s["name"] for s in record["spans"] if s.get("probe"))
+    assert probes["cashflows.replicate"] == 200
+    assert probes["curves.forward_curve"] == 200

@@ -8,7 +8,6 @@ from invomega import (
     NonCanonicalFlowError,
     RadrInput,
     ScenarioSet,
-    equivalence_check,
     radr_valuation,
     vertical_average,
 )
@@ -171,19 +170,25 @@ class TestRadrValuation:
             RadrInput(ss, 0.05, 0.15, mode="fancy")
 
 
+def chain_margins(radr_input: RadrInput) -> tuple[float, float, float]:
+    """The margins of the three acceptance predicates on ``radr_valuation``'s output:
+    NPV(mean|k), MIRR(mean|k) - k and mean NPV(r) - lambda_radr."""
+    v = radr_valuation(radr_input)
+    return v.npv_at_k, v.mirr_at_k - radr_input.radr_rate, v.mean_npv_at_r - v.lambda_radr
+
+
 class TestEquivalenceChain:
+    """On canonical flows NPV(mean|k) > 0 <=> MIRR(mean|k) > k <=> mean NPV(r) > lambda_radr."""
+
     def test_reference_case_all_true(self):
-        report = equivalence_check(RadrInput(single((-200.0, 350.0)), 0.05, 0.15))
-        assert report.npv_at_k_positive
-        assert report.mirr_exceeds_rate
-        assert report.premium_exceeds_lambda
-        assert report.agree and report.accept
+        radr_input = RadrInput(single((-200.0, 350.0)), 0.05, 0.15)
+        assert all(m > 0.0 for m in chain_margins(radr_input))
+        assert radr_valuation(radr_input).accept
 
     def test_boundary_all_false_at_equality(self):
-        report = equivalence_check(RadrInput(single((-200.0, 200.0)), 0.0, 0.0))
-        assert report.margins == (0.0, 0.0, 0.0)
-        assert not report.accept
-        assert report.agree
+        radr_input = RadrInput(single((-200.0, 200.0)), 0.0, 0.0)
+        assert chain_margins(radr_input) == (0.0, 0.0, 0.0)
+        assert not radr_valuation(radr_input).accept
 
     def test_randomized_canonical_chain(self):
         rng = random.Random(73)
@@ -191,19 +196,14 @@ class TestEquivalenceChain:
             ss = random_canonical_set(rng)
             r = rng.uniform(-0.05, 0.15)
             k = r + rng.uniform(0.0, 0.35)
-            report = equivalence_check(RadrInput(ss, r, k))
-            assert report.agree
-            # brute-force re-evaluation of the three predicates
+            margins = chain_margins(RadrInput(ss, r, k))
+            assert len({m > 0.0 for m in margins}) == 1, margins
+            # brute-force re-evaluation of the first predicate
             means = vertical_average(ss)
             npv_k = means[0] + sum(
                 f / (1.0 + k) ** t for t, f in enumerate(means[1:], 1)
             )
-            assert report.npv_at_k_positive == (npv_k > 0.0)
-
-    def test_requires_canonical_even_in_table4_mode(self):
-        radr_input = RadrInput(single((-200.0, 350.0, -100.0)), 0.05, 0.15, mode=MODE_TABLE4)
-        with pytest.raises(NonCanonicalFlowError):
-            equivalence_check(radr_input)
+            assert (margins[0] > 0.0) == (npv_k > 0.0)
 
 
 def test_modes_agree_on_canonical_flows():
