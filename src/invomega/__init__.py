@@ -23,7 +23,7 @@ _EXPORTS = {
     "metrics": (
         "EvaluationResult", "HurdleSpec", "ThresholdSet", "evaluate_set", "mirr", "thresholds",
     ),
-    "radr": ("RadrInput", "RadrResult", "radr_valuation", "vertical_average"),
+    "radr": ("RadrResult", "radr_valuation", "vertical_average"),
     "ranking": (
         "ProjectEvaluation", "RankingReport", "evaluate_project", "hurdle_crossings",
         "omega_vs_hurdle", "rank", "rank_with_crossings",

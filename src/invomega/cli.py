@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +26,7 @@ from .curves import YieldCurve
 from .distributions import EmpiricalDistribution, summarize, write_omega_curve_csv, write_summary_csv
 from .errors import EngineError, InputError, located
 from .metrics import HurdleSpec, evaluate_set, write_evaluation_csv
-from .radr import MODE_CANONICAL, MODES, RadrInput, radr_valuation
+from .radr import MODE_CANONICAL, MODES, radr_valuation
 from .ranking import (
     METRICS,
     evaluate_project,
@@ -184,9 +184,8 @@ def _cmd_omega_curve(args: argparse.Namespace) -> int:
 def _cmd_radr_compare(args: argparse.Namespace) -> int:
     scenario_set = load_project(Path(args.project))
     with located(args.project):
-        radr_input = RadrInput(scenario_set, riskless_rate=args.r, radr_rate=args.k, mode=args.mode)
-        result = radr_valuation(radr_input)
-    _write_json(result.to_dict(), Path(args.out))
+        result = radr_valuation(scenario_set, args.r, args.k, args.mode)
+    _write_json(asdict(result), Path(args.out))
     verdict = "accept" if result.accept else "reject"
     print(
         f"{scenario_set.project_id}: NPV(mean|k)={result.npv_at_k:.0f} "

@@ -86,9 +86,7 @@ class YieldCurve:
         return self.rates[t - 1]
 
     def growth_factor(self, t: int) -> float:
-        """Total growth (1+r_t)^t of one unit held to tenor t; 1 at t = 0."""
-        if t == 0:
-            return 1.0
+        """Total growth (1+r_t)^t of one unit held to tenor t."""
         self._check_tenor(t)
         return self.growth_factors[t - 1]
 

@@ -12,7 +12,7 @@ scale lambda_radr.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,30 +26,6 @@ MODE_TABLE4 = "paper-table4"
 MODES = (MODE_CANONICAL, MODE_TABLE4)
 
 
-@dataclass(frozen=True)
-class RadrInput:
-    """Scenario set plus flat riskless rate r and risk-adjusted rate k >= r, and their curves."""
-
-    scenario_set: ScenarioSet
-    riskless_rate: float
-    radr_rate: float
-    mode: str = MODE_CANONICAL
-    curve_r: YieldCurve = field(init=False, repr=False, compare=False)
-    curve_k: YieldCurve = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise InputError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        r, k, horizon = self.riskless_rate, self.radr_rate, self.scenario_set.horizon
-        for name, rate in (("r", r), ("k", k)):
-            with located(f"rate {name}"):
-                object.__setattr__(self, f"curve_{name}", YieldCurve.flat(rate, horizon))
-        if k < r:
-            raise InputError(f"risk-adjusted rate {k} must be >= riskless rate {r}")
-        if self.mode == MODE_CANONICAL:
-            _check_canonical(self.scenario_set)
-
-
 def _check_canonical(scenario_set: ScenarioSet) -> None:
     negative = np.argwhere(scenario_set.flows[:, 1:] < 0.0)
     if negative.size:
@@ -60,9 +36,9 @@ def _check_canonical(scenario_set: ScenarioSet) -> None:
         )
 
 
+# The fields in order are the radr.json layout.
 @dataclass(frozen=True)
 class RadrResult:
-    mean_flows: tuple[float, ...]
     npv_at_k: float
     mirr_at_k: float
     mean_npv_at_r: float
@@ -71,12 +47,6 @@ class RadrResult:
     accept: bool
     mode: str
 
-    def to_dict(self) -> dict:
-        """The radr.json layout: the fields in order, without ``mean_flows``."""
-        payload = asdict(self)
-        del payload["mean_flows"]
-        return payload
-
 
 def vertical_average(scenario_set: ScenarioSet) -> tuple[float, ...]:
     """Weighted per-tenor mean of the flows, including the t=0 outlay."""
@@ -84,22 +54,35 @@ def vertical_average(scenario_set: ScenarioSet) -> tuple[float, ...]:
     return tuple(math.fsum(column) for column in weighted.T.tolist())
 
 
-def radr_valuation(radr_input: RadrInput) -> RadrResult:
-    """Value the vertically averaged flows at the risk-adjusted rate.
+def radr_valuation(
+    scenario_set: ScenarioSet, riskless_rate: float, radr_rate: float, mode: str = MODE_CANONICAL
+) -> RadrResult:
+    """Value the vertically averaged flows at the risk-adjusted rate k >= the riskless rate r.
 
     Returns the mean-flow NPV and MIRR at k, the mean riskless NPV, the
     implicit acceptance scale lambda_radr and the per-tenor certainty
-    equivalent factors. Acceptance means NPV at k is positive. Flows whose
-    values overflow are an InputError.
+    equivalent factors. Acceptance means NPV at k is positive. The mode, then
+    each rate as a flat curve, then k >= r, then (in the canonical mode) the
+    flows are checked, in that order; flows whose values overflow are an
+    InputError.
     """
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
+    r, k = riskless_rate, radr_rate
+    with located("rate r"):
+        curve_r = YieldCurve.flat(r, scenario_set.horizon)
+    with located("rate k"):
+        curve_k = YieldCurve.flat(k, scenario_set.horizon)
+    if k < r:
+        raise InputError(f"risk-adjusted rate {k} must be >= riskless rate {r}")
+    if mode == MODE_CANONICAL:
+        _check_canonical(scenario_set)
     with in_float_range("the valuations of these flows"):
-        r, k = radr_input.riskless_rate, radr_input.radr_rate
-        means = vertical_average(radr_input.scenario_set)
+        means = vertical_average(scenario_set)
         horizon = len(means) - 1
-        curve_r, curve_k = radr_input.curve_r, radr_input.curve_k
         alpha = tuple(((1.0 + r) / (1.0 + k)) ** t for t in range(1, horizon + 1))
         npv_at_k = means[0] + math.fsum(f / g for f, g in zip(means[1:], curve_k.growth_factors))
-        flows, weights = radr_input.scenario_set.flows, radr_input.scenario_set.weights
+        flows, weights = scenario_set.flows, scenario_set.weights
         npv_at_r = flows[:, 0] + _discounted(flows[:, 1:], curve_r).sum(axis=1)
         mean_npv_at_r = math.fsum((weights * npv_at_r).tolist())
         lambda_radr = math.fsum(
@@ -107,12 +90,11 @@ def radr_valuation(radr_input: RadrInput) -> RadrResult:
         )
         mirr_at_k = mirr(means, k, k)
     return RadrResult(
-        mean_flows=means,
         npv_at_k=npv_at_k,
         mirr_at_k=mirr_at_k,
         mean_npv_at_r=mean_npv_at_r,
         lambda_radr=lambda_radr,
         alpha_factors=alpha,
         accept=npv_at_k > 0.0,
-        mode=radr_input.mode,
+        mode=mode,
     )

@@ -26,7 +26,7 @@ from .distributions import (
     _check_grid,
     _omega_at,
     crossing_on_grid,
-    omega,
+    record_row,
     summarize,
 )
 from .errors import InputError, located
@@ -71,19 +71,16 @@ def evaluate_project(
     )
 
 
-def _thresholds(project: ProjectEvaluation, kind: str, values: Sequence[float]) -> list[float]:
-    """``metrics.metric_thresholds`` of the project, on its own curve, at each hurdle value of
-    one kind, as Python floats (libm ``pow``), with every refusal naming the project."""
+def _omega_on(project: ProjectEvaluation, kind: str, values: Sequence[float]) -> OmegaResult:
+    """Omega at each hurdle value of one kind, converted by ``metrics.metric_thresholds`` on
+    the project's basis, horizon and curve, every refusal naming the project: the only path
+    from hurdles to Omega."""
     with located(project.project_id):
-        return metric_thresholds(
+        lam = metric_thresholds(
             kind, np.asarray(values, dtype=float).tolist(), project.metric,
             project.basis_outlay, project.curve, project.horizon,
         )
-
-
-def metric_threshold(project: ProjectEvaluation, hurdle: HurdleSpec) -> float:
-    """The hurdle expressed on the project's metric scale."""
-    return _thresholds(project, hurdle.kind, [hurdle.value])[0]
+    return _omega_at(project.distribution, lam)
 
 
 # The fields of the report types below, in order, are the rank.json layout.
@@ -162,13 +159,12 @@ def rank(projects: Sequence[ProjectEvaluation], hurdle: HurdleSpec) -> RankingRe
     ranked: list[RankingEntry] = []
     excluded: list[str] = []
     for p in projects:
-        lam = metric_threshold(p, hurdle)
-        result = omega(p.distribution, lam)
+        result = record_row(_omega_on(p, hurdle.kind, [hurdle.value]), 0)
         if result.is_indeterminate:
             excluded.append(p.project_id)
             continue
         ranked.append(RankingEntry(
-            p.project_id, lam, result.omega, result.call, result.put,
+            p.project_id, result.threshold, result.omega, result.call, result.put,
             accept=result.omega >= 1.0, summary=summarize(p.distribution),
         ))
     ranked.sort(key=_sort_key)
@@ -189,7 +185,7 @@ def omega_vs_hurdle(project: ProjectEvaluation, mu_grid: Sequence[float]) -> Ome
     is nonincreasing in mu*.
     """
     _check_grid(mu_grid)
-    return _omega_at(project.distribution, _thresholds(project, "mu_star", mu_grid))
+    return _omega_on(project, "mu_star", mu_grid)
 
 
 def hurdle_crossings(
@@ -197,7 +193,7 @@ def hurdle_crossings(
 ) -> list[tuple[float, float]]:
     """Hurdle intervals (width <= grid step / 1024) where the pair's ranking flips."""
     omega_a, omega_b = (
-        lambda mus, p=p: _omega_at(p.distribution, _thresholds(p, "mu_star", mus)).omega
+        lambda mus, p=p: _omega_on(p, "mu_star", mus).omega
         for p in (project_a, project_b)
     )
     return crossing_on_grid(mu_grid, omega_a, omega_b)

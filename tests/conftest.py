@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from invomega import ScenarioSet, YieldCurve, evaluate_set
+from invomega.metrics import metric_thresholds
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
 
@@ -12,6 +13,15 @@ pytest_plugins = ["pytester"]
 def evaluate_row(flows, curve: YieldCurve):
     """The characteristics of one flow row F_0..F_T: row 0 of its one-row set, as floats."""
     return evaluate_set(ScenarioSet.uniform("one", [flows]), curve).row(0)
+
+
+def hurdle_threshold(project, hurdle) -> float:
+    """The hurdle on the project's metric scale: one ``metric_thresholds`` conversion on the
+    project's basis, horizon and curve."""
+    return metric_thresholds(
+        hurdle.kind, [hurdle.value], project.metric, project.basis_outlay, project.curve,
+        project.horizon,
+    )[0]
 
 
 @pytest.fixture

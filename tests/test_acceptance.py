@@ -22,7 +22,6 @@ from invomega import (
     EmpiricalDistribution,
     GeneratorSpec,
     HurdleSpec,
-    RadrInput,
     ScenarioSet,
     SeededStream,
     YieldCurve,
@@ -39,8 +38,8 @@ from invomega import (
 from invomega.cli import main
 from invomega.distributions import omega_curve
 from invomega.metrics import metric_thresholds
-from invomega.ranking import evaluate_project, hurdle_crossings, metric_threshold
-from conftest import evaluate_row as evaluate
+from invomega.ranking import evaluate_project, hurdle_crossings
+from conftest import evaluate_row as evaluate, hurdle_threshold
 from reference import future_value, rows, split
 
 CURVE = YieldCurve.flat(0.05, 2)
@@ -374,7 +373,7 @@ def test_c5_property_suite():
         scenario_set = ScenarioSet.uniform("p", scenarios)
         r = rng.uniform(-0.05, 0.15)
         k = r + rng.uniform(0.0, 0.35)
-        valuation = radr_valuation(RadrInput(scenario_set, r, k))
+        valuation = radr_valuation(scenario_set, r, k)
         margins = (
             valuation.npv_at_k,
             valuation.mirr_at_k - k,
@@ -546,8 +545,8 @@ def test_c7_crossover_localization(tmp_path):
     check(gates, "bracket width within grid step / 1024", hi - lo <= 0.005 / 1024.0)
 
     def sign_at(mu_star: float) -> int:
-        ln = metric_threshold(narrow, HurdleSpec("mu_star", mu_star))
-        lw = metric_threshold(wide, HurdleSpec("mu_star", mu_star))
+        ln = hurdle_threshold(narrow, HurdleSpec("mu_star", mu_star))
+        lw = hurdle_threshold(wide, HurdleSpec("mu_star", mu_star))
         a, b = omega(narrow.distribution, ln), omega(wide.distribution, lw)
         if a.is_infinite or b.is_infinite:
             return 1 if a.is_infinite and not b.is_infinite else -1

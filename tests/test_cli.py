@@ -860,6 +860,29 @@ class TestRadrCompare:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (("--r", "0.15", "--k", "0.05"), 2, "risk-adjusted rate 0.05 must be >= riskless rate 0.15"),
+            (("--r", "-1.5", "--k", "0.15"), 2, "rate r: rate at tenor 1 must exceed -1, got -1.5"),
+            (("--r", "0.05", "--k", "inf"), 2, "rate k: rate at tenor 1 is not finite: inf"),
+            (("--r", "nan", "--k", "0.15"), 2, "rate r: rate at tenor 1 is not finite: nan"),
+            (("--r", "0.05", "--k", "1e308", "--mode", "paper-table4"), 2,
+             "rate k: growth factor (1+r_t)^t at tenor 2 is out of range: inf"),
+            (("--r", "0.05", "--k", "0.15"), 1,
+             "scenario 0 has negative flow -100.0 at t=2; only a t=0 outlay may be negative"),
+        ],
+    )
+    def test_refusals_in_check_order(self, demo_dir, tmp_path, monkeypatch, capsys, flags, code, message):
+        # the mode, then each rate as a flat curve, then k >= r, then the flows: the first
+        # case fails both the rate order and the canonical-flow check
+        monkeypatch.chdir(demo_dir.parent)
+        argv = ["radr-compare", "--project", "demo/project_right.json", *flags,
+                "--out", str(tmp_path / "radr.json")]
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: demo/project_right.json: {message}\n"
+        assert not (tmp_path / "radr.json").exists()
+
     def test_overflowing_rates_exit_2_without_traceback(self, workspace):
         proc = run_cli(
             "radr-compare",

@@ -43,6 +43,8 @@ class TestCumulativeRate:
             flat5.growth_factor(3)
         with pytest.raises(TenorOutOfRangeError):
             flat5.growth_factor(-1)
+        with pytest.raises(TenorOutOfRangeError):
+            flat5.growth_factor(0)
 
 
 class TestDiscountFactor:
@@ -52,9 +54,6 @@ class TestDiscountFactor:
         assert 1.0 / flat5.growth_factor(2) == pytest.approx(1.0 / 1.05**2, rel=1e-15)
         assert f"{1.0 / flat5.growth_factor(2):.6f}" == "0.907029"
 
-    def test_time_zero_is_one(self, flat5):
-        assert flat5.growth_factor(0) == 1.0
-
     def test_zero_rate_curve(self):
         assert YieldCurve.flat(0.0, 7).growth_factor(7) == 1.0
 
@@ -62,7 +61,7 @@ class TestDiscountFactor:
         rng = random.Random(4)
         for _ in range(100):
             curve = random_curve(rng, rng.randint(1, 10))
-            for t in range(curve.horizon + 1):
+            for t in range(1, curve.horizon + 1):
                 assert 0.0 < curve.growth_factor(t) < math.inf
 
 

@@ -17,7 +17,7 @@ from invomega import (
     thresholds,
 )
 from invomega.metrics import HURDLE_KINDS, mean_basis_outlay, metric_thresholds
-from invomega.ranking import evaluate_project, metric_threshold
+from invomega.ranking import evaluate_project, rank
 
 from conftest import evaluate_row as evaluate
 
@@ -290,7 +290,8 @@ def test_mean_basis_hurdle_disagrees_on_rows_below_the_basis(flat5):
     assert disagree.tolist() == [False, False, True, True, False]
     # the ranking layer converts the hurdle on the same basis
     for metric, threshold in (("npv", ts.npv_star), ("mu", ts.mu_star)):
-        assert metric_threshold(evaluate_project(scenario_set, flat5, metric), hurdle) == threshold
+        project = evaluate_project(scenario_set, flat5, metric)
+        assert rank([project], hurdle).entries[0].threshold == threshold
 
 
 def test_npv_sweep_across_threshold(flat5):

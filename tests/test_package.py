@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +76,23 @@ def test_unknown_name_raises_attribute_error():
         invomega.no_such_name
     with pytest.raises(ImportError):
         from invomega import no_such_name  # noqa: F401
+
+
+def test_readme_library_use_runs_and_shows_what_its_comments_state():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Library use\n.*?^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    ns: dict = {}
+    exec(block, ns)
+
+    def shown(value: float, text: str) -> bool:
+        # a comment's "0.1244..." is the value to within one unit of its last digit
+        return abs(value - float(text)) < 10.0 ** -len(text.partition(".")[2])
+
+    result, rep, ts, report, radr = (ns[k] for k in ("result", "rep", "ts", "report", "radr"))
+    assert shown(result.npv, "42.63") and shown(result.annualized_return, "0.1244")
+    assert shown(rep.total_outlay, "290.70") and shown(rep.certainty_equivalent_outlay, "333.33")
+    assert ts.mu_star == pytest.approx(0.15, abs=1e-15) and shown(ts.npv_star, "58.01")
+    assert report.order == ("q", "p")
+    assert [shown(e.omega, text) for e, text in zip(report.entries, ("0.333", "0.142"))] == [True, True]
+    assert all(shown(e.threshold, "28.34") for e in report.entries)
+    assert shown(radr.npv_at_k, "-3.87") and radr.accept is False

@@ -73,3 +73,42 @@ def test_traced_evaluate_runs_every_probe(tmp_path):
     probes = Counter(s["name"] for s in record["spans"] if s.get("probe"))
     assert probes["cashflows.replicate"] == 200
     assert probes["curves.forward_curve"] == 200
+
+
+def _traced_spans(tmp_path, argv: list[str]) -> list[dict]:
+    """The spans of one traced CLI run, after checking that it succeeded with every hook."""
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACING), "--name", argv[0], "--spans", str(spans),
+         "--probe-dir", str(tmp_path / "probe"), "--", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(invomega.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans.read_text())
+    assert record["missing_hooks"] == []
+    return record["spans"]
+
+
+def test_traced_radr_compare_spans_the_valuation_and_its_mean_flows(tmp_path):
+    argv = ["radr-compare", "--project", str(DEMO_DIR / "mean_right.json"), "--r", "0.05",
+            "--k", "0.15", "--mode", "paper-table4", "--out", str(tmp_path / "radr.json")]
+    spans = _traced_spans(tmp_path, argv)
+    (valuation,) = [s for s in spans if s["name"] == "radr.radr_valuation"]
+    assert [s["name"] for s in spans if s["parent"] == valuation["id"]] == ["radr.vertical_average"]
+
+
+def test_traced_rank_sweep_spans_rank_and_each_pair_under_the_sweep(tmp_path):
+    projects = []
+    for side in ("left", "right", "long"):
+        descriptor = json.loads((DEMO_DIR / f"project_{side}.json").read_text())
+        descriptor["generator"]["n"] = 500
+        projects.append(tmp_path / f"{side}.json")
+        projects[-1].write_text(json.dumps(descriptor))
+    argv = ["rank", "--projects", *map(str, projects), "--curve", str(DEMO_DIR / "curve_flat5_5y.csv"),
+            "--delta-mu", "0.1", "--grid", "0.05:0.25:0.01", "--out", str(tmp_path / "rank.json")]
+    spans = _traced_spans(tmp_path, argv)
+    (sweep,) = [s for s in spans if s["name"] == "ranking.rank_with_crossings"]
+    names = Counter(s["name"] for s in spans if s["name"] in ("ranking.rank", "ranking.hurdle_crossings"))
+    assert names == {"ranking.rank": 1, "ranking.hurdle_crossings": 3}
+    assert all(s["parent"] == sweep["id"] for s in spans if s["name"] in names)

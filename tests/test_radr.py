@@ -6,7 +6,6 @@ import pytest
 from invomega import (
     InputError,
     NonCanonicalFlowError,
-    RadrInput,
     ScenarioSet,
     radr_valuation,
     vertical_average,
@@ -71,9 +70,7 @@ class TestVerticalAverage:
 
 class TestRadrValuation:
     def test_canonical_reference(self):
-        result = radr_valuation(
-            RadrInput(single((-200.0, 350.0)), riskless_rate=0.05, radr_rate=0.15)
-        )
+        result = radr_valuation(single((-200.0, 350.0)), riskless_rate=0.05, radr_rate=0.15)
         assert result.mean_npv_at_r == pytest.approx(-200.0 + 350.0 / 1.05, rel=1e-14)
         assert result.mean_npv_at_r == pytest.approx(133.33, abs=5e-3)
         assert result.lambda_radr == pytest.approx(
@@ -90,21 +87,19 @@ class TestRadrValuation:
             ss = random_canonical_set(rng)
             r = rng.uniform(-0.1, 0.2)
             k = r + rng.uniform(0.0, 0.4)
-            result = radr_valuation(RadrInput(ss, r, k))
+            result = radr_valuation(ss, r, k)
             assert result.mean_npv_at_r - result.lambda_radr == pytest.approx(
                 result.npv_at_k, rel=1e-10, abs=1e-9
             )
 
     def test_alpha_in_unit_interval(self):
-        result = radr_valuation(
-            RadrInput(single((-10.0, 5.0, 5.0, 5.0)), riskless_rate=0.02, radr_rate=0.3)
-        )
+        result = radr_valuation(single((-10.0, 5.0, 5.0, 5.0)), riskless_rate=0.02, radr_rate=0.3)
         for t, a in enumerate(result.alpha_factors, start=1):
             assert 0.0 < a <= 1.0
             assert a == pytest.approx((1.02 / 1.3) ** t, rel=1e-14)
 
     def test_k_equals_r_degenerates(self):
-        result = radr_valuation(RadrInput(single((-50.0, 60.0)), 0.05, 0.05))
+        result = radr_valuation(single((-50.0, 60.0)), 0.05, 0.05)
         assert result.alpha_factors == (1.0,)
         assert result.lambda_radr == 0.0
         assert result.npv_at_k == pytest.approx(result.mean_npv_at_r, rel=1e-14)
@@ -116,8 +111,8 @@ class TestRadrValuation:
             ss = random_canonical_set(rng)
             r = rng.uniform(-0.05, 0.15)
             k = r + rng.uniform(0.0, 0.3)
-            result = radr_valuation(RadrInput(ss, r, k))
-            for t, (a, f) in enumerate(zip(result.alpha_factors, result.mean_flows[1:]), 1):
+            result = radr_valuation(ss, r, k)
+            for t, (a, f) in enumerate(zip(result.alpha_factors, vertical_average(ss)[1:]), 1):
                 assert f / (1.0 + k) ** t == pytest.approx(
                     a * f / (1.0 + r) ** t, rel=1e-12, abs=1e-12
                 )
@@ -130,15 +125,13 @@ class TestRadrValuation:
             ss = random_canonical_set(rng)
             r = rng.uniform(-0.05, 0.15)
             k = r + rng.uniform(0.0, 0.3)
-            result = radr_valuation(RadrInput(ss, r, k))
+            result = radr_valuation(ss, r, k)
             assert result.lambda_radr >= -1e-12
-            if k > r and any(f > 0.0 for f in result.mean_flows[1:]):
+            if k > r and any(f > 0.0 for f in vertical_average(ss)[1:]):
                 assert result.lambda_radr > 0.0
 
     def test_table4_mode_mixed_stream(self):
-        result = radr_valuation(
-            RadrInput(single((-200.0, 350.0, -100.0)), 0.05, 0.15, mode=MODE_TABLE4)
-        )
+        result = radr_valuation(single((-200.0, 350.0, -100.0)), 0.05, 0.15, mode=MODE_TABLE4)
         expected = -200.0 + 350.0 / 1.15 - 100.0 / 1.15**2
         assert result.npv_at_k == pytest.approx(expected, rel=1e-14)
         assert round(result.npv_at_k) == 29
@@ -150,45 +143,43 @@ class TestRadrValuation:
         )
 
     def test_table4_mode_left_stream(self):
-        result = radr_valuation(
-            RadrInput(single((-200.0, 355.0, -100.0)), 0.05, 0.15, mode=MODE_TABLE4)
-        )
+        result = radr_valuation(single((-200.0, 355.0, -100.0)), 0.05, 0.15, mode=MODE_TABLE4)
         assert round(result.npv_at_k) == 33
         assert result.mirr_at_k == pytest.approx(0.2171, abs=1e-4)
 
     def test_canonical_mode_rejects_mixed_stream(self):
         with pytest.raises(NonCanonicalFlowError, match=r"scenario 0 .* t=2"):
-            RadrInput(single((-200.0, 350.0, -100.0)), 0.05, 0.15)
+            radr_valuation(single((-200.0, 350.0, -100.0)), 0.05, 0.15)
 
     def test_rate_validation(self):
         ss = single((-10.0, 20.0))
         with pytest.raises(InputError):
-            RadrInput(ss, 0.10, 0.05)  # k < r
+            radr_valuation(ss, 0.10, 0.05)  # k < r
         with pytest.raises(InputError):
-            RadrInput(ss, -1.5, 0.05)
+            radr_valuation(ss, -1.5, 0.05)
         with pytest.raises(InputError):
-            RadrInput(ss, 0.05, 0.15, mode="fancy")
+            radr_valuation(ss, 0.05, 0.15, mode="fancy")
 
 
-def chain_margins(radr_input: RadrInput) -> tuple[float, float, float]:
+def chain_margins(ss: ScenarioSet, r: float, k: float) -> tuple[float, float, float]:
     """The margins of the three acceptance predicates on ``radr_valuation``'s output:
     NPV(mean|k), MIRR(mean|k) - k and mean NPV(r) - lambda_radr."""
-    v = radr_valuation(radr_input)
-    return v.npv_at_k, v.mirr_at_k - radr_input.radr_rate, v.mean_npv_at_r - v.lambda_radr
+    v = radr_valuation(ss, r, k)
+    return v.npv_at_k, v.mirr_at_k - k, v.mean_npv_at_r - v.lambda_radr
 
 
 class TestEquivalenceChain:
     """On canonical flows NPV(mean|k) > 0 <=> MIRR(mean|k) > k <=> mean NPV(r) > lambda_radr."""
 
     def test_reference_case_all_true(self):
-        radr_input = RadrInput(single((-200.0, 350.0)), 0.05, 0.15)
-        assert all(m > 0.0 for m in chain_margins(radr_input))
-        assert radr_valuation(radr_input).accept
+        radr_input = (single((-200.0, 350.0)), 0.05, 0.15)
+        assert all(m > 0.0 for m in chain_margins(*radr_input))
+        assert radr_valuation(*radr_input).accept
 
     def test_boundary_all_false_at_equality(self):
-        radr_input = RadrInput(single((-200.0, 200.0)), 0.0, 0.0)
-        assert chain_margins(radr_input) == (0.0, 0.0, 0.0)
-        assert not radr_valuation(radr_input).accept
+        radr_input = (single((-200.0, 200.0)), 0.0, 0.0)
+        assert chain_margins(*radr_input) == (0.0, 0.0, 0.0)
+        assert not radr_valuation(*radr_input).accept
 
     def test_randomized_canonical_chain(self):
         rng = random.Random(73)
@@ -196,7 +187,7 @@ class TestEquivalenceChain:
             ss = random_canonical_set(rng)
             r = rng.uniform(-0.05, 0.15)
             k = r + rng.uniform(0.0, 0.35)
-            margins = chain_margins(RadrInput(ss, r, k))
+            margins = chain_margins(ss, r, k)
             assert len({m > 0.0 for m in margins}) == 1, margins
             # brute-force re-evaluation of the first predicate
             means = vertical_average(ss)
@@ -208,8 +199,8 @@ class TestEquivalenceChain:
 
 def test_modes_agree_on_canonical_flows():
     ss = single((-120.0, 60.0, 80.0))
-    strict = radr_valuation(RadrInput(ss, 0.03, 0.12, mode=MODE_CANONICAL))
-    loose = radr_valuation(RadrInput(ss, 0.03, 0.12, mode=MODE_TABLE4))
+    strict = radr_valuation(ss, 0.03, 0.12, mode=MODE_CANONICAL)
+    loose = radr_valuation(ss, 0.03, 0.12, mode=MODE_TABLE4)
     assert strict.npv_at_k == loose.npv_at_k
     assert strict.mirr_at_k == loose.mirr_at_k
     assert strict.lambda_radr == loose.lambda_radr

@@ -23,10 +23,11 @@ from invomega import (
     thresholds,
 )
 from invomega.metrics import HURDLE_KINDS, metric_thresholds
-from invomega.ranking import ProjectEvaluation, metric_threshold, write_ranking_csv
+from invomega.ranking import ProjectEvaluation, write_ranking_csv
 
 import reference
 from reference import rows
+from conftest import hurdle_threshold
 
 
 def project_from_dist(pid, values, basis=100.0, horizon=2, metric="npv", weights=None,
@@ -95,10 +96,9 @@ class TestOwnCurve:
                 "delta_mu", [0.1], project.metric, project.basis_outlay, curve, project.horizon
             )[0]
 
-        lam = metric_threshold(project, hurdle)
+        lam = rank([project], hurdle).entries[0].threshold
         assert lam.hex() == converted(self.SLOPED).hex()
         assert lam != converted(YieldCurve.flat(0.05, 2))
-        assert rank([project], hurdle).entries[0].threshold.hex() == lam.hex()
 
 
 class TestRank:
@@ -209,10 +209,10 @@ def test_shared_delta_mu_maps_to_project_specific_npv_thresholds():
     small = project_from_dist("small", [0.0, 1.0], basis=100.0)
     large = project_from_dist("large", [0.0, 1.0], basis=300.0)
     hurdle = HurdleSpec("delta_mu", 0.10)
-    lam_small = metric_threshold(small, hurdle)
-    lam_large = metric_threshold(large, hurdle)
+    lam_small, lam_large = (rank([p], hurdle).entries[0].threshold for p in (small, large))
     assert lam_large == pytest.approx(3.0 * lam_small, rel=1e-12)
-    mu_small = metric_threshold(project_from_dist("m", [0.0], basis=100.0, metric="mu"), hurdle)
+    on_mu = project_from_dist("m", [0.0], basis=100.0, metric="mu")
+    mu_small = rank([on_mu], hurdle).entries[0].threshold
     assert mu_small == pytest.approx(0.15, abs=1e-12)
 
 
@@ -223,7 +223,7 @@ def test_npv_floor_needs_no_return_threshold(flat5, kind, value):
     project, hurdle = project_from_dist("p", [0.0, 1.0], basis=100.0), HurdleSpec(kind, value)
     on_mu = project_from_dist("p", [0.0, 1.0], basis=100.0, metric="mu")
     if kind in ("npv_star", "profit_star"):
-        lam = metric_threshold(project, hurdle)
+        lam = rank([project], hurdle).entries[0].threshold
         if value > -100.0:
             assert lam == thresholds(hurdle, 100.0, flat5, 2).npv_star
         else:
@@ -237,12 +237,12 @@ def test_npv_floor_needs_no_return_threshold(flat5, kind, value):
     except EngineError as exc:
         for refusing in (on_mu, project) if kind in ("delta_mu", "mu_star") else (on_mu,):
             with pytest.raises(EngineError) as refused:
-                metric_threshold(refusing, hurdle)
+                rank([refusing], hurdle)
             assert type(refused.value) is type(exc)
             assert str(refused.value) == f"p: {exc}"
         return
     for p, field in ((project, expected.npv_star), (on_mu, expected.mu_star)):
-        assert metric_threshold(p, hurdle).hex() == field.hex()
+        assert rank([p], hurdle).entries[0].threshold.hex() == field.hex()
 
 
 def test_first_order_dominance_implies_omega_dominance():
@@ -315,7 +315,7 @@ class TestOmegaVsHurdle:
         grid = [0.0, 0.05, 0.1, 0.2]
         points = rows(omega_vs_hurdle(project, grid))
         for mu_star, point in zip(grid, points):
-            lam = metric_threshold(project, HurdleSpec("mu_star", mu_star))
+            lam = hurdle_threshold(project, HurdleSpec("mu_star", mu_star))
             assert point == omega(project.distribution, lam)
 
     def test_grid_validation(self):
@@ -342,8 +342,8 @@ class TestHurdleCrossings:
         assert hi - lo <= 0.005 / 1024.0
         # verify the flip by direct omega evaluation at the bracket ends
         def omegas(mu_star):
-            ln = metric_threshold(narrow, HurdleSpec("mu_star", mu_star))
-            lw = metric_threshold(wide, HurdleSpec("mu_star", mu_star))
+            ln = hurdle_threshold(narrow, HurdleSpec("mu_star", mu_star))
+            lw = hurdle_threshold(wide, HurdleSpec("mu_star", mu_star))
             return omega(narrow.distribution, ln), omega(wide.distribution, lw)
 
         at_lo = omegas(lo)
@@ -394,7 +394,7 @@ class TestHurdleCrossings:
 
         def at(project):
             return lambda m: omega(
-                project.distribution, metric_threshold(project, HurdleSpec("mu_star", m))
+                project.distribution, hurdle_threshold(project, HurdleSpec("mu_star", m))
             )
 
         pairs = [(a, b) for i, a in enumerate(projects) for b in projects[i + 1:]]

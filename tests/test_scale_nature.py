@@ -53,12 +53,11 @@ from invomega import (
     evaluate_project,
     evaluate_set,
     generate,
-    omega,
+    rank,
     rank_with_crossings,
     read_project,
 )
 from invomega.cli import main
-from invomega.ranking import metric_threshold
 
 from conftest import DEMO_DIR
 
@@ -215,7 +214,7 @@ def test_zero_padding_to_a_longer_lifespan(curve, horizon):
         assert np.all(np.abs(long.total_outlay - short.total_outlay) <= tolerance)
         for scenario_set in (base, padded):
             project = evaluate_project(scenario_set, curve, "npv")
-            assert metric_threshold(project, delta_mu_zero) == 0.0
+            assert rank([project], delta_mu_zero).entries[0].threshold == 0.0
 
 
 @pytest.mark.parametrize("rate", [-0.20, 0.0, 0.05, 0.30])
@@ -227,9 +226,6 @@ def test_zero_padding_raises_the_npv_threshold_at_a_positive_premium(rate):
             long = evaluate_project(_padded(base, horizon), curve, "npv")
             for delta_mu in (0.01, 0.10, 0.50):
                 hurdle = HurdleSpec("delta_mu", delta_mu)
-                short_threshold = metric_threshold(short, hurdle)
-                long_threshold = metric_threshold(long, hurdle)
-                assert long_threshold > short_threshold
-                assert omega(long.distribution, long_threshold).omega <= omega(
-                    short.distribution, short_threshold
-                ).omega
+                short_entry, long_entry = (rank([p], hurdle).entries[0] for p in (short, long))
+                assert long_entry.threshold > short_entry.threshold
+                assert long_entry.omega <= short_entry.omega

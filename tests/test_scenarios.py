@@ -31,7 +31,7 @@ from invomega import (
     write_scenarios,
 )
 import invomega
-from invomega import DomainError, NonCanonicalFlowError, RadrInput, ZeroOutlayError, csvio
+from invomega import DomainError, NonCanonicalFlowError, ZeroOutlayError, csvio, radr_valuation
 from invomega.metrics import write_evaluation_csv
 from invomega.scenarios import _lognormal_w, _ndtri, _scan_table, generator_spec_from_dict
 
@@ -450,14 +450,14 @@ class TestScenarioCsv:
         path = tmp_path / "mixed.csv"
         path.write_text("t0,t1,t2\n-1,2,3\n\n-1,2,-5\n")
         with pytest.raises(NonCanonicalFlowError) as exc:
-            RadrInput(load_scenarios(path), 0.05, 0.1)
+            radr_valuation(load_scenarios(path), 0.05, 0.1)
         assert str(exc.value).startswith("row 4 has negative flow -5.0 at t=2")
 
     def test_generated_and_library_sets_name_the_index(self):
         # seed 0 draws a positive then a negative standard normal
         generated = generate(GeneratorSpec("normal", 0.0, 1.0, 0.0, (-1.0, None), 3, 0))
         with pytest.raises(NonCanonicalFlowError, match=r"^scenario 1 has negative flow -\d"):
-            RadrInput(generated, 0.05, 0.1)
+            radr_valuation(generated, 0.05, 0.1)
         uniform = ScenarioSet.uniform("p", [(-1.0, 2.0), (0.0, 0.0)])
         with pytest.raises(ZeroOutlayError, match=r"^scenario 1: total outlay is zero"):
             evaluate_set(uniform, YieldCurve.flat(0.05, 1))
