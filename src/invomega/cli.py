@@ -25,7 +25,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .curves import YieldCurve
 from .distributions import EmpiricalDistribution, summarize, write_omega_curve_csv, write_summary_csv
 from .errors import EngineError, InputError, located
-from .metrics import HurdleSpec, evaluate_set, write_evaluation_csv
+from .metrics import HURDLE_KINDS, HurdleSpec, evaluate_set, write_evaluation_csv
 from .radr import MODE_CANONICAL, MODES, radr_valuation
 from .ranking import (
     METRICS,
@@ -90,12 +90,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not isinstance(spec, GeneratorSpec):
         with located(args.spec):
             raise InputError("simulate needs a generator block, not a 'scenario_file'")
-    if args.n is not None:
-        if args.n < 1:
-            raise InputError(f"--n must be a positive integer, got {args.n}")
-        spec = replace(spec, n_scenarios=args.n)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+    if args.n is not None and args.n < 1:
+        raise InputError(f"--n must be a positive integer, got {args.n}")
+    overrides = {key: getattr(args, key) for key in ("n", "seed") if getattr(args, key) is not None}
+    spec = replace(spec, **overrides)
     with located(args.spec):
         scenario_set = generate(spec, project_id=project_id)
     out = Path(args.out)
@@ -133,14 +131,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hurdle_from_args(args: argparse.Namespace) -> HurdleSpec:
-    if args.delta_mu is not None:
-        return HurdleSpec("delta_mu", args.delta_mu)
-    if args.mu_star is not None:
-        return HurdleSpec("mu_star", args.mu_star)
-    return HurdleSpec("npv_star", args.npv_star)
-
-
 def _cmd_rank(args: argparse.Namespace) -> int:
     curve = YieldCurve.from_csv(args.curve)
     projects = []
@@ -148,7 +138,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         scenario_set = load_project(Path(path))
         with located(path):
             projects.append(evaluate_project(scenario_set, curve, args.metric))
-    hurdle = _hurdle_from_args(args)
+    # the hurdle group's dests are hurdle kinds, and argparse sets exactly one of them
+    kind = next(kind for kind in HURDLE_KINDS if getattr(args, kind, None) is not None)
+    hurdle = HurdleSpec(kind, getattr(args, kind))
     if args.grid is not None:
         report = rank_with_crossings(projects, hurdle, _parse_grid(args.grid))
     else:

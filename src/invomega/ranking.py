@@ -113,12 +113,12 @@ class RankingReport:
     entries: tuple[RankingEntry, ...]
     order: tuple[str, ...]
     excluded: tuple[str, ...]
-    crossings: tuple[PairCrossings, ...] = ()
+    crossings: tuple[PairCrossings, ...] | None = None  # None: not swept
 
     def to_dict(self) -> dict:
         """The fields in order, nested dataclasses as dicts; ``crossings`` only when swept."""
         payload = asdict(self)
-        if not self.crossings:
+        if self.crossings is None:
             del payload["crossings"]
         return payload
 

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -258,25 +258,25 @@ def moment_match(family: str, mean: float, std: float, skew: float) -> MatchedDi
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for a synthetic scenario set with one stochastic flow: the one check on
-    generator fields, whose errors name the fields of a JSON generator block, and the
+    generator fields, named as the keys of a JSON generator block, and the
     distribution they moment-match (``matched``, computed once here)."""
 
     family: str
-    target_mean: float
-    target_std: float
-    target_skewness: float
-    flow_template: tuple[float | None, ...]
-    n_scenarios: int
+    mean: float
+    std: float
+    skew: float
+    template: tuple[float | None, ...]
+    n: int
     seed: int
     matched: MatchedDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for attr, key in (("target_mean", "mean"), ("target_std", "std"), ("target_skewness", "skew")):
-            object.__setattr__(self, attr, _number(getattr(self, attr), f"field '{key}'"))
-        matched = moment_match(self.family, self.target_mean, self.target_std, self.target_skewness)
+        for key in ("mean", "std", "skew"):
+            object.__setattr__(self, key, _number(getattr(self, key), f"field '{key}'"))
+        matched = moment_match(self.family, self.mean, self.std, self.skew)
         template = tuple(
             None if f is None else _number(f, f"field 'template' at t={t}")
-            for t, f in enumerate(self.flow_template)
+            for t, f in enumerate(self.template)
         )
         if len(template) < 2:
             raise InputError("field 'template': needs entries for t=0..T with T >= 1")
@@ -287,50 +287,47 @@ class GeneratorSpec:
             )
         if slots[0] == 0:
             raise InputError("field 'template': the stochastic slot must be at a tenor t >= 1")
-        if not _is_int(self.n_scenarios) or self.n_scenarios < 1:
-            raise InputError(f"field 'n': must be a positive integer, got {self.n_scenarios!r}")
+        if not _is_int(self.n) or self.n < 1:
+            raise InputError(f"field 'n': must be a positive integer, got {self.n!r}")
         if not _is_int(self.seed):
             raise InputError(f"field 'seed': must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "flow_template", template)
+        object.__setattr__(self, "template", template)
         object.__setattr__(self, "matched", matched)
 
     @property
     def slot(self) -> int:
-        return self.flow_template.index(None)
+        return self.template.index(None)
 
     @property
     def horizon(self) -> int:
-        return len(self.flow_template) - 1
-
-
-# the fields of a JSON generator block, in the order of GeneratorSpec's fields
-_BLOCK_FIELDS = ("family", "mean", "std", "skew", "template", "n", "seed")
+        return len(self.template) - 1
 
 
 def generator_spec_from_dict(block: dict) -> GeneratorSpec:
-    """Build a GeneratorSpec from a JSON generator block, naming bad fields."""
+    """Build a GeneratorSpec from a JSON generator block, whose keys are its init fields."""
     if not isinstance(block, dict):
         raise InputError("generator block must be a JSON object")
-    for key in _BLOCK_FIELDS:
+    keys = [f.name for f in fields(GeneratorSpec) if f.init]
+    for key in keys:
         if key not in block:
             raise InputError(f"generator block missing field '{key}'")
-    unknown = set(block) - set(_BLOCK_FIELDS)
+    unknown = set(block) - set(keys)
     if unknown:
         raise InputError(f"generator block has unknown fields {sorted(unknown)}")
     if not isinstance(block["template"], list):
         raise InputError("field 'template': must be a list with one null slot")
-    return GeneratorSpec(*(block[key] for key in _BLOCK_FIELDS))
+    return GeneratorSpec(**block)
 
 
 def generate(spec: GeneratorSpec, project_id: str = "generated") -> ScenarioSet:
     """Deterministically generate the scenario set described by ``spec``: scenario i's
     stochastic flow is the matched family's ``sample`` of the stream's uniform i."""
-    template = [0.0 if f is None else f for f in spec.flow_template]
+    template = [0.0 if f is None else f for f in spec.template]
     try:
-        flows = np.tile(template, (spec.n_scenarios, 1))
+        flows = np.tile(template, (spec.n, 1))
     except (OverflowError, ValueError, MemoryError) as exc:  # numpy refuses before allocating
-        raise InputError(f"n = {spec.n_scenarios} scenarios do not fit in one array: {exc}") from None
-    u = SeededStream(spec.seed).uniforms(np.arange(spec.n_scenarios, dtype=np.uint64))
+        raise InputError(f"n = {spec.n} scenarios do not fit in one array: {exc}") from None
+    u = SeededStream(spec.seed).uniforms(np.arange(spec.n, dtype=np.uint64))
     flows[:, spec.slot] = spec.matched.sample(u)
     flows.setflags(write=False)  # so that the ScenarioSet keeps it without a copy
     return ScenarioSet.uniform(project_id, flows)

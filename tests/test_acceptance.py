@@ -45,20 +45,20 @@ from reference import future_value, rows, split
 CURVE = YieldCurve.flat(0.05, 2)
 RIGHT_SPEC = GeneratorSpec(
     family="shifted_lognormal",
-    target_mean=350.0,
-    target_std=40.0,
-    target_skewness=2.7,
-    flow_template=(-200.0, None, -100.0),
-    n_scenarios=100000,
+    mean=350.0,
+    std=40.0,
+    skew=2.7,
+    template=(-200.0, None, -100.0),
+    n=100000,
     seed=555,
 )
 LEFT_SPEC = GeneratorSpec(
     family="mirrored_shifted_lognormal",
-    target_mean=355.0,
-    target_std=40.0,
-    target_skewness=-2.8,
-    flow_template=(-200.0, None, -100.0),
-    n_scenarios=100000,
+    mean=355.0,
+    std=40.0,
+    skew=-2.8,
+    template=(-200.0, None, -100.0),
+    n=100000,
     seed=777,
 )
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import invomega
-from invomega.cli import main
+from invomega.cli import build_parser, main
+from invomega.metrics import HURDLE_KINDS
 
 
 @pytest.fixture
@@ -107,6 +108,17 @@ class TestSimulate:
             ]
         )
         assert out_a.read_bytes() != out_b.read_bytes()
+
+    def test_overrides_match_the_block_keys_they_set(self, workspace):
+        # --n/--seed set the generator block's keys of the same names
+        descriptor = json.loads((workspace / "right.json").read_text())
+        descriptor["generator"].update({"n": 50, "seed": 9})
+        (workspace / "right_50_9.json").write_text(json.dumps(descriptor))
+        out_flags, out_block = workspace / "flags.csv", workspace / "block.csv"
+        assert main(["simulate", "--spec", str(workspace / "right.json"), "--n", "50", "--seed", "9",
+                     "--out", str(out_flags)]) == 0
+        assert main(["simulate", "--spec", str(workspace / "right_50_9.json"), "--out", str(out_block)]) == 0
+        assert out_flags.read_bytes() == out_block.read_bytes()
 
     def test_invalid_family_exit_2(self, workspace, capsys):
         bad = workspace / "bad.json"
@@ -379,6 +391,33 @@ class TestRank:
         report = json.loads(out.read_text())
         assert "crossings" in report
         assert report["crossings"][0]["project_a"] == "right-skewed"
+
+    def test_rank_with_grid_on_one_project_writes_empty_crossings(self, workspace):
+        # swept with no pairs: the key is there, unlike a run without --grid
+        out = workspace / "rank.json"
+        base = ["rank", "--projects", str(workspace / "right.json"), "--curve", str(workspace / "curve.csv"),
+                "--mu-star", "0.15", "--out", str(out)]
+        assert main([*base, "--grid", "0.05:0.25:0.01"]) == 0
+        assert strict_json(out.read_text())["crossings"] == []
+        assert main(base) == 0
+        assert "crossings" not in strict_json(out.read_text())
+
+    @pytest.mark.parametrize(
+        "flag, kind, value",
+        [("--delta-mu", "delta_mu", 0.1), ("--mu-star", "mu_star", 0.15), ("--npv-star", "npv_star", 20.0)],
+    )
+    def test_hurdle_flag_writes_its_kind_and_value(self, workspace, flag, kind, value):
+        out = workspace / "rank.json"
+        assert main(["rank", "--projects", str(workspace / "right.json"), "--curve", str(workspace / "curve.csv"),
+                     flag, str(value), "--out", str(out)]) == 0
+        assert strict_json(out.read_text())["hurdle"] == {"kind": kind, "value": value}
+
+    def test_hurdle_group_dests_are_hurdle_kinds(self):
+        # _cmd_rank reads the hurdle by its kind's name, so the flags' dests must be kinds
+        rank_parser = build_parser()._subparsers._group_actions[0].choices["rank"]
+        (group,) = rank_parser._mutually_exclusive_groups
+        assert group.required
+        assert tuple(action.dest for action in group._group_actions) == HURDLE_KINDS[:3]
 
     def test_duplicate_project_ids_exit_2(self, workspace, capsys):
         twin = json.loads((workspace / "left.json").read_text())

@@ -1,5 +1,6 @@
 """The lazy package namespace and the CLI's one-thread OpenBLAS setting."""
 
+import dataclasses
 import importlib
 import os
 import re
@@ -96,3 +97,11 @@ def test_readme_library_use_runs_and_shows_what_its_comments_state():
     assert [shown(e.omega, text) for e, text in zip(report.entries, ("0.333", "0.142"))] == [True, True]
     assert all(shown(e.threshold, "28.34") for e in report.entries)
     assert shown(radr.npv_at_k, "-3.87") and radr.accept is False
+
+
+def test_readme_generator_block_lists_the_spec_fields():
+    # the README's generator example names the block's keys, which are GeneratorSpec's init fields
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r'\*\*Project descriptor JSON\*\*.*?`(\{"family":.*?\})`', readme, re.S).group(1)
+    keys = re.findall(r'"(\w+)":', example)
+    assert keys == [f.name for f in dataclasses.fields(invomega.GeneratorSpec) if f.init]

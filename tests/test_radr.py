@@ -56,11 +56,11 @@ class TestVerticalAverage:
 
         spec = GeneratorSpec(
             family="shifted_lognormal",
-            target_mean=350.0,
-            target_std=40.0,
-            target_skewness=2.7,
-            flow_template=(-200.0, None, -100.0),
-            n_scenarios=1000,
+            mean=350.0,
+            std=40.0,
+            skew=2.7,
+            template=(-200.0, None, -100.0),
+            n=1000,
             seed=555,
         )
         means = vertical_average(generate(spec))

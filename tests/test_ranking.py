@@ -46,12 +46,12 @@ def mu_project(pid, mean, std, n=4000, seed=1) -> GeneratorSpec:
     """One-period project whose mu distribution is Normal(mean-1, std) in return terms."""
     return GeneratorSpec(
         family="normal",
-        target_mean=mean,
-        target_std=std,
-        flow_template=(-100.0, None),
-        n_scenarios=n,
+        mean=mean,
+        std=std,
+        template=(-100.0, None),
+        n=n,
         seed=seed,
-        target_skewness=0.0,
+        skew=0.0,
     )
 
 
@@ -283,11 +283,11 @@ class TestOmegaVsHurdle:
         ss = generate(
             GeneratorSpec(
                 family="shifted_lognormal",
-                target_mean=350.0,
-                target_std=40.0,
-                target_skewness=2.7,
-                flow_template=(-200.0, None, -100.0),
-                n_scenarios=2000,
+                mean=350.0,
+                std=40.0,
+                skew=2.7,
+                template=(-200.0, None, -100.0),
+                n=2000,
                 seed=3,
             ),
             project_id="demo",
@@ -373,6 +373,15 @@ class TestHurdleCrossings:
         for grid, message in (([], "empty"), ([0.2, 0.1], "strictly increasing")):
             with pytest.raises(InputError, match=message):
                 rank_with_crossings([project], HurdleSpec("npv_star", 25.0), grid)
+
+    def test_swept_without_pairs_is_not_unswept(self):
+        # one project has no pairs: the sweep's report keeps an empty crossings key
+        project = project_from_dist("only", [0.0, 100.0])
+        hurdle = HurdleSpec("npv_star", 25.0)
+        swept = rank_with_crossings([project], hurdle, [0.1, 0.2])
+        assert swept.crossings == () and swept.to_dict()["crossings"] == ()
+        unswept = rank([project], hurdle)
+        assert unswept.crossings is None and "crossings" not in unswept.to_dict()
 
     @pytest.mark.parametrize("metric", ["mu", "npv"])
     def test_shared_curves_give_the_per_pair_brackets(self, metric):

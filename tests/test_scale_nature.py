@@ -100,7 +100,7 @@ def test_generated_project_and_its_simulated_twin_rank_identically(tmp_path):
 @cache
 def _demo_pair() -> tuple[ScenarioSet, ...]:
     specs = (read_project(DEMO_DIR / f"project_{side}.json") for side in ("right", "left"))
-    return tuple(generate(replace(spec, n_scenarios=5_000), pid) for pid, _, spec in specs)
+    return tuple(generate(replace(spec, n=5_000), pid) for pid, _, spec in specs)
 
 
 def _scaled(scenario_set: ScenarioSet, factor: float) -> ScenarioSet:

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +39,11 @@ from invomega.scenarios import _lognormal_w, _ndtri, _scan_table, generator_spec
 def spec_right(n=100, seed=555) -> GeneratorSpec:
     return GeneratorSpec(
         family="shifted_lognormal",
-        target_mean=350.0,
-        target_std=40.0,
-        target_skewness=2.7,
-        flow_template=(-200.0, None, -100.0),
-        n_scenarios=n,
+        mean=350.0,
+        std=40.0,
+        skew=2.7,
+        template=(-200.0, None, -100.0),
+        n=n,
         seed=seed,
     )
 
@@ -302,20 +302,20 @@ class TestGenerate:
     def test_mirroring_property(self):
         base = GeneratorSpec(
             family="shifted_lognormal",
-            target_mean=355.0,
-            target_std=40.0,
-            target_skewness=2.8,
-            flow_template=(-200.0, None, -100.0),
-            n_scenarios=200,
+            mean=355.0,
+            std=40.0,
+            skew=2.8,
+            template=(-200.0, None, -100.0),
+            n=200,
             seed=99,
         )
         mirrored = GeneratorSpec(
             family="mirrored_shifted_lognormal",
-            target_mean=355.0,
-            target_std=40.0,
-            target_skewness=-2.8,
-            flow_template=(-200.0, None, -100.0),
-            n_scenarios=200,
+            mean=355.0,
+            std=40.0,
+            skew=-2.8,
+            template=(-200.0, None, -100.0),
+            n=200,
             seed=99,
         )
         plain_flows = generate(base).flows[:, 1].tolist()
@@ -334,11 +334,11 @@ class TestGenerate:
     def test_normal_family(self):
         spec = GeneratorSpec(
             family="normal",
-            target_mean=110.0,
-            target_std=1.0,
-            target_skewness=0.0,
-            flow_template=(-100.0, None),
-            n_scenarios=50000,
+            mean=110.0,
+            std=1.0,
+            skew=0.0,
+            template=(-100.0, None),
+            n=50000,
             seed=21,
         )
         stats = summarize(
@@ -359,15 +359,15 @@ class TestGenerate:
         "field, change",
         [
             ("family", {"family": "cauchy"}),
-            ("mean", {"target_mean": True}),
-            ("mean", {"target_mean": "350"}),
-            ("mean", {"target_mean": 10**400}),
-            ("std", {"target_std": False}),
-            ("skew", {"target_skewness": None}),
-            ("template", {"flow_template": (-1.0, True)}),
-            ("template", {"flow_template": (-1.0, None, math.inf)}),
-            ("n", {"n_scenarios": True}),
-            ("n", {"n_scenarios": 5.0}),
+            ("mean", {"mean": True}),
+            ("mean", {"mean": "350"}),
+            ("mean", {"mean": 10**400}),
+            ("std", {"std": False}),
+            ("skew", {"skew": None}),
+            ("template", {"template": (-1.0, True)}),
+            ("template", {"template": (-1.0, None, math.inf)}),
+            ("n", {"n": True}),
+            ("n", {"n": 5.0}),
             ("seed", {"seed": False}),
         ],
     )
@@ -394,8 +394,8 @@ class TestGenerate:
 
     def test_json_integers_become_floats(self):
         spec = GeneratorSpec("normal", 110, 1, 0, (-100, None), 5, 21)
-        assert [type(v) for v in (spec.target_mean, spec.target_std, spec.target_skewness)] == [float] * 3
-        assert spec.flow_template == (-100.0, None) and type(spec.flow_template[0]) is float
+        assert [type(v) for v in (spec.mean, spec.std, spec.skew)] == [float] * 3
+        assert spec.template == (-100.0, None) and type(spec.template[0]) is float
 
 
 class TestScenarioCsv:
@@ -634,7 +634,7 @@ class TestProjectDescriptor:
         block = {"family": "normal", "mean": 0.0, "std": 1.0, "skew": 0.0, "template": [-1.0, None, 0.0], "n": 3, "seed": 1}
         (tmp_path / "bare.json").write_text(json.dumps(block))
         project_id, horizon, spec = read_project(tmp_path / "bare.json")
-        assert (project_id, horizon, spec.n_scenarios) == ("bare", 2, 3)
+        assert (project_id, horizon, spec.n) == ("bare", 2, 3)
 
     @pytest.mark.parametrize("project_id", [None, 7, ["a"]])
     def test_id_must_be_a_string(self, tmp_path, project_id):
@@ -672,11 +672,29 @@ class TestProjectDescriptor:
             load_project(path)
 
 
+BLOCK = {"family": "normal", "mean": 0.0, "std": 1.0, "skew": 0.0, "template": [-1.0, None], "n": 5, "seed": 1}
+BLOCK_KEYS = tuple(BLOCK)  # GeneratorSpec's declaration order
+
+
 class TestGeneratorBlockParsing:
+    def test_block_keys_are_the_spec_fields(self):
+        assert BLOCK_KEYS == tuple(f.name for f in fields(GeneratorSpec) if f.init)
+
     def test_missing_field_named(self):
-        block = {"family": "normal", "mean": 0.0, "std": 1.0, "skew": 0.0, "n": 5, "seed": 1}
-        with pytest.raises(InputError, match="'template'"):
-            generator_spec_from_dict(block)
+        for key in BLOCK_KEYS:
+            block = {k: v for k, v in BLOCK.items() if k != key}
+            with pytest.raises(InputError, match=f"^generator block missing field '{key}'$"):
+                generator_spec_from_dict(block)
+
+    def test_first_missing_field_in_declaration_order(self):
+        for i, first in enumerate(BLOCK_KEYS):
+            for second in BLOCK_KEYS[i + 1:]:
+                block = {k: v for k, v in BLOCK.items() if k not in (first, second)}
+                with pytest.raises(InputError, match=f"^generator block missing field '{first}'$"):
+                    generator_spec_from_dict(block)
+
+    def test_block_is_the_spec_keywords(self):
+        assert generator_spec_from_dict(dict(BLOCK)) == GeneratorSpec(**BLOCK)
 
     def test_unknown_family_names_field(self):
         block = {
