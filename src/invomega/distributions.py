@@ -255,38 +255,49 @@ def _signs(omega_a: np.ndarray, omega_b: np.ndarray) -> np.ndarray:
 
 
 def crossing_on_grid(
-    grid: Sequence[float],
-    omega_a: Callable[[np.ndarray], np.ndarray],
-    omega_b: Callable[[np.ndarray], np.ndarray],
-) -> list[tuple[float, float]]:
-    """Brackets where the ranking of two Omega curves flips along ``grid``.
+    grid: Sequence[float], curves: Sequence[Callable[[np.ndarray], np.ndarray]]
+) -> list[list[tuple[float, float]]]:
+    """Brackets along ``grid`` where the ranking of two Omega curves flips.
 
-    ``omega_a`` and ``omega_b`` map an array of points to the curves' Omega
-    there. A flip is a change of sign between two grid points whose signs are
-    non-zero and which have only zeros between them. Its bracket lies in the
-    grid step that ends at the first of those zeros, or in the step between
-    the two points when there are none. So (+, 0, -) gives one bracket in the
-    first step, while (+, 0, +) and a run of zeros at either end of the grid
-    give none. All brackets are bisected together, with one call of each
-    curve per step at the midpoints of the brackets still open. A bracket
-    stays open while it is wider than its grid step divided by 1024 and its
-    ends are not adjacent floats (no float lies between them to bisect at).
+    ``curves`` map an array of points to their Omega there; the result has one
+    list per pair i < j, in ``np.triu_indices`` order. A flip is a change of
+    sign between two grid points whose signs are non-zero and which have only
+    zeros between them. Its bracket lies in the grid step that ends at the
+    first of those zeros, or in the step between the two points when there
+    are none. So (+, 0, -) gives one bracket in the first step, while
+    (+, 0, +) and a run of zeros at either end of the grid give none. With two
+    curves or more, each is called once on the grid and then once per bisection
+    step, at its own pairs' open brackets' midpoints. A bracket stays open while
+    it is wider than its grid step / 1024 and its ends are not adjacent floats.
     """
     _check_grid(grid)
+    if len(curves) < 2:
+        return []
     points = np.array(grid, dtype=float)
-    signs = _signs(omega_a(points), omega_b(points))
-    nonzero = np.flatnonzero(signs)
-    flips = nonzero[:-1][signs[nonzero[:-1]] != signs[nonzero[1:]]]
-    lo, hi, side = points[flips], points[flips + 1], signs[flips]
+    on_grid = np.fromiter((curve(points) for curve in curves), (float, points.size), len(curves))
+    pairs = np.transpose(np.triu_indices(len(curves), 1))
+    flips = []
+    for a, b in pairs:  # one pair at a time: the P x G matrix is the one grid-sized array
+        signs = _signs(on_grid[a], on_grid[b])
+        nonzero = np.flatnonzero(signs)
+        flips.append(nonzero[:-1][signs[nonzero[:-1]] != signs[nonzero[1:]]])
+    at = np.concatenate(flips)
+    ends = pairs[np.repeat(np.arange(len(pairs)), [f.size for f in flips])].T  # each bracket's curves
+    lo, hi, side = points[at], points[at + 1], _signs(*on_grid[ends, at])
     limit = (hi - lo) / 1024.0
-    open_ = np.arange(flips.size)
+    open_ = np.arange(at.size)
     while (open_ := open_[(hi[open_] - lo[open_] > limit[open_])
                           & (np.nextafter(lo[open_], hi[open_]) < hi[open_])]).size:
         mid = 0.5 * (lo[open_] + hi[open_])
-        stay = _signs(omega_a(mid), omega_b(mid)) == side[open_]
+        curve_of, values = ends[:, open_], np.tile(mid, (2, 1))  # values: midpoints, then Omegas
+        for c in np.unique(curve_of):
+            mine = curve_of == c
+            values[mine] = curves[c](values[mine])
+        stay = _signs(*values) == side[open_]
         lo[open_[stay]] = mid[stay]
         hi[open_[~stay]] = mid[~stay]
-    return list(zip(lo.tolist(), hi.tolist()))
+    brackets = zip(lo.tolist(), hi.tolist())
+    return [[next(brackets) for _ in f] for f in flips]
 
 
 def write_omega_curve_csv(curve: OmegaResult, target: str | Path | IO[str]) -> None:

@@ -188,15 +188,16 @@ def omega_vs_hurdle(project: ProjectEvaluation, mu_grid: Sequence[float]) -> Ome
     return _omega_on(project, "mu_star", mu_grid)
 
 
+def _mu_curves(projects: Sequence[ProjectEvaluation]) -> list:
+    """Each project's Omega as a function of an array of mu* hurdles, for ``crossing_on_grid``."""
+    return [lambda mus, p=p: _omega_on(p, "mu_star", mus).omega for p in projects]
+
+
 def hurdle_crossings(
     project_a: ProjectEvaluation, project_b: ProjectEvaluation, mu_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Hurdle intervals (width <= grid step / 1024) where the pair's ranking flips."""
-    omega_a, omega_b = (
-        lambda mus, p=p: _omega_on(p, "mu_star", mus).omega
-        for p in (project_a, project_b)
-    )
-    return crossing_on_grid(mu_grid, omega_a, omega_b)
+    return crossing_on_grid(mu_grid, _mu_curves([project_a, project_b]))[0]
 
 
 def rank_with_crossings(
@@ -204,13 +205,10 @@ def rank_with_crossings(
 ) -> RankingReport:
     """rank() plus pairwise ranking-flip brackets over a shared mu* grid."""
     report = rank(projects, hurdle)
-    _check_grid(mu_grid)
-    pairs = tuple(
-        PairCrossings(a.project_id, b.project_id, tuple(hurdle_crossings(a, b, mu_grid)))
-        for i, a in enumerate(projects)
-        for b in projects[i + 1:]
-    )
-    return replace(report, crossings=pairs)
+    pairs = zip(*np.triu_indices(len(projects), 1), crossing_on_grid(mu_grid, _mu_curves(projects)))
+    return replace(report, crossings=tuple(
+        PairCrossings(projects[i].project_id, projects[j].project_id, tuple(b)) for i, j, b in pairs
+    ))
 
 
 def write_ranking_csv(report: RankingReport, target: str | Path | IO[str]) -> None:

@@ -414,9 +414,9 @@ def read_project(path: str | Path) -> tuple[str, int, GeneratorSpec | Path]:
 
     One grammar for every command: a full descriptor has a string ``id``, a
     positive integer ``horizon`` and one of ``scenario_file`` (relative to the
-    descriptor) or a ``generator`` block; a bare generator block (it has a
-    ``family`` field) is the project named by the file stem. ``source`` is the
-    GeneratorSpec or the resolved scenario CSV path.
+    descriptor) or a ``generator`` block; a bare generator block (any of its
+    keys at the top level) is the project named by the file stem. ``source``
+    is the GeneratorSpec or the resolved scenario CSV path.
     """
     path = Path(path)
     with located(path):
@@ -427,7 +427,7 @@ def read_project(path: str | Path) -> tuple[str, int, GeneratorSpec | Path]:
             raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise InputError("descriptor must be a JSON object")
-        if "family" in data:
+        if not data.keys().isdisjoint(f.name for f in fields(GeneratorSpec) if f.init):
             spec = generator_spec_from_dict(data)
             return path.stem, spec.horizon, spec
         for key in ("id", "horizon"):

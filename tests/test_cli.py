@@ -402,6 +402,15 @@ class TestRank:
         assert main(base) == 0
         assert "crossings" not in strict_json(out.read_text())
 
+    def test_rank_with_grid_on_one_project_converts_no_grid_point(self, demo_dir, tmp_path, capsys):
+        # no pair, so no curve is evaluated: the mu* = -2 grid point is never refused
+        out = tmp_path / "rank.json"
+        assert main(["rank", "--projects", str(demo_dir / "project_right.json"),
+                     "--curve", str(demo_dir / "curve_flat5.csv"), "--delta-mu", "0.1",
+                     "--grid=-2:0.1:0.1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert strict_json(out.read_text())["crossings"] == []
+
     @pytest.mark.parametrize(
         "flag, kind, value",
         [("--delta-mu", "delta_mu", 0.1), ("--mu-star", "mu_star", 0.15), ("--npv-star", "npv_star", 20.0)],

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -321,7 +322,7 @@ class TestCrossing:
     def test_identical_distributions(self):
         dist = EmpiricalDistribution([0.0, 50.0, 100.0])
         grid = [10.0, 30.0, 70.0]
-        assert crossing_on_grid(grid, omega_of(dist), omega_of(dist)) == []
+        assert crossing_on_grid(grid, [omega_of(dist), omega_of(dist)])[0] == []
 
     def test_two_point_pair_crosses_at_common_mean(self):
         # omega of {0,100} and {40,60} are equal exactly at 50; the ranking
@@ -329,7 +330,7 @@ class TestCrossing:
         dist_a = EmpiricalDistribution([0.0, 100.0])
         dist_b = EmpiricalDistribution([40.0, 60.0])
         grid = [41.0, 45.0, 49.0, 53.0, 57.0]
-        brackets = crossing_on_grid(grid, omega_of(dist_a), omega_of(dist_b))
+        brackets = crossing_on_grid(grid, [omega_of(dist_a), omega_of(dist_b)])[0]
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert lo <= 50.0 <= hi
@@ -343,16 +344,18 @@ class TestCrossing:
         dist_a = EmpiricalDistribution([0.0, 1.0])
         dist_b = EmpiricalDistribution([10.0, 11.0])
         grid = [2.0, 4.0, 6.0, 9.0]
-        assert crossing_on_grid(grid, omega_of(dist_a), omega_of(dist_b)) == []
+        assert crossing_on_grid(grid, [omega_of(dist_a), omega_of(dist_b)])[0] == []
 
     def test_crossing_on_grid_with_callables(self):
         dist_a = EmpiricalDistribution([0.0, 100.0])
         dist_b = EmpiricalDistribution([40.0, 60.0])
         brackets = crossing_on_grid(
             [45.0, 55.0],
-            lambda x: np.array([omega(dist_a, v).omega for v in x]),
-            lambda x: np.array([omega(dist_b, v).omega for v in x]),
-        )
+            [
+                lambda x: np.array([omega(dist_a, v).omega for v in x]),
+                lambda x: np.array([omega(dist_b, v).omega for v in x]),
+            ],
+        )[0]
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert lo <= 50.0 <= hi and hi - lo <= 10.0 / 1024.0
@@ -363,34 +366,34 @@ class TestZeroSigns:
 
     def test_flip_through_a_tie_on_the_grid(self):
         # signs (+, 0, -): one bracket, in the step that ends at the tie
-        brackets = crossing_on_grid([0.0, 1.0, 2.0], lambda x: 2.0 - x, flat(1.0))
+        brackets = crossing_on_grid([0.0, 1.0, 2.0], [lambda x: 2.0 - x, flat(1.0)])[0]
         assert brackets == [(1.0 - 1.0 / 1024.0, 1.0)]
 
     def test_flip_through_a_run_of_ties(self):
         # signs (+, 0, 0, -): the bracket goes in the step that ends at the first 0
         a = lambda x: np.where(x < 1.0, 2.0, np.where(x <= 2.0, 1.0, 0.5))
-        (lo, hi), = crossing_on_grid([0.0, 1.0, 2.0, 3.0], a, flat(1.0))
+        (lo, hi), = crossing_on_grid([0.0, 1.0, 2.0, 3.0], [a, flat(1.0)])[0]
         assert 0.0 <= lo < hi == 1.0 and hi - lo <= 1.0 / 1024.0
 
     def test_touch_without_flip(self):
         # signs (+, 0, +): the curves meet at the grid point but do not swap
-        assert crossing_on_grid([0.0, 1.0, 2.0], lambda x: 1.0 + (x - 1.0) ** 2, flat(1.0)) == []
+        assert crossing_on_grid([0.0, 1.0, 2.0], [lambda x: 1.0 + (x - 1.0) ** 2, flat(1.0)])[0] == []
 
     def test_zero_runs_at_the_ends(self):
         # both curves +inf, then a flip, then both indeterminate: signs (0, 0, +, -, 0)
         grid = [0.0, 1.0, 2.0, 3.0, 4.0]
         a = lambda x: np.where(x < 1.5, np.inf, np.where(x < 3.5, 3.0 - x, np.nan))
         b = lambda x: np.where(x < 1.5, np.inf, np.where(x < 3.5, 0.5, np.nan))
-        (lo, hi), = crossing_on_grid(grid, a, b)
+        (lo, hi), = crossing_on_grid(grid, [a, b])[0]
         assert 2.0 <= lo <= 2.5 <= hi <= 3.0 and hi - lo <= 1.0 / 1024.0
-        assert crossing_on_grid(grid[:2], a, b) == []
-        assert crossing_on_grid(grid[:3], a, b) == []  # (0, 0, +)
-        assert crossing_on_grid(grid[3:], a, b) == []
+        assert crossing_on_grid(grid[:2], [a, b])[0] == []
+        assert crossing_on_grid(grid[:3], [a, b])[0] == []  # (0, 0, +)
+        assert crossing_on_grid(grid[3:], [a, b])[0] == []
 
     def test_adjacent_flip_is_bracketed_as_before(self):
         # signs (+, +, -): no zero in between, so the bracket is that of the scalar loop
         grid = [0.0, 0.75, 2.0]
-        brackets = crossing_on_grid(grid, lambda x: 2.0 - x, flat(1.0))
+        brackets = crossing_on_grid(grid, [lambda x: 2.0 - x, flat(1.0)])[0]
         assert brackets == reference.crossing_on_grid(
             grid, lambda x: as_result(2.0 - x), lambda x: as_result(1.0)
         )
@@ -399,22 +402,25 @@ class TestZeroSigns:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_signs_match_the_scalar_reference(self, seed):
-        # step curves on a few levels, so that ties and runs of zeros are common
+        # five step curves on a few levels, so that ties and runs of zeros are common;
+        # each of the ten pairs must give the brackets of the scalar loop
         rng = np.random.default_rng(seed)
         grid = np.cumsum(rng.uniform(0.5, 1.5, 12))
         levels = np.array([0.5, 1.0, 2.0, np.inf, np.nan])
-        a, b = rng.choice(levels, 12), rng.choice(levels, 12)
+        values = rng.choice(levels, (5, 12))
 
-        def step(values):
-            return lambda x: values[np.searchsorted(grid, x, side="right") - 1]
+        def step(row):
+            return lambda x: row[np.searchsorted(grid, x, side="right") - 1]
 
-        got = crossing_on_grid(grid.tolist(), step(a), step(b))
-        scalar = reference.crossing_on_grid(
-            grid.tolist(),
-            lambda x: as_result(float(step(a)(x))),
-            lambda x: as_result(float(step(b)(x))),
-        )
-        assert got == scalar
+        got = crossing_on_grid(grid.tolist(), [step(row) for row in values])
+        pairs = list(zip(*np.triu_indices(5, 1)))
+        assert len(got) == len(pairs) == 10
+        for brackets, (i, j) in zip(got, pairs):
+            assert brackets == reference.crossing_on_grid(
+                grid.tolist(),
+                lambda x: as_result(float(step(values[i])(x))),
+                lambda x: as_result(float(step(values[j])(x))),
+            )
 
     def test_one_call_per_curve_per_bisection_step(self):
         calls = []
@@ -424,10 +430,51 @@ class TestZeroSigns:
             return np.cos(points)
 
         grid = np.linspace(0.0, 20.0, 41).tolist()
-        brackets = crossing_on_grid(grid, counted, flat(0.0))
+        brackets = crossing_on_grid(grid, [counted, flat(0.0)])[0]
         assert len(brackets) == 6  # the zeros of cos in (0, 20)
         assert calls[0] == 41
         assert len(calls) <= 1 + 11 and calls[1] == 6
+
+    def test_each_curve_is_called_at_its_own_pairs_midpoints_only(self):
+        # four shifted cosines cross each other; a fifth curve lies above them all
+        grid = np.linspace(0.0, 20.0, 41)
+        calls = {c: [] for c in range(5)}
+
+        def curve(c):
+            def at(points):
+                calls[c].append(points.copy())
+                return np.full(points.shape, 2.0) if c == 4 else np.cos(points + 0.9 * c)
+            return at
+
+        result = crossing_on_grid(grid.tolist(), [curve(c) for c in range(5)])
+        pairs = list(zip(*np.triu_indices(5, 1)))
+        for c, points in calls.items():
+            own = [b for bs, pair in zip(result, pairs) if c in pair for b in bs]
+            assert points[0].tolist() == grid.tolist()
+            assert len(points) <= 1 + 11
+            if not own:
+                assert c == 4 and len(points) == 1
+                continue
+            assert points[1].size == len(own)  # every bracket is open at the first step
+            steps = {int(np.searchsorted(grid, lo, side="right")) for lo, _ in own}
+            for midpoints in points[1:]:
+                assert 0 < midpoints.size <= len(own)
+                assert set(np.searchsorted(grid, midpoints, side="right").tolist()) <= steps
+        assert sum(map(len, result[:6])) >= 6  # the four cosines' six pairs all cross
+
+    def test_memory_is_one_matrix_of_curves_not_one_row_per_pair(self):
+        # 40 curves over 1e5 points: a pairs x G array would be 780 rows, about 624 MB
+        curves_n, points_n = 40, 100_000
+        grid = np.linspace(0.0, 20.0, points_n).tolist()
+        curves = [lambda x, c=c: np.cos(x + 0.1 * c) for c in range(curves_n)]
+        tracemalloc.start()
+        try:
+            result = crossing_on_grid(grid, curves)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == curves_n * (curves_n - 1) // 2
+        assert peak < 2 * curves_n * points_n * 8
 
     def test_bisection_stops_at_adjacent_floats(self):
         # a grid step of a few float spacings: step/1024 is below one spacing, so the
@@ -437,7 +484,7 @@ class TestZeroSigns:
             "from invomega import crossing_on_grid\n"
             "x0 = 0.1 + 5e-15\n"
             "print(crossing_on_grid([0.1 + i * 1e-15 for i in range(11)],"
-            " lambda m: 1 + (m - x0), lambda m: 1 - (m - x0)))\n"
+            " [lambda m: 1 + (m - x0), lambda m: 1 - (m - x0)])[0])\n"
         )
         src = Path(invomega.__file__).resolve().parents[1]
         proc = subprocess.run(

@@ -98,7 +98,8 @@ def test_traced_radr_compare_spans_the_valuation_and_its_mean_flows(tmp_path):
     assert [s["name"] for s in spans if s["parent"] == valuation["id"]] == ["radr.vertical_average"]
 
 
-def test_traced_rank_sweep_spans_rank_and_each_pair_under_the_sweep(tmp_path):
+def test_traced_rank_sweep_spans_rank_and_no_pair_call_under_the_sweep(tmp_path):
+    # the sweep solves all pairs in one crossing_on_grid call, so no hurdle_crossings span
     projects = []
     for side in ("left", "right", "long"):
         descriptor = json.loads((DEMO_DIR / f"project_{side}.json").read_text())
@@ -110,5 +111,5 @@ def test_traced_rank_sweep_spans_rank_and_each_pair_under_the_sweep(tmp_path):
     spans = _traced_spans(tmp_path, argv)
     (sweep,) = [s for s in spans if s["name"] == "ranking.rank_with_crossings"]
     names = Counter(s["name"] for s in spans if s["name"] in ("ranking.rank", "ranking.hurdle_crossings"))
-    assert names == {"ranking.rank": 1, "ranking.hurdle_crossings": 3}
+    assert names == {"ranking.rank": 1}
     assert all(s["parent"] == sweep["id"] for s in spans if s["name"] in names)

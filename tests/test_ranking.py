@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from invomega import (
     rank_with_crossings,
     thresholds,
 )
+from invomega import ranking
 from invomega.metrics import HURDLE_KINDS, metric_thresholds
 from invomega.ranking import ProjectEvaluation, write_ranking_csv
 
@@ -368,11 +370,65 @@ class TestHurdleCrossings:
         assert report.order[0] == "narrow"
 
     def test_single_project_grid_is_checked(self):
-        # one project makes no pair, so rank_with_crossings checks the grid itself
+        # one project makes no pair, but crossing_on_grid checks the grid before it looks
         project = project_from_dist("only", [0.0, 100.0])
         for grid, message in (([], "empty"), ([0.2, 0.1], "strictly increasing")):
             with pytest.raises(InputError, match=message):
                 rank_with_crossings([project], HurdleSpec("npv_star", 25.0), grid)
+
+    @pytest.mark.parametrize("ids", [("short", "long"), ("short", "other", "long")])
+    def test_a_later_project_refusing_a_grid_point_is_named(self, ids):
+        # (1+mu)^5 overflows at mu = 1e70 where (1+mu)^2 does not: only the last project refuses
+        curve = YieldCurve.flat(0.05, 5)
+        projects = [
+            project_from_dist(pid, [0.0, 1.0], metric="mu", horizon=5 if pid == "long" else 2, curve=curve)
+            for pid in ids
+        ]
+        with pytest.raises(InputError) as excinfo:
+            rank_with_crossings(projects, HurdleSpec("mu_star", 0.1), [1e70, 2e70])
+        assert type(excinfo.value) is InputError
+        assert str(excinfo.value) == "long: annualized return 1e+70 overflows (1+mu)^5"
+
+    @pytest.mark.parametrize("metric", ["mu", "npv"])
+    def test_midpoints_refuse_no_hurdle_the_grid_accepted(self, monkeypatch, metric):
+        # the grid's ends are the first and last mu* that the five-period project accepts;
+        # every hurdle converted after the grid lies between them, so none is refused
+        curve = YieldCurve.flat(0.05, 5)
+        long = project_from_dist("long", [-0.5, 0.1, 0.12, 0.3], horizon=5, metric=metric, curve=curve)
+
+        def refused(mu):
+            try:
+                omega_vs_hurdle(long, [mu])
+            except EngineError:
+                return True
+            return False
+
+        accepted, top = 1.0, 2.0 * sys.float_info.max ** 0.2  # bisect for the last accepted mu*
+        while math.nextafter(accepted, top) < top:
+            mid = 0.5 * (accepted + top)
+            accepted, top = (accepted, mid) if refused(mid) else (mid, top)
+        bottom = math.nextafter(-1.0, 0.0)
+        assert refused(-1.0) and not refused(bottom) and not refused(accepted) and refused(top)
+        specs = [("narrow", 110.0, 1.0, 31), ("wide", 112.0, 6.0, 32), ("medium", 111.0, 3.0, 33)]
+        projects = [
+            evaluate_project(generate(mu_project(pid, mean, std, n=2000, seed=seed), pid),
+                             YieldCurve.flat(0.05, 1), metric)
+            for pid, mean, std, seed in specs
+        ]
+        grid = [bottom, *np.arange(0.06, 0.161, 0.005).tolist(), accepted]
+        converted = []
+
+        def spy(kind, values, *args):
+            converted.append(values)
+            return metric_thresholds(kind, values, *args)
+
+        monkeypatch.setattr(ranking, "metric_thresholds", spy)
+        report = rank_with_crossings([*projects, long], HurdleSpec("mu_star", 0.08), grid)
+        assert sum(len(pair.brackets) for pair in report.crossings) >= 2
+        # one conversion per project at the hurdle, then one on the grid, then the midpoints
+        assert converted[4:8] == [grid] * 4
+        midpoints = [v for values in converted[8:] for v in values]
+        assert midpoints and all(grid[0] < v < grid[-1] for v in midpoints)
 
     def test_swept_without_pairs_is_not_unswept(self):
         # one project has no pairs: the sweep's report keeps an empty crossings key

@@ -636,6 +636,24 @@ class TestProjectDescriptor:
         project_id, horizon, spec = read_project(tmp_path / "bare.json")
         assert (project_id, horizon, spec.n) == ("bare", 2, 3)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # any generator block key at the top level makes the file a bare block
+            ({"mean": 350, "std": 40, "skew": 2.7, "template": [-200, None, -100], "n": 10, "seed": 1},
+             "generator block missing field 'family'"),
+            ({}, "missing field 'id'"),
+            ({"horizon": 2, "generator": {}}, "missing field 'id'"),
+        ],
+    )
+    def test_bare_block_is_told_by_any_of_its_keys(self, tmp_path, data, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InputError) as excinfo:
+            read_project(path)
+        assert type(excinfo.value) is InputError
+        assert str(excinfo.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("project_id", [None, 7, ["a"]])
     def test_id_must_be_a_string(self, tmp_path, project_id):
         path = tmp_path / "p.json"
