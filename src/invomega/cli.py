@@ -8,13 +8,14 @@ precision; only stdout applies display rounding.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 # The CLI makes no BLAS call, so it spares each process numpy's idle OpenBLAS
 # workers. OpenBLAS reads the variable once, when numpy first loads (the layer
@@ -76,7 +77,6 @@ def _strict(value):
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n")
 
 
@@ -85,7 +85,7 @@ def _shown(stat: float | None, spec: str) -> str:
     return "n/a" if stat is None else format(stat, spec)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[list, list[str]]:
     project_id, _, spec = read_project(args.spec)
     if not isinstance(spec, GeneratorSpec):
         with located(args.spec):
@@ -96,42 +96,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = replace(spec, **overrides)
     with located(args.spec):
         scenario_set = generate(spec, project_id=project_id)
-    out = Path(args.out)
-    write_scenarios(scenario_set, out)
-    slot = spec.slot
-    stats = summarize(EmpiricalDistribution(scenario_set.flows[:, slot]))
-    print(f"wrote {len(scenario_set)} scenarios to {out}")
-    print(
-        f"stochastic flow t={slot}: mean={stats.mean:.4f} std={_shown(stats.std, '.4f')} "
-        f"skewness={_shown(stats.skewness, '.4f')}"
-    )
-    return 0
+        stats = summarize(EmpiricalDistribution(scenario_set.flows[:, spec.slot]))
+    return [(Path(args.out), lambda path: write_scenarios(scenario_set, path))], [
+        f"wrote {len(scenario_set)} scenarios to {Path(args.out)}",
+        f"stochastic flow t={spec.slot}: mean={stats.mean:.4f} std={_shown(stats.std, '.4f')} "
+        f"skewness={_shown(stats.skewness, '.4f')}",
+    ]
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> tuple[list, list[str]]:
     scenario_set = load_project(Path(args.project))
     curve = YieldCurve.from_csv(args.curve)
     with located(args.project):
         results = evaluate_set(scenario_set, curve)
-        # both summaries before either CSV, so a refused distribution leaves no partial report
         npv_stats = summarize(EmpiricalDistribution(results.npv, scenario_set.weights))
         mu_stats = summarize(EmpiricalDistribution(results.annualized_return, scenario_set.weights))
+    summaries = {"npv": npv_stats, "mu": mu_stats}
     out_dir = Path(args.out_dir)
-    write_evaluation_csv(results, out_dir / "evaluation.csv")
-    write_summary_csv({"npv": npv_stats, "mu": mu_stats}, out_dir / "summary.csv")
-    print(f"evaluated {len(scenario_set)} scenarios of {scenario_set.project_id!r}")
-    print(
+    return [
+        (out_dir / "evaluation.csv", lambda path: write_evaluation_csv(results, path)),
+        (out_dir / "summary.csv", lambda path: write_summary_csv(summaries, path)),
+    ], [
+        f"evaluated {len(scenario_set)} scenarios of {scenario_set.project_id!r}",
         f"npv: mean={npv_stats.mean:.0f} median={npv_stats.median:.0f} "
-        f"std={_shown(npv_stats.std, '.0f')} skewness={_shown(npv_stats.skewness, '.2f')}"
-    )
-    print(
+        f"std={_shown(npv_stats.std, '.0f')} skewness={_shown(npv_stats.skewness, '.2f')}",
         f"mu: mean={mu_stats.mean:.1%} median={mu_stats.median:.1%} "
-        f"std={_shown(mu_stats.std, '.1%')} skewness={_shown(mu_stats.skewness, '.2f')}"
-    )
-    return 0
+        f"std={_shown(mu_stats.std, '.1%')} skewness={_shown(mu_stats.skewness, '.2f')}",
+    ]
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: argparse.Namespace) -> tuple[list, list[str]]:
     curve = YieldCurve.from_csv(args.curve)
     projects = []
     for path in args.projects:
@@ -145,48 +139,66 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         report = rank_with_crossings(projects, hurdle, _parse_grid(args.grid))
     else:
         report = rank(projects, hurdle)
-    _write_json(report.to_dict(), Path(args.out))
+    outputs = [(Path(args.out), lambda path: _write_json(report.to_dict(), path))]
     if args.out_csv is not None:
-        write_ranking_csv(report, Path(args.out_csv))
-    for position, entry in enumerate(report.entries, start=1):
-        verdict = "accept" if entry.accept else "reject"
-        print(
-            f"{position}. {entry.project_id}: omega={entry.omega:.3f} "
-            f"({verdict}, threshold={entry.threshold:.4g})"
-        )
-    for pid in report.excluded:
-        print(f"excluded (indeterminate omega): {pid}")
-    print(f"wrote ranking report to {args.out}")
-    return 0
+        outputs.append((Path(args.out_csv), lambda path: write_ranking_csv(report, path)))
+    lines = [
+        f"{position}. {entry.project_id}: omega={entry.omega:.3f} "
+        f"({'accept' if entry.accept else 'reject'}, threshold={entry.threshold:.4g})"
+        for position, entry in enumerate(report.entries, start=1)
+    ]
+    lines += [f"excluded (indeterminate omega): {pid}" for pid in report.excluded]
+    return outputs, [*lines, f"wrote ranking report to {args.out}"]
 
 
-def _cmd_omega_curve(args: argparse.Namespace) -> int:
+def _cmd_omega_curve(args: argparse.Namespace) -> tuple[list, list[str]]:
     curve = YieldCurve.from_csv(args.curve)
     scenario_set = load_project(Path(args.project))
     with located(args.project):
         project = evaluate_project(scenario_set, curve, args.metric)
     grid = _parse_grid(args.grid)
     points = omega_vs_hurdle(project, grid)
-    out = Path(args.out)
-    write_omega_curve_csv(points, out)
-    print(f"wrote {len(points.omega)} omega-curve points for {project.project_id!r} to {out}")
-    return 0
+    return [(Path(args.out), lambda path: write_omega_curve_csv(points, path))], [
+        f"wrote {len(points.omega)} omega-curve points for {project.project_id!r} to {Path(args.out)}"
+    ]
 
 
-def _cmd_radr_compare(args: argparse.Namespace) -> int:
+def _cmd_radr_compare(args: argparse.Namespace) -> tuple[list, list[str]]:
     scenario_set = load_project(Path(args.project))
     with located(args.project):
         result = radr_valuation(scenario_set, args.r, args.k, args.mode)
-    _write_json(asdict(result), Path(args.out))
-    verdict = "accept" if result.accept else "reject"
-    print(
+    return [(Path(args.out), lambda path: _write_json(asdict(result), path))], [
         f"{scenario_set.project_id}: NPV(mean|k)={result.npv_at_k:.0f} "
         f"MIRR={result.mirr_at_k:.1%} "
         f"mean NPV(r)={result.mean_npv_at_r:.0f} lambda={result.lambda_radr:.0f} "
-        f"-> {verdict}"
-    )
-    print(f"wrote RADR report to {args.out}")
-    return 0
+        f"-> {'accept' if result.accept else 'reject'}",
+        f"wrote RADR report to {args.out}",
+    ]
+
+
+def _commit(outputs: list[tuple[Path, Callable[[Path], None]]]) -> None:
+    """Write all of ``outputs``, (final path, writer of a path) pairs, or none: target by
+    target, refuse a duplicate or a directory and make its parent directories; then write
+    each to a temporary sibling, and move them onto their names only once all are written."""
+    for i, (path, _) in enumerate(outputs):
+        if path.resolve() in [earlier.resolve() for earlier, _ in outputs[:i]]:
+            raise InputError(f"two outputs name the file {str(path)!r}")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    temporaries = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in outputs]
+    try:
+        for (path, write), temporary in zip(outputs, temporaries):
+            try:
+                write(temporary)
+            except OSError as exc:  # the error names the output, not its temporary
+                exc.filename = str(path) if exc.filename == str(temporary) else exc.filename
+                raise
+        for (path, _), temporary in zip(outputs, temporaries):
+            os.replace(temporary, path)
+    finally:  # a temporary moved onto its output is gone already
+        for temporary in temporaries:
+            temporary.unlink(missing_ok=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,16 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, OSError) as exc:
+        outputs, lines = args.func(args)
+        _commit(outputs)
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EngineError as exc:  # DomainError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (InputError, OSError)) else 1
+    print(*lines, sep="\n")
+    return 0
 
 
 if __name__ == "__main__":

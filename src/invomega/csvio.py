@@ -30,10 +30,9 @@ def data_rows(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
 
 def write_csv(target: str | Path | IO[str], columns: Mapping[str, Sequence]) -> None:
     """Write ``columns`` (name -> array, range or list, all of one length; the names are
-    the header) to a path (creating its directory) or an open handle, ``_CHUNK_ROWS`` rows
+    the header) to a path in an existing directory or an open handle, ``_CHUNK_ROWS`` rows
     at a time. Cells go through ``np.asarray(chunk).tolist()``, so floats print as repr."""
     if isinstance(target, (str, Path)):
-        Path(target).parent.mkdir(parents=True, exist_ok=True)
         with open(target, "w", newline="") as handle:
             return write_csv(handle, columns)
     writer = csv.writer(target, lineterminator="\n")

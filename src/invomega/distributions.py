@@ -116,12 +116,6 @@ class EmpiricalDistribution:
         anchor = float(self.sorted_values[0])
         return anchor + float(np.sum(self.sorted_weights * (self.sorted_values - anchor)))
 
-    def shifted(self, offset: float) -> "EmpiricalDistribution":
-        return EmpiricalDistribution(self.values + offset, self.weights)
-
-    def scaled(self, factor: float) -> "EmpiricalDistribution":
-        return EmpiricalDistribution(self.values * factor, self.weights)
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -174,10 +168,6 @@ class OmegaResult:
     call: np.ndarray | float
     put: np.ndarray | float
     omega: np.ndarray | float
-
-    @property
-    def is_infinite(self) -> np.ndarray | np.bool_:
-        return np.isinf(self.omega)
 
     @property
     def is_indeterminate(self) -> np.ndarray | np.bool_:

@@ -72,10 +72,6 @@ class SeededStream:
         bits = self.raw(indices) >> np.uint64(11)
         return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
-    def normals(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Standard normal draws: the Cephes normal quantile of ``uniforms`` (numpy only)."""
-        return _ndtri(self.uniforms(indices))
-
 
 # Cephes ndtri (S. L. Moshier, "Methods and Programs for Mathematical
 # Functions", 1989): sqrt(2 pi), exp(-2), and the rational approximations for
@@ -152,15 +148,6 @@ class ShiftedLognormal:
     sigma_log: float
     mirror_center: float | None = None
 
-    def analytic_moments(self) -> tuple[float, float, float]:
-        w = math.exp(self.sigma_log**2)
-        mean = self.shift + math.exp(self.mu_log) * math.sqrt(w)
-        std = math.exp(self.mu_log) * math.sqrt(w * (w - 1.0))
-        skew = (w + 2.0) * math.sqrt(w - 1.0)
-        if self.mirror_center is None:
-            return mean, std, skew
-        return 2.0 * self.mirror_center - mean, std, -skew
-
     def sample(self, u: np.ndarray) -> np.ndarray:
         base = self.shift + np.exp(self.mu_log + self.sigma_log * _ndtri(u))
         if self.mirror_center is None:
@@ -173,9 +160,6 @@ class MatchedNormal:
     mean: float
     std: float
 
-    def analytic_moments(self) -> tuple[float, float, float]:
-        return self.mean, self.std, 0.0
-
     def sample(self, u: np.ndarray) -> np.ndarray:
         return self.mean + self.std * _ndtri(u)
 
@@ -187,13 +171,6 @@ class MatchedTwoPoint:
     low: float
     high: float
     p_high: float
-
-    def analytic_moments(self) -> tuple[float, float, float]:
-        p = self.p_high
-        mean = p * self.high + (1.0 - p) * self.low
-        std = math.sqrt(p * (1.0 - p)) * (self.high - self.low)
-        skew = (1.0 - 2.0 * p) / math.sqrt(p * (1.0 - p))
-        return mean, std, skew
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         return np.where(u < self.p_high, self.high, self.low)
@@ -234,6 +211,9 @@ def moment_match(family: str, mean: float, std: float, skew: float) -> MatchedDi
                 "field 'skew': lognormal families need nonzero skewness (use family 'normal' instead)"
             )
         w = _lognormal_w(abs(skew))
+        if w == 1.0:  # the skewness rounds away in w = exp(sigma_log^2)
+            raise InputError(f"field 'skew': {skew} is too close to zero for a lognormal match "
+                             "(use family 'normal' instead)")
         sigma_log = math.sqrt(math.log(w))
         scale = std / math.sqrt(w * (w - 1.0))
         shift = mean - scale * math.sqrt(w)
@@ -247,9 +227,15 @@ def moment_match(family: str, mean: float, std: float, skew: float) -> MatchedDi
         if skew != 0.0:
             raise InputError(f"field 'skew': family 'normal' requires zero skewness, got {skew}")
         return MatchedNormal(mean=mean, std=std)
-    # discrete: two-point distribution with exact first three moments
-    q = skew / math.sqrt(4.0 + skew**2)
+    # discrete: two-point distribution with exact first three moments; a point of probability
+    # below 2^-53, the resolution of the uniform draws, would never be drawn
+    try:
+        q = skew / math.sqrt(4.0 + skew**2)
+    except OverflowError:  # skew**2 beyond the float range
+        q = math.copysign(1.0, skew)
     p_high = (1.0 - q) / 2.0
+    if min(p_high, 1.0 - p_high) < 2.0**-53:
+        raise InputError(f"field 'skew': {skew} gives one of the two points a probability below 2^-53")
     high = mean + std * math.sqrt((1.0 - p_high) / p_high)
     low = mean - std * math.sqrt(p_high / (1.0 - p_high))
     return MatchedTwoPoint(low=low, high=high, p_high=p_high)

@@ -5,8 +5,11 @@ of one scenario in Python floats, each sum a correctly rounded ``math.fsum``.
 Only the curve's growth factors (1+r_t)^t are taken from ``YieldCurve``.
 
 Crossing solver: one Omega lookup per point and per curve. The signs come
-from ``OmegaResult`` flags, the brackets from a Python loop over the grid,
-and each bisection midpoint is a separate call.
+from each ``OmegaResult``'s omega and its nan flag, the brackets from a
+Python loop over the grid, and each bisection midpoint is a separate call.
+
+Moment matching: the closed-form mean, std and skewness of each matched
+family's parameters.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from typing import Callable, Sequence
 
 from invomega import OmegaResult, YieldCurve
+from invomega.scenarios import MatchedDistribution, MatchedNormal, MatchedTwoPoint
 
 
 def split(flows: Sequence[float]) -> tuple[float, list[float], list[float]]:
@@ -52,11 +56,11 @@ def compare(a: OmegaResult, b: OmegaResult) -> int:
     indeterminate points treated as incomparable (sign 0)."""
     if a.is_indeterminate or b.is_indeterminate:
         return 0
-    if a.is_infinite and b.is_infinite:
+    if math.isinf(a.omega) and math.isinf(b.omega):
         return 0
-    if a.is_infinite:
+    if math.isinf(a.omega):
         return 1
-    if b.is_infinite:
+    if math.isinf(b.omega):
         return -1
     diff = a.omega - b.omega
     return (diff > 0) - (diff < 0)
@@ -92,3 +96,21 @@ def crossing_on_grid(
             brackets.append((lo, hi))
         last = i
     return brackets
+
+
+def analytic_moments(matched: MatchedDistribution) -> tuple[float, float, float]:
+    """(mean, std, skewness) of the distribution that ``moment_match`` returned."""
+    if isinstance(matched, MatchedNormal):
+        return matched.mean, matched.std, 0.0
+    if isinstance(matched, MatchedTwoPoint):
+        p = matched.p_high
+        mean = p * matched.high + (1.0 - p) * matched.low
+        std = math.sqrt(p * (1.0 - p)) * (matched.high - matched.low)
+        return mean, std, (1.0 - 2.0 * p) / math.sqrt(p * (1.0 - p))
+    w = math.exp(matched.sigma_log**2)
+    mean = matched.shift + math.exp(matched.mu_log) * math.sqrt(w)
+    std = math.exp(matched.mu_log) * math.sqrt(w * (w - 1.0))
+    skew = (w + 2.0) * math.sqrt(w - 1.0)
+    if matched.mirror_center is None:
+        return mean, std, skew
+    return 2.0 * matched.mirror_center - mean, std, -skew

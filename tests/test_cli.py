@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import invomega
+from invomega import cli
 from invomega.cli import build_parser, main
 from invomega.metrics import HURDLE_KINDS
 
@@ -157,6 +159,32 @@ class TestSimulate:
         code = main(["simulate", "--spec", str(workspace / "single.json"), "--out", str(workspace / "x.csv")])
         assert code == 2
         assert "generator block" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "family, skew, message",
+        [
+            pytest.param("shifted_lognormal", 1e-9,
+                         "1e-09 is too close to zero for a lognormal match (use family 'normal' instead)",
+                         id="lognormal-w-rounds-to-one"),
+            pytest.param("mirrored_shifted_lognormal", -1e-300,
+                         "-1e-300 is too close to zero for a lognormal match (use family 'normal' instead)",
+                         id="mirrored-lognormal-w-rounds-to-one"),
+            pytest.param("discrete", 1e20, "1e+20 gives one of the two points a probability below 2^-53",
+                         id="two-point-p-high-rounds-to-zero"),
+            pytest.param("discrete", 1e200, "1e+200 gives one of the two points a probability below 2^-53",
+                         id="two-point-skew-squared-overflows"),
+            pytest.param("discrete", 1e8, "100000000.0 gives one of the two points a probability below 2^-53",
+                         id="two-point-high-point-never-drawn"),
+        ],
+    )
+    def test_unmatchable_skew_exit_2(self, tmp_path, capsys, family, skew, message):
+        spec = tmp_path / "block.json"
+        spec.write_text(json.dumps({"family": family, "mean": 350, "std": 40, "skew": skew,
+                                    "template": [-200, None, -100], "n": 10, "seed": 1}))
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: field 'skew': {message}\n"
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestEvaluate:
@@ -948,6 +976,67 @@ class TestRadrCompare:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "growth factor" in proc.stderr
+
+
+class TestCommit:
+    """A command writes all of its outputs or none, and leaves no temporary behind."""
+
+    def rank_argv(self, workspace: Path, *outputs: str) -> list[str]:
+        return ["rank", "--projects", str(workspace / "right.json"), "--curve", str(workspace / "curve.csv"),
+                "--delta-mu", "0.1", *outputs]
+
+    def test_directory_target_leaves_no_evaluation_csv(self, workspace, capsys):
+        out_dir = workspace / "report"
+        (out_dir / "summary.csv").mkdir(parents=True)
+        argv = ["evaluate", "--project", str(workspace / "right.json"), "--curve", str(workspace / "curve.csv"),
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{out_dir / 'summary.csv'}'\n")
+        assert [p.name for p in out_dir.iterdir()] == ["summary.csv"]
+
+    def test_file_in_the_csv_path_leaves_no_json(self, workspace, capsys):
+        blocker = workspace / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        before = sorted(workspace.iterdir())
+        argv = self.rank_argv(workspace, "--out", str(workspace / "rank.json"), "--out-csv", str(blocker / "rank.csv"))
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{blocker}'\n")
+        assert sorted(workspace.iterdir()) == before
+
+    def test_refused_summary_names_the_spec_and_writes_no_csv(self, tmp_path, capsys):
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps({"family": "normal", "mean": 0, "std": 7e307, "skew": 0,
+                                    "template": [-200, None, -100], "n": 10, "seed": 1}))
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "s.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {spec}: samples and their spread x_max - x_min must be finite, got ")
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]
+
+    def test_failing_writer_leaves_the_previous_outputs(self, workspace, monkeypatch, capsys):
+        out, out_csv = workspace / "rank.json", workspace / "rank.csv"
+        out.write_text("previous report\n")
+        out_csv.write_text("previous table\n")
+        before = sorted(workspace.iterdir())
+
+        def write_half_then_fail(report, path):
+            Path(path).write_text("rank,project,")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(cli, "write_ranking_csv", write_half_then_fail)
+        assert main(self.rank_argv(workspace, "--out", str(out), "--out-csv", str(out_csv))) == 2
+        # the error names the output, not its temporary
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out_csv}'\n")
+        assert (out.read_text(), out_csv.read_text()) == ("previous report\n", "previous table\n")
+        assert sorted(workspace.iterdir()) == before
+
+    @pytest.mark.parametrize("second", ["f", "sub/../f"])
+    def test_two_outputs_naming_one_file_exit_2(self, workspace, capsys, second):
+        argv = self.rank_argv(workspace, "--out", str(workspace / "f"), "--out-csv", str(workspace / second))
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: two outputs name the file '{workspace / second}'\n")
+        assert not (workspace / "f").exists()
+
 
 
 def key_paths(node, path: str = ""):

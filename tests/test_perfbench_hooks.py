@@ -73,6 +73,9 @@ def test_traced_evaluate_runs_every_probe(tmp_path):
     probes = Counter(s["name"] for s in record["spans"] if s.get("probe"))
     assert probes["cashflows.replicate"] == 200
     assert probes["curves.forward_curve"] == 200
+    # the writer's span reads its bytes from the path it was given, the output's temporary
+    (written,) = [s for s in record["spans"] if s["name"] == "metrics.write_evaluation_csv"]
+    assert written["bytes"] == (tmp_path / "report" / "evaluation.csv").stat().st_size > 0
 
 
 def _traced_spans(tmp_path, argv: list[str]) -> list[dict]:

@@ -1,6 +1,7 @@
 """The test suite's own configuration and the package's lint checks: the warning filters
-keep a run going past a failure, no module imports a name it never uses, and no module
-defines a function, class or method that nothing uses."""
+keep a run going past a failure, no module imports a name it never uses, no module
+defines a function, class or method that nothing uses, and only the CLI's commit step
+makes directories or moves files onto output names."""
 
 import ast
 import json
@@ -19,16 +20,8 @@ UNUSED_KEPT = {
     "cashflows.ScenarioSet.scenarios": "the benchmark's replication probe picks its rows from it",
     "curves.YieldCurve.forward_curve": "the benchmark's curve probe times it; the forward and "
     "PV/FV identities (C5) are stated on its factors",
-    "distributions.EmpiricalDistribution.shifted": "Omega's translation invariance (C5)",
-    "distributions.EmpiricalDistribution.scaled": "Omega's positive-scaling invariance (C5)",
-    "distributions.OmegaResult.is_infinite": "the infinite-Omega flag that the reference "
-    "crossing solver and the monotonicity gate (C5) read",
     "metrics.EvaluationResult.row": "the one-row read of a set result, how the library "
     "evaluates one flow row (README \"Library use\")",
-    "scenarios.SeededStream.normals": "partitioned draws equal serial draws (C6)",
-    "scenarios.ShiftedLognormal.analytic_moments": "moment recovery of the lognormal families",
-    "scenarios.MatchedNormal.analytic_moments": "moment recovery of the normal family",
-    "scenarios.MatchedTwoPoint.analytic_moments": "moment recovery of the two-point family",
 }
 
 
@@ -122,3 +115,30 @@ def test_no_module_defines_a_name_nothing_uses():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     unused = _unused_definitions(sources, set(invomega.__all__))
     assert sorted(unused) == sorted(UNUSED_KEPT)
+
+
+def _file_moves(tree: ast.AST) -> list[int]:
+    """The lines of the calls in ``tree`` that make a directory (any ``mkdir`` or
+    ``makedirs``) or move a file onto a name (``os.replace`` or ``os.rename``)."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and (node.func.attr in ("mkdir", "makedirs")
+             or (node.func.attr in ("replace", "rename") and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == "os"))
+    ]
+
+
+def test_file_move_check_finds_each_call():
+    source = "import os\nos.replace(a, b)\np.parent.mkdir()\nos.makedirs(d)\ns.replace('a', 'b')\nreplace(x)\n"
+    assert _file_moves(ast.parse(source)) == [2, 3, 4]
+
+
+def test_only_the_commit_step_makes_directories_or_moves_files():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    (commit,) = [node for node in trees["cli"].body if isinstance(node, ast.FunctionDef) and node.name == "_commit"]
+    inside = _file_moves(commit)
+    outside = [f"{module}.py:{line}" for module, tree in trees.items() for line in _file_moves(tree)
+               if not (module == "cli" and line in inside)]
+    assert inside and outside == []
