@@ -111,11 +111,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[list, list[str]]:
         results = evaluate_set(scenario_set, curve)
         npv_stats = summarize(EmpiricalDistribution(results.npv, scenario_set.weights))
         mu_stats = summarize(EmpiricalDistribution(results.annualized_return, scenario_set.weights))
-    summaries = {"npv": npv_stats, "mu": mu_stats}
     out_dir = Path(args.out_dir)
     return [
         (out_dir / "evaluation.csv", lambda path: write_evaluation_csv(results, path)),
-        (out_dir / "summary.csv", lambda path: write_summary_csv(summaries, path)),
+        (out_dir / "summary.csv", lambda path: write_summary_csv({"npv": npv_stats, "mu": mu_stats}, path)),
     ], [
         f"evaluated {len(scenario_set)} scenarios of {scenario_set.project_id!r}",
         f"npv: mean={npv_stats.mean:.0f} median={npv_stats.median:.0f} "
@@ -179,25 +178,32 @@ def _cmd_radr_compare(args: argparse.Namespace) -> tuple[list, list[str]]:
 def _commit(outputs: list[tuple[Path, Callable[[Path], None]]]) -> None:
     """Write all of ``outputs``, (final path, writer of a path) pairs, or none: target by
     target, refuse a duplicate or a directory and make its parent directories; then write
-    each to a temporary sibling, and move them onto their names only once all are written."""
+    each to a temporary sibling, and move them onto their names only once all are written.
+    A symlink, device or FIFO target, which a move would replace (``/dev/null`` included),
+    is instead written in place after every temporary."""
     for i, (path, _) in enumerate(outputs):
         if path.resolve() in [earlier.resolve() for earlier, _ in outputs[:i]]:
             raise InputError(f"two outputs name the file {str(path)!r}")
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    temporaries = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in outputs]
+    plan = sorted(  # in-place targets last
+        ((path, write, path.is_symlink() or path.exists() and not path.is_file())
+         for path, write in outputs), key=lambda step: step[2])
+    temporaries = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                   for path, _, in_place in plan if not in_place}
     try:
-        for (path, write), temporary in zip(outputs, temporaries):
+        for path, write, _ in plan:
+            target = temporaries.get(path, path)
             try:
-                write(temporary)
+                write(target)
             except OSError as exc:  # the error names the output, not its temporary
-                exc.filename = str(path) if exc.filename == str(temporary) else exc.filename
+                exc.filename = str(path) if exc.filename == str(target) else exc.filename
                 raise
-        for (path, _), temporary in zip(outputs, temporaries):
+        for path, temporary in temporaries.items():
             os.replace(temporary, path)
     finally:  # a temporary moved onto its output is gone already
-        for temporary in temporaries:
+        for temporary in temporaries.values():
             temporary.unlink(missing_ok=True)
 
 
@@ -257,13 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         outputs, lines = args.func(args)
         _commit(outputs)
-    except (EngineError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (InputError, OSError)) else 1
+        return 2
+    except EngineError as exc:  # DomainError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(*lines, sep="\n")
     return 0
 

@@ -228,7 +228,7 @@ def moment_match(family: str, mean: float, std: float, skew: float) -> MatchedDi
             raise InputError(f"field 'skew': family 'normal' requires zero skewness, got {skew}")
         return MatchedNormal(mean=mean, std=std)
     # discrete: two-point distribution with exact first three moments; a point of probability
-    # below 2^-53, the resolution of the uniform draws, would never be drawn
+    # below 2^-53, the spacing of the uniform draws, would not be drawn with that probability
     try:
         q = skew / math.sqrt(4.0 + skew**2)
     except OverflowError:  # skew**2 beyond the float range

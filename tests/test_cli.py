@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -1037,6 +1038,31 @@ class TestCommit:
         assert capsys.readouterr() == ("", f"error: two outputs name the file '{workspace / second}'\n")
         assert not (workspace / "f").exists()
 
+    @pytest.mark.parametrize("kind", ["fifo", "symlink to a file", "symlink to /dev/null"])
+    def test_symlink_device_or_fifo_target_is_written_in_place(self, workspace, capsys, kind):
+        """Moving a temporary onto such a target would replace the entry itself."""
+        plain, target, linked = workspace / "plain.json", workspace / "target.json", workspace / "linked.json"
+        assert main(self.rank_argv(workspace, "--out", str(plain))) == 0
+        if kind == "fifo":
+            os.mkfifo(target)
+            reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)  # so that the writer's open returns
+        else:
+            linked.write_text("previous report\n")
+            os.symlink(os.devnull if kind == "symlink to /dev/null" else linked, target)
+        entry_type = stat.S_IFMT(os.lstat(target).st_mode)
+        assert main(self.rank_argv(workspace, "--out", str(target), "--out-csv", str(workspace / "rank.csv"))) == 0
+        assert stat.S_IFMT(os.lstat(target).st_mode) == entry_type
+        if kind == "fifo":
+            try:
+                assert os.read(reader, 1 << 20) == plain.read_bytes()
+            finally:
+                os.close(reader)
+        elif kind == "symlink to a file":
+            assert (os.readlink(target), linked.read_bytes()) == (str(linked), plain.read_bytes())
+        else:
+            assert os.readlink(target) == os.devnull and stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert (workspace / "rank.csv").exists() and not list(workspace.glob(".*.tmp"))
+        capsys.readouterr()
 
 
 def key_paths(node, path: str = ""):
