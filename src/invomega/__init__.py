@@ -21,7 +21,7 @@ _EXPORTS = {
         "TenorOutOfRangeError", "ZeroOutlayError",
     ),
     "metrics": (
-        "EvaluationResult", "HurdleSpec", "ThresholdSet", "evaluate_set", "mirr", "thresholds",
+        "EvaluationResult", "HurdleSpec", "ThresholdSet", "evaluate_set", "thresholds",
     ),
     "radr": ("RadrResult", "radr_valuation", "vertical_average"),
     "ranking": (

@@ -118,7 +118,7 @@ class ScenarioSet:
     scenario i; ``weights`` is a read-only (N,) array of probabilities
     (uniform when given as None). ``row_name(i)`` names row i in every error
     about it, here and in the layers that read the set: ``scenario i``,
-    unless the loader names its file's lines.
+    unless its maker names rows otherwise (a loaded file's lines, RADR's mean flows).
     """
 
     project_id: str

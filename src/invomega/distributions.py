@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence, TypeVar
 
@@ -180,6 +181,11 @@ Record = TypeVar("Record")
 def record_row(record: Record, i: int) -> Record:
     """Row ``i`` of a dataclass of (N,) arrays, as the same dataclass of Python floats."""
     return type(record)(*(float(getattr(record, f.name)[i]) for f in fields(record)))
+
+
+def _libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """``fn(v, *args)`` of each v of the 1-D ``x`` by libm; numpy's SIMD kernels round by CPU."""
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), np.float64, x.size)
 
 
 def partial_moments(

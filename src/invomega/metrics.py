@@ -20,13 +20,8 @@ import numpy as np
 from .cashflows import ScenarioSet, _replicate_rows
 from .csvio import write_csv
 from .curves import YieldCurve
-from .distributions import record_row
-from .errors import (
-    DomainError,
-    InputError,
-    ReturnUndefinedError,
-    ZeroOutlayError,
-)
+from .distributions import _libm, record_row
+from .errors import InputError, ReturnUndefinedError, ZeroOutlayError
 
 HURDLE_KINDS = ("delta_mu", "mu_star", "npv_star", "profit_star")
 
@@ -114,8 +109,9 @@ def evaluate_set(scenario_set: ScenarioSet, curve: YieldCurve) -> EvaluationResu
             npv=npv,
             terminal_profit=fv_plus - total_outlay,
             terminal_return=ratio - 1.0,
-            # ratio >= 0; no inflows at all gives the total-loss return -1
-            annualized_return=ratio ** (1.0 / horizon) - 1.0,
+            # ratio >= 0 (-1 with no inflows); numpy's ** 1.0 is a copy and its ** 0.5 a sqrt
+            annualized_return=(ratio ** (1.0 / horizon) if horizon <= 2
+                               else _libm(math.pow, ratio, 1.0 / horizon)) - 1.0,
             profitability_index=pi,
             premium_return=growth_T * pi,
             total_outlay=total_outlay,
@@ -173,33 +169,6 @@ def thresholds(
         for metric in ("mu", "npv")
     )
     return ThresholdSet(mu_star=mu_star, npv_star=npv_star, basis_outlay=basis_outlay)
-
-
-def mirr(flows: Sequence[float], reinvest_rate: float, finance_rate: float) -> float:
-    """Modified internal rate of return of F_0..F_T with flat reinvestment/financing rates.
-
-    Inflows compound at the reinvestment rate to the horizon; outflows
-    (including the initial outlay) discount at the financing rate to t = 0.
-    Raises OverflowError when the financed total or the ratio leaves the float range.
-    """
-    if reinvest_rate <= -1.0 or finance_rate <= -1.0:
-        raise InputError("rates must exceed -1")
-    horizon = len(flows) - 1
-    compounded = math.fsum(
-        max(f, 0.0) * (1.0 + reinvest_rate) ** (horizon - t)
-        for t, f in enumerate(flows[1:], start=1)
-    )
-    financed = max(-flows[0], 0.0) + math.fsum(
-        max(-f, 0.0) / (1.0 + finance_rate) ** t for t, f in enumerate(flows[1:], start=1)
-    )
-    if financed <= 0.0:
-        raise DomainError(
-            f"MIRR undefined: financed outflows total {financed}, must be positive"
-        )
-    ratio = compounded / financed
-    if not (math.isfinite(financed) and math.isfinite(ratio)):
-        raise OverflowError(f"MIRR ratio {compounded} / {financed} leaves the float range")
-    return ratio ** (1.0 / horizon) - 1.0 if ratio > 0.0 else -1.0
 
 
 def write_evaluation_csv(results: EvaluationResult, target: str | Path | IO[str]) -> None:

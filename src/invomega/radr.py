@@ -19,7 +19,7 @@ import numpy as np
 from .cashflows import ScenarioSet, _discounted
 from .curves import YieldCurve
 from .errors import InputError, NonCanonicalFlowError, located
-from .metrics import in_float_range, mirr
+from .metrics import evaluate_set, in_float_range
 
 MODE_CANONICAL = "canonical-strict"
 MODE_TABLE4 = "paper-table4"
@@ -88,7 +88,9 @@ def radr_valuation(
         lambda_radr = math.fsum(
             (1.0 - a) * f / g for a, f, g in zip(alpha, means[1:], curve_r.growth_factors)
         )
-        mirr_at_k = mirr(means, k, k)
+        # MIRR(k, k) of the mean flows: the kernel's mu against their replication at flat k
+        mean_set = ScenarioSet(scenario_set.project_id, [means], None, lambda i: "the mean flows")
+        mirr_at_k = evaluate_set(mean_set, curve_k).row(0).annualized_return
     return RadrResult(
         npv_at_k=npv_at_k,
         mirr_at_k=mirr_at_k,

@@ -21,15 +21,15 @@ import numpy as np
 
 from .cashflows import ScenarioSet
 from .csvio import data_rows, write_csv
-from .errors import (
-    DomainError, HorizonMismatchError, InputError, ScenarioParseError, located,
-)
+from .distributions import _libm
+from .errors import HorizonMismatchError, InputError, ScenarioParseError, located
 
 FAMILIES = ("shifted_lognormal", "mirrored_shifted_lognormal", "normal", "discrete")
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_EXP_MAX = 709.782712893384  # the largest float z with a finite exp(z); math.exp raises above
 
 
 def _is_int(value: object) -> bool:
@@ -99,11 +99,6 @@ _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.3770209948908133027
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    # math.log is the C library's log; numpy's SIMD np.log may differ in the last bit
-    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
-
-
 def _ndtri(u: np.ndarray) -> np.ndarray:
     """Standard normal quantile of each u, ported from Cephes ``ndtri``.
 
@@ -123,8 +118,8 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     y2 = yc * yc
     x[central] = (yc + yc * (y2 * np.polyval(_P0, y2) / np.polyval((1.0, *_Q0), y2))) * _S2PI
     tail = inside & ~central
-    s = np.sqrt(-2.0 * _libm_log(y[tail]))
-    s0 = s - _libm_log(s) / s
+    s = np.sqrt(-2.0 * _libm(math.log, y[tail]))
+    s0 = s - _libm(math.log, s) / s
     z = 1.0 / s
     s1 = z * np.polyval(_P1, z) / np.polyval((1.0, *_Q1), z)
     far = s >= 8.0  # y <= exp(-32)
@@ -149,7 +144,8 @@ class ShiftedLognormal:
     mirror_center: float | None = None
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        base = self.shift + np.exp(self.mu_log + self.sigma_log * _ndtri(u))
+        z = self.mu_log + self.sigma_log * _ndtri(u)
+        base = self.shift + np.where(z > _EXP_MAX, np.inf, _libm(math.exp, np.minimum(z, _EXP_MAX)))
         if self.mirror_center is None:
             return base
         return 2.0 * self.mirror_center - base
@@ -188,7 +184,7 @@ def _lognormal_w(skew_abs: float) -> float:
     y = 2.0 * math.sinh(math.asinh(skew_abs / 2.0) / 3.0)
     w = 1.0 + y * y
     if w > 1e12:
-        raise DomainError(f"field 'skew': no lognormal solution for skewness {skew_abs}")
+        raise InputError(f"field 'skew': no lognormal solution for skewness {skew_abs}")
     return w
 
 
@@ -314,7 +310,8 @@ def generate(spec: GeneratorSpec, project_id: str = "generated") -> ScenarioSet:
     except (OverflowError, ValueError, MemoryError) as exc:  # numpy refuses before allocating
         raise InputError(f"n = {spec.n} scenarios do not fit in one array: {exc}") from None
     u = SeededStream(spec.seed).uniforms(np.arange(spec.n, dtype=np.uint64))
-    flows[:, spec.slot] = spec.matched.sample(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # ScenarioSet refuses an inf or nan draw
+        flows[:, spec.slot] = spec.matched.sample(u)
     flows.setflags(write=False)  # so that the ScenarioSet keeps it without a copy
     return ScenarioSet.uniform(project_id, flows)
 

@@ -10,6 +10,10 @@ Python loop over the grid, and each bisection midpoint is a separate call.
 
 Moment matching: the closed-form mean, std and skewness of each matched
 family's parameters.
+
+MIRR: the modified internal rate of return of one flow row at flat
+reinvestment and financing rates, in Python floats, against which the
+kernel's annualized return on a flat curve is checked.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from invomega import OmegaResult, YieldCurve
+from invomega import DomainError, InputError, OmegaResult, YieldCurve
 from invomega.scenarios import MatchedDistribution, MatchedNormal, MatchedTwoPoint
 
 
@@ -114,3 +118,30 @@ def analytic_moments(matched: MatchedDistribution) -> tuple[float, float, float]
     if matched.mirror_center is None:
         return mean, std, skew
     return 2.0 * matched.mirror_center - mean, std, -skew
+
+
+def mirr(flows: Sequence[float], reinvest_rate: float, finance_rate: float) -> float:
+    """Modified internal rate of return of F_0..F_T with flat reinvestment/financing rates.
+
+    Inflows compound at the reinvestment rate to the horizon; outflows
+    (including the initial outlay) discount at the financing rate to t = 0.
+    Raises OverflowError when the financed total or the ratio leaves the float range.
+    """
+    if reinvest_rate <= -1.0 or finance_rate <= -1.0:
+        raise InputError("rates must exceed -1")
+    horizon = len(flows) - 1
+    compounded = math.fsum(
+        max(f, 0.0) * (1.0 + reinvest_rate) ** (horizon - t)
+        for t, f in enumerate(flows[1:], start=1)
+    )
+    financed = max(-flows[0], 0.0) + math.fsum(
+        max(-f, 0.0) / (1.0 + finance_rate) ** t for t, f in enumerate(flows[1:], start=1)
+    )
+    if financed <= 0.0:
+        raise DomainError(
+            f"MIRR undefined: financed outflows total {financed}, must be positive"
+        )
+    ratio = compounded / financed
+    if not (math.isfinite(financed) and math.isfinite(ratio)):
+        raise OverflowError(f"MIRR ratio {compounded} / {financed} leaves the float range")
+    return ratio ** (1.0 / horizon) - 1.0 if ratio > 0.0 else -1.0

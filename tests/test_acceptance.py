@@ -13,7 +13,11 @@ rather than loosened; see README "Known limitations" for the measured values.
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,6 @@ from invomega import (
     YieldCurve,
     evaluate_set,
     generate,
-    mirr,
     omega,
     radr_valuation,
     rank,
@@ -40,8 +43,8 @@ from invomega.distributions import omega_curve
 from invomega.metrics import metric_thresholds
 from invomega.ranking import evaluate_project, hurdle_crossings
 from invomega.scenarios import _ndtri
-from conftest import evaluate_row as evaluate, hurdle_threshold
-from reference import future_value, rows, split
+from conftest import DEMO_DIR, evaluate_row as evaluate, hurdle_threshold
+from reference import future_value, mirr, rows, split
 
 CURVE = YieldCurve.flat(0.05, 2)
 RIGHT_SPEC = GeneratorSpec(
@@ -477,6 +480,42 @@ def test_c6_determinism(tmp_path):
     )
     check(gates, "partitioned draws equal serial draws", np.array_equal(serial, chunked))
     finish(gates)
+
+
+def test_c6_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path, capsys):
+    """A lognormal ``simulate`` and a T = 3 ``evaluate`` write the same bytes when numpy may
+    dispatch its SIMD kernels and when every dispatch target is disabled: the lognormal exp,
+    the normal quantile's logs and the T >= 3 root of mu are libm calls."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    rng = random.Random(3)
+    rows = [[-rng.uniform(50, 500)] + [rng.uniform(-100, 400) for _ in range(3)] for _ in range(2000)]
+    (tmp_path / "long.csv").write_text("t0,t1,t2,t3\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    (tmp_path / "long.json").write_text(json.dumps({"id": "long", "horizon": 3, "scenario_file": "long.csv"}))
+    (tmp_path / "curve.csv").write_text("tenor,rate\n1,0.03\n2,0.04\n3,0.045\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = {}
+    for run, disabled in (("dispatched", None), ("baseline", " ".join(__cpu_dispatch__))):
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = tmp_path / run
+        for argv in (
+            ["simulate", "--spec", str(DEMO_DIR / "project_right.json"), "--n", "4000", "--out", str(out / "s.csv")],
+            ["evaluate", "--project", str(tmp_path / "long.json"), "--curve", str(tmp_path / "curve.csv"),
+             "--out-dir", str(out)],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "invomega.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs[run] = {name: (out / name).read_bytes() for name in ("s.csv", "evaluation.csv", "summary.csv")}
+    if not __cpu_dispatch__:
+        with capsys.disabled():
+            print("\nnumpy dispatches no CPU target on this machine: the comparison is vacuous")
+    assert outputs["dispatched"] == outputs["baseline"]
 
 
 def test_c7_crossover_localization(tmp_path):

@@ -187,6 +187,30 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {spec}: field 'skew': {message}\n"
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize(
+        "family, std, skew, message",
+        [
+            pytest.param("normal", 1.7976931348622157e308, 0.0, "scenario 5: flow at t=1 is not finite: inf",
+                         id="normal-product-overflows"),
+            pytest.param("shifted_lognormal", 1e308, 5.0, "scenario 5: flow at t=1 is not finite: inf",
+                         id="lognormal-exp-overflows"),
+            pytest.param("mirrored_shifted_lognormal", 1e308, -5.0, "scenario 5: flow at t=1 is not finite: -inf",
+                         id="mirrored-lognormal-exp-overflows"),
+            pytest.param("shifted_lognormal", 1e308, 1.0, "scenario 0: flow at t=1 is not finite: nan",
+                         id="lognormal-scale-overflows"),
+        ],
+    )
+    def test_draws_past_the_float_range_exit_2_without_a_warning(self, tmp_path, capsys, family, std, skew, message):
+        # the draw that leaves the float range is the row ScenarioSet refuses; numpy must not
+        # warn about it first (a warning is an error in the test suite, and a second stderr
+        # line from the CLI)
+        spec = tmp_path / "block.json"
+        spec.write_text(json.dumps({"family": family, "mean": 0.0, "std": std, "skew": skew,
+                                    "template": [-1.0, None], "n": 100, "seed": 1}))
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestEvaluate:
     def test_bare_generator_block_named_by_file_stem(self, workspace, capsys):
@@ -320,7 +344,7 @@ class TestRank:
         [
             ("template", None, 2, "generator block missing field 'template'"),
             ("std", 0.0, 2, "field 'std': must be positive, got 0.0"),
-            ("skew", 1e19, 1, "field 'skew': no lognormal solution for skewness 1e+19"),
+            ("skew", 1e19, 2, "field 'skew': no lognormal solution for skewness 1e+19"),
             ("skew", 0.0, 2, "field 'skew': lognormal families need nonzero skewness (use family 'normal' instead)"),
         ],
     )
@@ -829,8 +853,8 @@ class TestInputBounds:
             ("evaluate", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
             ("rank", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
             ("omega-curve", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
-            ("radr-compare", "tiny_outlay.json", 2, "tiny_outlay.json: the valuations"),
-            ("radr-compare --mode paper-table4", "tiny_outlay.json", 2, "tiny_outlay.json: the valuations"),
+            ("radr-compare", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
+            ("radr-compare --mode paper-table4", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
             # canonical-strict refuses the negative flow at t=2, naming its scenario CSV line
             ("radr-compare", "mean_right.json", 1, "mean_right.json: row 2 has negative flow"),
             ("radr-compare", "mixed.json", 1, "mixed.json: row 4 has negative flow -5.0 at t=2"),
@@ -977,6 +1001,20 @@ class TestRadrCompare:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "growth factor" in proc.stderr
+
+    def test_mean_flows_without_outlay_exit_1_naming_them(self, tmp_path, capsys):
+        # canonical flows whose t0 are all 0: the mean flows have a zero total outlay, so their
+        # MIRR, the kernel's mu at flat k, is undefined
+        (tmp_path / "free.csv").write_text("t0,t1,t2\n0,10,20\n0,30,0\n")
+        project = tmp_path / "free.json"
+        project.write_text(json.dumps({"id": "free", "horizon": 2, "scenario_file": "free.csv"}))
+        argv = ["radr-compare", "--project", str(project), "--r", "0.05", "--k", "0.15",
+                "--out", str(tmp_path / "radr.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {project}: the mean flows: total outlay is zero: returns and PI are undefined\n"
+        )
+        assert not (tmp_path / "radr.json").exists()
 
 
 class TestCommit:

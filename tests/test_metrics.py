@@ -13,13 +13,13 @@ from invomega import (
     YieldCurve,
     ZeroOutlayError,
     evaluate_set,
-    mirr,
     thresholds,
 )
 from invomega.metrics import HURDLE_KINDS, mean_basis_outlay, metric_thresholds
 from invomega.ranking import evaluate_project, rank
 
 from conftest import evaluate_row as evaluate
+from reference import mirr
 
 
 def mu_from_npv(npv: float, basis: float, curve: YieldCurve, horizon: int) -> float:

@@ -11,6 +11,7 @@ from invomega import (
     vertical_average,
 )
 from invomega.radr import MODE_CANONICAL, MODE_TABLE4
+from reference import mirr
 
 
 def single(flows, project_id="p") -> ScenarioSet:
@@ -159,6 +160,22 @@ class TestRadrValuation:
             radr_valuation(ss, -1.5, 0.05)
         with pytest.raises(InputError):
             radr_valuation(ss, 0.05, 0.15, mode="fancy")
+
+    def test_mirr_at_k_is_the_reference_mirr_of_the_mean_flows(self):
+        # the kernel's mu of the mean flows on the flat-k curve against the scalar MIRR(k, k);
+        # canonical sets in both modes, sets with later outflows in paper-table4
+        rng = random.Random(79)
+        for i in range(600):
+            ss = random_canonical_set(rng)
+            mode = MODE_CANONICAL if i % 3 == 0 else MODE_TABLE4
+            if i % 3 == 2:
+                flows = ss.flows.copy()
+                flows[:, 1:] -= [[rng.uniform(0, 250) for _ in range(ss.horizon)] for _ in range(len(ss))]
+                ss = ScenarioSet.uniform("mixed", flows)
+            r = rng.uniform(-0.1, 0.2)
+            k = r + rng.uniform(0.0, 0.4)
+            expected = mirr(vertical_average(ss), k, k)
+            assert radr_valuation(ss, r, k, mode).mirr_at_k == pytest.approx(expected, rel=1e-10)
 
 
 def chain_margins(ss: ScenarioSet, r: float, k: float) -> tuple[float, float, float]:

@@ -232,7 +232,7 @@ class TestMomentMatch:
             assert _lognormal_w(skew) == reference
 
     def test_lognormal_w_out_of_range(self):
-        with pytest.raises(DomainError, match="no lognormal solution"):
+        with pytest.raises(InputError, match="no lognormal solution"):
             moment_match("shifted_lognormal", 0.0, 1.0, 1e19)
 
     @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """The test suite's own configuration and the package's lint checks: the warning filters
 keep a run going past a failure, no module imports a name it never uses, no module
-defines a function, class or method that nothing uses, and only the CLI's commit step
-makes directories or moves files onto output names."""
+defines a function, class or method that nothing uses, only the CLI's commit step
+makes directories or moves files onto output names, and no module calls a numpy
+transcendental function."""
 
 import ast
 import json
@@ -20,8 +21,6 @@ UNUSED_KEPT = {
     "cashflows.ScenarioSet.scenarios": "the benchmark's replication probe picks its rows from it",
     "curves.YieldCurve.forward_curve": "the benchmark's curve probe times it; the forward and "
     "PV/FV identities (C5) are stated on its factors",
-    "metrics.EvaluationResult.row": "the one-row read of a set result, how the library "
-    "evaluates one flow row (README \"Library use\")",
 }
 
 
@@ -142,3 +141,37 @@ def test_only_the_commit_step_makes_directories_or_moves_files():
     outside = [f"{module}.py:{line}" for module, tree in trees.items() for line in _file_moves(tree)
                if not (module == "cli" and line in inside)]
     assert inside and outside == []
+
+
+# numpy's transcendental ufuncs, whose SIMD kernels may round the last bit differently by CPU
+NUMPY_TRANSCENDENTALS = {
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "power", "float_power", "cbrt",
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh",
+    "arcsinh", "arccosh", "arctanh",
+}
+
+
+def _numpy_transcendentals(tree: ast.AST) -> list[int]:
+    """The lines of ``tree`` that name a numpy transcendental function (``np.exp`` and the
+    like), called or passed on."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+
+
+def test_numpy_transcendental_check_finds_each_use():
+    source = "np.exp(x)\nmath.exp(x)\nmap(numpy.log1p, x)\nnp.sqrt(x)\nnp.power(x, 2)\nx ** y\n"
+    assert _numpy_transcendentals(ast.parse(source)) == [1, 3, 5]
+
+
+def test_no_module_calls_a_numpy_transcendental():
+    """Every exp, log and power on the output path is a libm call (``distributions._libm``),
+    so that the output bytes are the same whichever SIMD kernels numpy dispatches. An array
+    ``**`` is not seen here: ``test_c6_bytes_do_not_depend_on_numpy_simd_dispatch`` runs the
+    commands with and without numpy's dispatch targets and compares their bytes."""
+    uses = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _numpy_transcendentals(ast.parse(path.read_text()))]
+    assert uses == []
