@@ -34,23 +34,18 @@ class ReplicationDecomposition:
     certainty_equivalent_outlay: np.ndarray | float
 
 
-def _discounted(later: np.ndarray, curve: YieldCurve) -> np.ndarray:
-    """Flows at tenors 1..T (the last axis) divided by the growth factors (1+r_t)^t."""
-    horizon = later.shape[-1]
+def _replicate_rows(flows: np.ndarray, curve: YieldCurve) -> ReplicationDecomposition:
+    """The replication of every flow row F_0..F_T of ``flows``, shape (N, T+1).
+
+    The later flows over the growth factors (1+r_t)^t split by sign: the positive
+    ones sum to the bond cost, the negated negative ones to the zero-coupon outlays.
+    """
+    horizon = flows.shape[1] - 1
     if curve.horizon < horizon:
         raise HorizonMismatchError(
             f"curve covers tenors 1..{curve.horizon} but the scenario needs tenor {horizon}"
         )
-    return later / np.array(curve.growth_factors[:horizon])
-
-
-def _replicate_rows(flows: np.ndarray, curve: YieldCurve) -> ReplicationDecomposition:
-    """The replication of every flow row F_0..F_T of ``flows``, shape (N, T+1).
-
-    The discounted later flows split by sign: the positive ones sum to the
-    bond cost, the negated negative ones to the zero-coupon outlays.
-    """
-    pv = _discounted(flows[:, 1:], curve)
+    pv = flows[:, 1:] / np.array(curve.growth_factors[:horizon])
     additional = np.maximum(-pv, 0.0).sum(axis=1)
     return ReplicationDecomposition(
         additional_outlay=additional,

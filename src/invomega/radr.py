@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cashflows import ScenarioSet, _discounted
+from .cashflows import ScenarioSet
 from .curves import YieldCurve
 from .errors import InputError, NonCanonicalFlowError, located
 from .metrics import evaluate_set, in_float_range
@@ -81,22 +81,20 @@ def radr_valuation(
         means = vertical_average(scenario_set)
         horizon = len(means) - 1
         alpha = tuple(((1.0 + r) / (1.0 + k)) ** t for t in range(1, horizon + 1))
-        npv_at_k = means[0] + math.fsum(f / g for f, g in zip(means[1:], curve_k.growth_factors))
-        flows, weights = scenario_set.flows, scenario_set.weights
-        npv_at_r = flows[:, 0] + _discounted(flows[:, 1:], curve_r).sum(axis=1)
-        mean_npv_at_r = math.fsum((weights * npv_at_r).tolist())
         lambda_radr = math.fsum(
             (1.0 - a) * f / g for a, f, g in zip(alpha, means[1:], curve_r.growth_factors)
         )
-        # MIRR(k, k) of the mean flows: the kernel's mu against their replication at flat k
+        # the kernel's rows of the mean flows: NPV is linear in the flows, so the NPV at r of
+        # the mean flows is the mean NPV at r; mu at flat k is their MIRR(k, k)
         mean_set = ScenarioSet(scenario_set.project_id, [means], None, lambda i: "the mean flows")
-        mirr_at_k = evaluate_set(mean_set, curve_k).row(0).annualized_return
+        at_r = evaluate_set(mean_set, curve_r).row(0)
+        at_k = evaluate_set(mean_set, curve_k).row(0)
     return RadrResult(
-        npv_at_k=npv_at_k,
-        mirr_at_k=mirr_at_k,
-        mean_npv_at_r=mean_npv_at_r,
+        npv_at_k=at_k.npv,
+        mirr_at_k=at_k.annualized_return,
+        mean_npv_at_r=at_r.npv,
         lambda_radr=lambda_radr,
         alpha_factors=alpha,
-        accept=npv_at_k > 0.0,
+        accept=at_k.npv > 0.0,
         mode=mode,
     )

@@ -14,12 +14,19 @@ family's parameters.
 MIRR: the modified internal rate of return of one flow row at flat
 reinvestment and financing rates, in Python floats, against which the
 kernel's annualized return on a flat curve is checked.
+
+RADR: the weighted mean flows, the NPV at k of the mean flows and the
+weighted mean of the scenario NPVs at r by the two formulas the RADR
+valuation used before both became rows of the evaluation kernel, and the
+acceptance scale lambda and the factors alpha from the growth factors alone.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 from invomega import DomainError, InputError, OmegaResult, YieldCurve
 from invomega.scenarios import MatchedDistribution, MatchedNormal, MatchedTwoPoint
@@ -145,3 +152,40 @@ def mirr(flows: Sequence[float], reinvest_rate: float, finance_rate: float) -> f
     if not (math.isfinite(financed) and math.isfinite(ratio)):
         raise OverflowError(f"MIRR ratio {compounded} / {financed} leaves the float range")
     return ratio ** (1.0 / horizon) - 1.0 if ratio > 0.0 else -1.0
+
+
+def mean_flows(flows: Sequence[Sequence[float]], weights: Sequence[float]) -> list[float]:
+    """Weighted per-tenor means of the rows F_0..F_T, each sum a correctly rounded fsum."""
+    return [math.fsum(w * f for w, f in zip(weights, column)) for column in zip(*flows)]
+
+
+def npv_at_k(means: Sequence[float], curve_k: YieldCurve) -> float:
+    """NPV of the mean flows: F_0 plus the fsum of each later mean flow over its growth factor."""
+    return means[0] + math.fsum(f / g for f, g in zip(means[1:], curve_k.growth_factors))
+
+
+def mean_npv_at_r(flows: np.ndarray, weights: np.ndarray, curve_r: YieldCurve) -> float:
+    """Weighted fsum of the scenario NPVs, each F_0 plus numpy's sum of its discounted later flows."""
+    later = flows[:, 1:] / np.array(curve_r.growth_factors[: flows.shape[1] - 1])
+    npv_at_r = flows[:, 0] + later.sum(axis=1)
+    return math.fsum((weights * npv_at_r).tolist())
+
+
+def alpha_factors(curve_r: YieldCurve, curve_k: YieldCurve) -> list[float]:
+    """Certainty-equivalent factors (1+r)^t / (1+k)^t, t = 1..T, as ratios of growth factors."""
+    return [gr / gk for gr, gk in zip(curve_r.growth_factors, curve_k.growth_factors)]
+
+
+def lambda_radr(means: Sequence[float], curve_r: YieldCurve, curve_k: YieldCurve) -> float:
+    """Acceptance scale: the mean flows' NPV at r less their NPV at k, one fsum over 2T terms."""
+    return math.fsum(
+        term for f, gr, gk in zip(means[1:], curve_r.growth_factors, curve_k.growth_factors)
+        for term in (f / gr, -f / gk)
+    )
+
+
+def radr_tolerance(means_abs: Sequence[float], curve: YieldCurve) -> float:
+    """8(T+2) eps times sum_t mean|F_t| / (1+rate)^t: the bound on an NPV of the mean flows."""
+    horizon = len(means_abs) - 1
+    scale = means_abs[0] + math.fsum(f / g for f, g in zip(means_abs[1:], curve.growth_factors))
+    return 8.0 * (horizon + 2) * math.ulp(1.0) * scale

@@ -483,9 +483,10 @@ def test_c6_determinism(tmp_path):
 
 
 def test_c6_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path, capsys):
-    """A lognormal ``simulate`` and a T = 3 ``evaluate`` write the same bytes when numpy may
-    dispatch its SIMD kernels and when every dispatch target is disabled: the lognormal exp,
-    the normal quantile's logs and the T >= 3 root of mu are libm calls."""
+    """A lognormal ``simulate`` and a T = 3 ``evaluate`` and ``radr-compare`` write the same bytes
+    when numpy may dispatch its SIMD kernels and when every dispatch target is disabled: the
+    lognormal exp, the normal quantile's logs and the T >= 3 root of mu are libm calls, and
+    the RADR NPVs go through the evaluation kernel's numpy sums."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__
     except ImportError:  # numpy 1.x
@@ -507,11 +508,14 @@ def test_c6_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path, capsys):
             ["simulate", "--spec", str(DEMO_DIR / "project_right.json"), "--n", "4000", "--out", str(out / "s.csv")],
             ["evaluate", "--project", str(tmp_path / "long.json"), "--curve", str(tmp_path / "curve.csv"),
              "--out-dir", str(out)],
+            ["radr-compare", "--project", str(tmp_path / "long.json"), "--r", "0.03", "--k", "0.12",
+             "--mode", "paper-table4", "--out", str(out / "radr.json")],
         ):
             proc = subprocess.run([sys.executable, "-m", "invomega.cli", *argv], env=env,
                                   capture_output=True, text=True)
             assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-        outputs[run] = {name: (out / name).read_bytes() for name in ("s.csv", "evaluation.csv", "summary.csv")}
+        outputs[run] = {name: (out / name).read_bytes()
+                        for name in ("s.csv", "evaluation.csv", "summary.csv", "radr.json")}
     if not __cpu_dispatch__:
         with capsys.disabled():
             print("\nnumpy dispatches no CPU target on this machine: the comparison is vacuous")

@@ -2,15 +2,18 @@ import errno
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import invomega
-from invomega import cli
+import reference
+from invomega import YieldCurve, cli
 from invomega.cli import build_parser, main
 from invomega.metrics import HURDLE_KINDS
 
@@ -848,7 +851,7 @@ class TestInputBounds:
             ("evaluate", "sum_overflow.json", 2, "sum_overflow.json: the replication sums"),
             ("rank", "sum_overflow.json", 2, "sum_overflow.json: the replication sums"),
             ("omega-curve", "sum_overflow.json", 2, "sum_overflow.json: the replication sums"),
-            ("radr-compare", "sum_overflow.json", 2, "sum_overflow.json: the valuations"),
+            ("radr-compare", "sum_overflow.json", 2, "sum_overflow.json: the replication sums"),
             # a subnormal outlay: the returns relative to it overflow
             ("evaluate", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
             ("rank", "tiny_outlay.json", 2, "tiny_outlay.json: the replication sums"),
@@ -1015,6 +1018,62 @@ class TestRadrCompare:
             f"error: {project}: the mean flows: total outlay is zero: returns and PI are undefined\n"
         )
         assert not (tmp_path / "radr.json").exists()
+
+    def test_mean_flows_in_range_exit_0_where_a_scenario_overflows(self, tmp_path, capsys):
+        # the first scenario's NPV at r leaves the float range, the mean flows' does not: RADR
+        # values only the mean flows, so it exits 0, while evaluate prices every scenario
+        (tmp_path / "big.csv").write_text("t0,t1,t2\n-100,1e308,1e308\n-100,0,0\n")
+        project = tmp_path / "big.json"
+        project.write_text(json.dumps({"id": "big", "horizon": 2, "scenario_file": "big.csv"}))
+        (tmp_path / "curve.csv").write_text("tenor,rate\n1,0.05\n2,0.05\n")
+        out = tmp_path / "radr.json"
+        argv = ["radr-compare", "--project", str(project), "--r", "0.05", "--k", "0.15", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        values = [report[name] for name in ("npv_at_k", "mirr_at_k", "mean_npv_at_r", "lambda_radr")]
+        assert all(isinstance(v, float) and math.isfinite(v) for v in values + report["alpha_factors"])
+        assert report["accept"] is True
+        argv = ["evaluate", "--project", str(project), "--curve", str(tmp_path / "curve.csv"),
+                "--out-dir", str(tmp_path / "report")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {project}: the replication sums or returns of these flows leave the float range\n"
+        )
+
+    def test_every_field_matches_the_reference(self, tmp_path):
+        # a weighted T = 30 CSV with construction outflows at t = 1..3, in paper-table4 mode
+        rng = random.Random(97)
+        horizon, n, r, k = 30, 300, 0.0209, 0.0743
+        flows = [[-rng.uniform(800.0, 1200.0)] + [-rng.uniform(50.0, 150.0) for _ in range(3)]
+                 + [rng.lognormvariate(math.log(120.0), 0.3) for _ in range(horizon - 3)] for _ in range(n)]
+        raw = [rng.uniform(0.5, 1.5) for _ in range(n)]
+        total = math.fsum(raw)
+        weights = [w / total for w in raw]
+        header = "weight," + ",".join(f"t{t}" for t in range(horizon + 1))
+        rows = [",".join(map(repr, [w, *row])) for w, row in zip(weights, flows)]
+        (tmp_path / "long.csv").write_text("\n".join([header, *rows]) + "\n")
+        project = tmp_path / "long.json"
+        project.write_text(json.dumps({"id": "long", "horizon": horizon, "scenario_file": "long.csv"}))
+        out = tmp_path / "radr.json"
+        argv = ["radr-compare", "--project", str(project), "--r", repr(r), "--k", repr(k),
+                "--mode", "paper-table4", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        curve_r, curve_k = YieldCurve.flat(r, horizon), YieldCurve.flat(k, horizon)
+        means = reference.mean_flows(flows, weights)
+        means_abs = reference.mean_flows([[abs(f) for f in row] for row in flows], weights)
+        tol_r, tol_k = reference.radr_tolerance(means_abs, curve_r), reference.radr_tolerance(means_abs, curve_k)
+        npv_at_k = reference.npv_at_k(means, curve_k)
+        assert abs(report["npv_at_k"] - npv_at_k) <= tol_k
+        assert report["mirr_at_k"] == pytest.approx(reference.mirr(means, k, k), rel=1e-10)
+        mean_npv_at_r = reference.mean_npv_at_r(np.array(flows), np.array(weights), curve_r)
+        assert abs(report["mean_npv_at_r"] - mean_npv_at_r) <= tol_r
+        assert abs(report["lambda_radr"] - reference.lambda_radr(means, curve_r, curve_k)) <= tol_r
+        alpha = reference.alpha_factors(curve_r, curve_k)
+        assert report["alpha_factors"] == pytest.approx(alpha, rel=8 * (horizon + 2) * math.ulp(1.0))
+        assert report["accept"] is (npv_at_k > 0.0)
+        assert report["mode"] == "paper-table4"
 
 
 class TestCommit:

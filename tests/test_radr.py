@@ -1,17 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from invomega import (
     InputError,
     NonCanonicalFlowError,
     ScenarioSet,
+    YieldCurve,
     radr_valuation,
     vertical_average,
 )
 from invomega.radr import MODE_CANONICAL, MODE_TABLE4
-from reference import mirr
+from reference import mean_flows, mean_npv_at_r, mirr, npv_at_k, radr_tolerance
 
 
 def single(flows, project_id="p") -> ScenarioSet:
@@ -27,6 +29,17 @@ def random_canonical_set(rng: random.Random) -> ScenarioSet:
         flows += [rng.uniform(0, 300) for _ in range(horizon)]
         scenarios.append(flows)
     return ScenarioSet.uniform("p", scenarios)
+
+
+def random_weighted_set(rng: random.Random, mixed: bool) -> ScenarioSet:
+    """N <= 40 weighted rows over T = 1..30; later flows of both signs when ``mixed``."""
+    horizon = rng.randint(1, 30)
+    n = rng.randint(1, 40)
+    low = -250.0 if mixed else 0.0
+    scenarios = [[-rng.uniform(10, 500)] + [rng.uniform(low, 300) for _ in range(horizon)] for _ in range(n)]
+    raw = [rng.uniform(0.1, 2.0) for _ in range(n)]
+    total = math.fsum(raw)
+    return ScenarioSet("p", scenarios, [w / total for w in raw])
 
 
 class TestVerticalAverage:
@@ -176,6 +189,25 @@ class TestRadrValuation:
             k = r + rng.uniform(0.0, 0.4)
             expected = mirr(vertical_average(ss), k, k)
             assert radr_valuation(ss, r, k, mode).mirr_at_k == pytest.approx(expected, rel=1e-10)
+
+    def test_npvs_are_the_reference_sums_of_the_mean_flows(self):
+        # linearity: the kernel's NPV at r of the mean flows is the weighted mean of the scenario
+        # NPVs at r, and its NPV at k is the fsum of the mean flows over the growth factors;
+        # weighted canonical sets in both modes, sets with later outflows in paper-table4
+        rng = random.Random(83)
+        for i in range(600):
+            ss = random_weighted_set(rng, mixed=i % 3 == 2)
+            mode = MODE_CANONICAL if i % 3 == 0 else MODE_TABLE4
+            r = rng.uniform(-0.1, 0.2)
+            k = r + rng.uniform(0.0, 0.4)
+            curve_r, curve_k = YieldCurve.flat(r, ss.horizon), YieldCurve.flat(k, ss.horizon)
+            flows, weights = ss.flows.tolist(), ss.weights.tolist()
+            means, means_abs = mean_flows(flows, weights), mean_flows(np.abs(ss.flows).tolist(), weights)
+            result = radr_valuation(ss, r, k, mode)
+            assert abs(result.mean_npv_at_r - mean_npv_at_r(ss.flows, ss.weights, curve_r)) <= (
+                radr_tolerance(means_abs, curve_r)
+            )
+            assert abs(result.npv_at_k - npv_at_k(means, curve_k)) <= radr_tolerance(means_abs, curve_k)
 
 
 def chain_margins(ss: ScenarioSet, r: float, k: float) -> tuple[float, float, float]:
