@@ -15,11 +15,7 @@ _EXPORTS = {
         "EmpiricalDistribution", "OmegaResult", "SummaryStats", "crossing_on_grid",
         "omega", "omega_curve", "summarize",
     ),
-    "errors": (
-        "DomainError", "EngineError", "HorizonMismatchError", "InputError",
-        "NonCanonicalFlowError", "ReturnUndefinedError", "ScenarioParseError",
-        "TenorOutOfRangeError", "ZeroOutlayError",
-    ),
+    "errors": ("DomainError", "EngineError", "InputError"),
     "metrics": (
         "EvaluationResult", "HurdleSpec", "ThresholdSet", "evaluate_set", "thresholds",
     ),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .curves import YieldCurve
 from .distributions import record_row, validated_weights
-from .errors import HorizonMismatchError, InputError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def _replicate_rows(flows: np.ndarray, curve: YieldCurve) -> ReplicationDecompos
     """
     horizon = flows.shape[1] - 1
     if curve.horizon < horizon:
-        raise HorizonMismatchError(
+        raise InputError(
             f"curve covers tenors 1..{curve.horizon} but the scenario needs tenor {horizon}"
         )
     pv = flows[:, 1:] / np.array(curve.growth_factors[:horizon])
@@ -83,7 +83,7 @@ def _flow_array(
         rows = list(rows)
         for i, row in enumerate(rows):
             if len(row) != len(rows[0]):
-                raise HorizonMismatchError(
+                raise InputError(
                     f"{row_name(i)} has horizon {len(row) - 1}, expected {len(rows[0]) - 1}"
                 )
         flows = np.array(rows, dtype=float)

@@ -176,17 +176,18 @@ def _cmd_radr_compare(args: argparse.Namespace) -> tuple[list, list[str]]:
 
 
 def _commit(outputs: list[tuple[Path, Callable[[Path], None]]]) -> None:
-    """Write all of ``outputs``, (final path, writer of a path) pairs, or none: target by
-    target, refuse a duplicate or a directory and make its parent directories; then write
+    """Write all of ``outputs``, (final path, writer of a path) pairs, or none: refuse a
+    duplicate or a directory among them before making any parent directories; then write
     each to a temporary sibling, and move them onto their names only once all are written.
     A symlink, device or FIFO target, which a move would replace (``/dev/null`` included),
     is instead written in place after every temporary."""
     for i, (path, _) in enumerate(outputs):
         if path.resolve() in [earlier.resolve() for earlier, _ in outputs[:i]]:
             raise InputError(f"two outputs name the file {str(path)!r}")
-        path.parent.mkdir(parents=True, exist_ok=True)
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for path, _ in outputs:
+        path.parent.mkdir(parents=True, exist_ok=True)
     plan = sorted(  # in-place targets last
         ((path, write, path.is_symlink() or path.exists() and not path.is_file())
          for path, write in outputs), key=lambda step: step[2])

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ScenarioParseError
+from .errors import InputError
 
 # rows formed per write: bounds the Python objects alive at once, whatever N is
 _CHUNK_ROWS = 65_536
@@ -24,20 +24,18 @@ def data_rows(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
             if not any(cell.strip() for cell in row):
                 continue
             if len(row) != width:
-                raise ScenarioParseError(f"row {lineno}: expected {width} columns, got {len(row)}")
+                raise InputError(f"row {lineno}: expected {width} columns, got {len(row)}")
             yield lineno, row
 
 
-def write_csv(target: str | Path | IO[str], columns: Mapping[str, Sequence]) -> None:
+def write_csv(path: str | Path, columns: Mapping[str, Sequence]) -> None:
     """Write ``columns`` (name -> array, range or list, all of one length; the names are
-    the header) to a path in an existing directory or an open handle, ``_CHUNK_ROWS`` rows
-    at a time. Cells go through ``np.asarray(chunk).tolist()``, so floats print as repr."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="") as handle:
-            return write_csv(handle, columns)
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(columns)
-    n_rows = len(next(iter(columns.values())))
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        chunk = slice(start, start + _CHUNK_ROWS)
-        writer.writerows(zip(*(np.asarray(column[chunk]).tolist() for column in columns.values())))
+    the header) to ``path`` in an existing directory, ``_CHUNK_ROWS`` rows at a time.
+    Cells go through ``np.asarray(chunk).tolist()``, so floats print as repr."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        n_rows = len(next(iter(columns.values())))
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            writer.writerows(zip(*(np.asarray(column[chunk]).tolist() for column in columns.values())))

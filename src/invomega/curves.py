@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .csvio import data_rows
-from .errors import InputError, TenorOutOfRangeError, located
+from .errors import InputError, located
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class YieldCurve:
 
     def _check_tenor(self, t: int) -> None:
         if not 1 <= t <= self.horizon:
-            raise TenorOutOfRangeError(f"tenor {t} outside curve range 1..{self.horizon}")
+            raise InputError(f"tenor {t} outside curve range 1..{self.horizon}")
 
     def annual_rate(self, t: int) -> float:
         self._check_tenor(t)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -66,20 +66,17 @@ def _cumsum(terms: np.ndarray) -> np.ndarray:
 
 
 class EmpiricalDistribution:
-    """Immutable weighted sample set with a sorted view and its partial-moment sums.
+    """Immutable weighted sample set, held sorted, with its partial-moment sums.
 
-    ``values`` and ``weights`` hold the samples as given, ``sorted_values`` and
-    ``sorted_weights`` in ascending order (stable); all arrays are read-only.
+    ``sorted_values`` and ``sorted_weights`` hold the samples in ascending order
+    (stable; the input order is not kept); all arrays are read-only.
     The spread x_max - x_min must be finite, so every gap and deviation is.
     Over the sorted samples x_0 <= ... <= x_{N-1} with weights w_i, for k = 0..N:
     W_k = sum_{i<k} w_i, V_k = sum_{i>=k} w_i, and for k < N:
     P_k = sum_{i<k} w_i (x_k - x_i), C_k = sum_{i>=k} w_i (x_i - x_k).
     """
 
-    __slots__ = (
-        "values", "weights", "sorted_values", "sorted_weights",
-        "_below", "_above", "_put_at", "_call_at",
-    )
+    __slots__ = ("sorted_values", "sorted_weights", "_below", "_above", "_put_at", "_call_at")
 
     def __init__(self, values: Sequence[float], weights: Sequence[float] | None = None):
         vals = np.asarray(values, dtype=float)
@@ -92,8 +89,6 @@ class EmpiricalDistribution:
                 f"samples and their spread x_max - x_min must be finite, got {low!r} to {high!r}"
             )
         wts = validated_weights(weights, vals.size)
-        self.values = vals.copy()
-        self.weights = wts
         self.sorted_values = x = vals[order]
         self.sorted_weights = w = wts[order]
         gaps = np.diff(x)
@@ -105,12 +100,8 @@ class EmpiricalDistribution:
         for name in self.__slots__:
             getattr(self, name).setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
     def __len__(self) -> int:
-        return self.size
+        return len(self.sorted_values)
 
     def mean(self) -> float:
         # anchored at the smallest sample so a constant distribution is exact
@@ -140,7 +131,7 @@ def summarize(dist: EmpiricalDistribution) -> SummaryStats:
     sw = dist.sorted_weights
     mean = dist.mean()
     median = float(sv[np.searchsorted(dist._below[1:], 0.5)])
-    if dist.size < 2:
+    if len(dist) < 2:
         return SummaryStats(mean, median, None, None)
     centered = sv - mean
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,17 +287,15 @@ def crossing_on_grid(
     return [[next(brackets) for _ in f] for f in flips]
 
 
-def write_omega_curve_csv(curve: OmegaResult, target: str | Path | IO[str]) -> None:
+def write_omega_curve_csv(curve: OmegaResult, path: str | Path) -> None:
     """Write one row per threshold of ``curve``, the ``OmegaResult`` fields as columns
     (``threshold,call,put,omega``; omega prints as inf/nan when flagged)."""
-    write_csv(target, {f.name: getattr(curve, f.name) for f in fields(OmegaResult)})
+    write_csv(path, {f.name: getattr(curve, f.name) for f in fields(OmegaResult)})
 
 
-def write_summary_csv(
-    summaries: Mapping[str, SummaryStats], target: str | Path | IO[str]
-) -> None:
+def write_summary_csv(summaries: Mapping[str, SummaryStats], path: str | Path) -> None:
     """Write one row per metric, its name and then the ``SummaryStats`` fields
     (``metric,mean,median,std,skewness``); an undefined statistic prints as nan."""
     stats = {f.name: np.array([getattr(s, f.name) for s in summaries.values()], dtype=float)
              for f in fields(SummaryStats)}
-    write_csv(target, {"metric": list(summaries), **stats})
+    write_csv(path, {"metric": list(summaries), **stats})

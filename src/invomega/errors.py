@@ -1,8 +1,8 @@
-"""Exception hierarchy shared by all modules.
+"""The package's errors: a base, one class per CLI exit status, and the rule that locates them.
 
-Two families matter for the CLI exit-status contract: ``InputError`` covers
-configuration, file and validation problems (exit status 2), ``DomainError``
-covers computations that are undefined for otherwise valid data (exit 1).
+``InputError`` covers configuration, file and validation problems (exit status 2),
+``DomainError`` computations that are undefined for otherwise valid data (exit 1);
+the message, not a subclass, says which case it is.
 """
 
 from __future__ import annotations
@@ -22,30 +22,6 @@ class InputError(EngineError):
 
 class DomainError(EngineError):
     """A quantity is mathematically undefined for the given data."""
-
-
-class TenorOutOfRangeError(InputError):
-    """A tenor outside the curve horizon was requested (no extrapolation)."""
-
-
-class HorizonMismatchError(InputError):
-    """Cash-flow horizon and curve horizon (or file shape) disagree."""
-
-
-class ScenarioParseError(InputError):
-    """A CSV input (scenarios or curve) could not be parsed; message carries row/column."""
-
-
-class ZeroOutlayError(DomainError):
-    """Total outlay is zero, so returns and profitability are undefined."""
-
-
-class ReturnUndefinedError(DomainError):
-    """Annualized return undefined (1 + npv/outlay is not positive)."""
-
-
-class NonCanonicalFlowError(DomainError):
-    """An operation restricted to canonical flows met a negative flow."""
 
 
 @contextmanager

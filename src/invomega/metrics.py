@@ -13,7 +13,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .cashflows import ScenarioSet, _replicate_rows
 from .csvio import write_csv
 from .curves import YieldCurve
 from .distributions import _libm, record_row
-from .errors import InputError, ReturnUndefinedError, ZeroOutlayError
+from .errors import DomainError, InputError
 
 HURDLE_KINDS = ("delta_mu", "mu_star", "npv_star", "profit_star")
 
@@ -96,7 +96,7 @@ def evaluate_set(scenario_set: ScenarioSet, curve: YieldCurve) -> EvaluationResu
         pv_plus, total_outlay = replication.certainty_equivalent_outlay, replication.total_outlay
         zero = np.flatnonzero(total_outlay <= 0.0)
         if zero.size:
-            raise ZeroOutlayError(
+            raise DomainError(
                 f"{scenario_set.row_name(zero[0])}: total outlay is zero: "
                 "returns and PI are undefined"
             )
@@ -130,13 +130,13 @@ def metric_thresholds(
     if kind == "npv_star" and metric != "mu":
         return list(values)
     if basis_outlay <= 0.0:
-        raise ZeroOutlayError(f"basis outlay must be positive, got {basis_outlay}")
+        raise DomainError(f"basis outlay must be positive, got {basis_outlay}")
     if kind in ("delta_mu", "mu_star"):
         values = [curve.annual_rate(horizon) + v for v in values] if kind == "delta_mu" else values
         growth = []
         for mu in values:
             if mu <= -1.0:
-                raise ReturnUndefinedError(f"annualized return must exceed -1, got {mu}")
+                raise DomainError(f"annualized return must exceed -1, got {mu}")
             try:
                 growth.append((1.0 + mu) ** horizon)
             except OverflowError:
@@ -151,7 +151,7 @@ def metric_thresholds(
     ratios = [npv / basis_outlay + 1.0 for npv in values]
     for ratio in ratios:
         if ratio <= 0.0:
-            raise ReturnUndefinedError(f"return undefined: 1 + npv/outlay = {ratio} is not positive")
+            raise DomainError(f"return undefined: 1 + npv/outlay = {ratio} is not positive")
     g = curve.growth_factor(horizon)
     return [(g * ratio) ** (1.0 / horizon) - 1.0 for ratio in ratios]
 
@@ -162,7 +162,7 @@ def thresholds(
     """Derive the consistent (mu*, NPV*) pair from any supported hurdle form
     (``metric_thresholds`` on "mu", then on "npv").
 
-    Every conversion refuses a basis outlay that is not positive (ZeroOutlayError).
+    Every conversion refuses a basis outlay that is not positive (a DomainError).
     """
     mu_star, npv_star = (
         metric_thresholds(hurdle.kind, [hurdle.value], metric, basis_outlay, curve, horizon)[0]
@@ -171,13 +171,13 @@ def thresholds(
     return ThresholdSet(mu_star=mu_star, npv_star=npv_star, basis_outlay=basis_outlay)
 
 
-def write_evaluation_csv(results: EvaluationResult, target: str | Path | IO[str]) -> None:
+def write_evaluation_csv(results: EvaluationResult, path: str | Path) -> None:
     """Write one row per scenario of a set result in the standard evaluation-report layout.
 
     The ``premium_npv`` column equals ``npv``; it stays for layout compatibility.
     """
     r = results
-    write_csv(target, {
+    write_csv(path, {
         "scenario": range(len(r.npv)),
         "npv": r.npv,
         "profit": r.terminal_profit,

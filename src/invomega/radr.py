@@ -18,7 +18,7 @@ import numpy as np
 
 from .cashflows import ScenarioSet
 from .curves import YieldCurve
-from .errors import InputError, NonCanonicalFlowError, located
+from .errors import DomainError, InputError, located
 from .metrics import evaluate_set, in_float_range
 
 MODE_CANONICAL = "canonical-strict"
@@ -30,7 +30,7 @@ def _check_canonical(scenario_set: ScenarioSet) -> None:
     negative = np.argwhere(scenario_set.flows[:, 1:] < 0.0)
     if negative.size:
         i, t = negative[0][0], negative[0][1] + 1
-        raise NonCanonicalFlowError(
+        raise DomainError(
             f"{scenario_set.row_name(i)} has negative flow {float(scenario_set.flows[i, t])} "
             f"at t={t}; only a t=0 outlay may be negative"
         )

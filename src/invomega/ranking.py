@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -211,10 +211,10 @@ def rank_with_crossings(
     ))
 
 
-def write_ranking_csv(report: RankingReport, target: str | Path | IO[str]) -> None:
+def write_ranking_csv(report: RankingReport, path: str | Path) -> None:
     """Tabular ranking: ``rank,project,omega,call,put,threshold,accept``."""
     entries = report.entries
-    write_csv(target, {
+    write_csv(path, {
         "rank": range(1, len(entries) + 1),
         "project": [e.project_id for e in entries],
         **{name: [getattr(e, name) for e in entries]

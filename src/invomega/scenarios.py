@@ -15,14 +15,14 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cashflows import ScenarioSet
 from .csvio import data_rows, write_csv
 from .distributions import _libm
-from .errors import HorizonMismatchError, InputError, ScenarioParseError, located
+from .errors import InputError, located
 
 FAMILIES = ("shifted_lognormal", "mirrored_shifted_lognormal", "normal", "discrete")
 
@@ -324,21 +324,19 @@ def load_scenarios(
     with located(path), open(path, newline="") as handle:
         first = handle.readline()
         if not first:
-            raise ScenarioParseError("empty file")
+            raise InputError("empty file")
         header = [h.strip() for h in next(csv.reader([first]), [])]
         has_weights = bool(header) and header[0] == "weight"
         flow_names = header[1:] if has_weights else header
         expected = [f"t{i}" for i in range(len(flow_names))]
         if not flow_names or flow_names != expected:
-            raise ScenarioParseError(
+            raise InputError(
                 f"header must be {'weight,' if has_weights else ''}t0,...,tT, "
                 f"got {','.join(header)}"
             )
         file_horizon = len(flow_names) - 1
         if horizon is not None and file_horizon != horizon:
-            raise HorizonMismatchError(
-                f"file horizon {file_horizon} does not match expected {horizon}"
-            )
+            raise InputError(f"file horizon {file_horizon} does not match expected {horizon}")
         n_cols = len(header)
         try:
             with warnings.catch_warnings():
@@ -349,7 +347,7 @@ def load_scenarios(
         except ValueError:
             table = _scan_table(path, n_cols)
         if not len(table):
-            raise ScenarioParseError("no scenario rows")
+            raise InputError("no scenario rows")
 
         linenos: list[int] = []  # file line of each data row, found only when an error needs it
 
@@ -373,7 +371,7 @@ def _scan_table(path: Path, n_cols: int) -> np.ndarray:
         return np.array([row for _, row in numbered], dtype=float)
     except ValueError:
         lineno, bad = next((n, c) for n, row in numbered for c in row if not _is_float(c))
-        raise ScenarioParseError(f"row {lineno}: non-numeric value {bad!r}") from None
+        raise InputError(f"row {lineno}: non-numeric value {bad!r}") from None
 
 
 def _is_float(cell: str) -> bool:
@@ -384,12 +382,12 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def write_scenarios(scenario_set: ScenarioSet, target: str | Path | IO[str]) -> None:
+def write_scenarios(scenario_set: ScenarioSet, path: str | Path) -> None:
     """Write the standard scenario CSV (weight column only when non-uniform)."""
     weights = scenario_set.weights
     columns = {} if np.all(weights == 1.0 / len(weights)) else {"weight": weights}
     columns.update((f"t{i}", column) for i, column in enumerate(scenario_set.flows.T))
-    write_csv(target, columns)
+    write_csv(path, columns)
 
 
 def read_project(path: str | Path) -> tuple[str, int, GeneratorSpec | Path]:
@@ -430,9 +428,7 @@ def read_project(path: str | Path) -> tuple[str, int, GeneratorSpec | Path]:
             return project_id, horizon, (path.parent / scenario_file).resolve()
         spec = generator_spec_from_dict(data["generator"])
         if spec.horizon != horizon:
-            raise HorizonMismatchError(
-                f"template horizon {spec.horizon} does not match 'horizon' {horizon}"
-            )
+            raise InputError(f"template horizon {spec.horizon} does not match 'horizon' {horizon}")
         return project_id, horizon, spec
 
 

@@ -303,8 +303,8 @@ def test_c5_property_suite():
         if base.is_indeterminate or np.isinf(base.omega):
             continue
         c, a = rng.uniform(-50, 50), rng.uniform(0.1, 8.0)
-        translated = EmpiricalDistribution(dist.values + c, dist.weights)
-        scaled = EmpiricalDistribution(dist.values * a, dist.weights)
+        translated = EmpiricalDistribution(dist.sorted_values + c, dist.sorted_weights)
+        scaled = EmpiricalDistribution(dist.sorted_values * a, dist.sorted_weights)
         ok &= math.isclose(omega(translated, lam + c).omega, base.omega, rel_tol=1e-9, abs_tol=1e-12)
         ok &= math.isclose(omega(scaled, a * lam).omega, base.omega, rel_tol=1e-9, abs_tol=1e-12)
     check(gates, "omega invariant under translation and positive scaling", ok)

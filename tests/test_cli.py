@@ -1135,6 +1135,17 @@ class TestCommit:
         assert capsys.readouterr() == ("", f"error: two outputs name the file '{workspace / second}'\n")
         assert not (workspace / "f").exists()
 
+    @pytest.mark.parametrize("out, out_csv, error", [
+        ("new/sub/r.json", "existing_dir", "[Errno 21] Is a directory: '{}'"),
+        ("a/r.json", "a/r.json", "two outputs name the file '{}'"),
+    ], ids=["directory", "duplicate"])
+    def test_refused_outputs_make_no_directories(self, workspace, capsys, out, out_csv, error):
+        (workspace / "existing_dir").mkdir()
+        before = sorted(workspace.rglob("*"))
+        assert main(self.rank_argv(workspace, "--out", str(workspace / out), "--out-csv", str(workspace / out_csv))) == 2
+        assert capsys.readouterr() == ("", f"error: {error.format(workspace / out_csv)}\n")
+        assert sorted(workspace.rglob("*")) == before
+
     @pytest.mark.parametrize("kind", ["fifo", "symlink to a file", "symlink to /dev/null"])
     def test_symlink_device_or_fifo_target_is_written_in_place(self, workspace, capsys, kind):
         """Moving a temporary onto such a target would replace the entry itself."""

@@ -1,5 +1,4 @@
 import ast
-import io
 import math
 import os
 import random
@@ -118,9 +117,11 @@ class TestSummarize:
 class TestConstructionInvariance:
     def test_sorted_view_is_permutation(self):
         rng = random.Random(3)
-        dist = random_dist(rng, 40)
-        pairs = sorted(zip(dist.values.tolist(), dist.weights.tolist()))
-        assert [p[0] for p in pairs] == dist.sorted_values.tolist()
+        values = [rng.uniform(-100, 100) for _ in range(40)]
+        raw = [rng.uniform(0.1, 1.0) for _ in range(40)]
+        weights = [w / math.fsum(raw) for w in raw]
+        dist = EmpiricalDistribution(values, weights)
+        assert list(zip(dist.sorted_values.tolist(), dist.sorted_weights.tolist())) == sorted(zip(values, weights))
         assert math.fsum(dist.sorted_weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_input_order_does_not_change_results(self):
@@ -147,7 +148,9 @@ class TestConstructionInvariance:
     def test_immutable(self):
         dist = EmpiricalDistribution([1.0, 2.0])
         with pytest.raises(ValueError):
-            dist.values[0] = 9.0
+            dist.sorted_values[0] = 9.0
+        with pytest.raises(ValueError):
+            dist.sorted_weights[0] = 0.5
 
     @pytest.mark.parametrize(
         "values", [[1e308, -1e308], [-1.0, 1.7e308, -1.7e308], [0.0, math.inf], [math.nan, 1.0]]
@@ -223,14 +226,14 @@ class TestOmega:
 
     def test_translation_exact_on_dyadic_data(self):
         dist = EmpiricalDistribution([0.0, 3.0, 7.5, 100.0])
-        shifted = EmpiricalDistribution(dist.values + 8.0, dist.weights)
+        shifted = EmpiricalDistribution(dist.sorted_values + 8.0, dist.sorted_weights)
         for lam in (1.5, 5.0, 50.0):
             a, b = omega(dist, lam), omega(shifted, lam + 8.0)
             assert a.omega == b.omega and a.call == b.call and a.put == b.put
 
     def test_scaling_exact_on_dyadic_data(self):
         dist = EmpiricalDistribution([0.0, 3.0, 7.5, 100.0])
-        scaled = EmpiricalDistribution(dist.values * 4.0, dist.weights)
+        scaled = EmpiricalDistribution(dist.sorted_values * 4.0, dist.sorted_weights)
         for lam in (1.5, 5.0, 50.0):
             a, b = omega(dist, lam), omega(scaled, 4.0 * lam)
             assert a.omega == b.omega
@@ -246,8 +249,8 @@ class TestOmega:
             base = omega(dist, lam)
             if base.is_indeterminate:
                 continue
-            tr = omega(EmpiricalDistribution(dist.values + c, dist.weights), lam + c)
-            sc = omega(EmpiricalDistribution(dist.values * a, dist.weights), a * lam)
+            tr = omega(EmpiricalDistribution(dist.sorted_values + c, dist.sorted_weights), lam + c)
+            sc = omega(EmpiricalDistribution(dist.sorted_values * a, dist.sorted_weights), a * lam)
             if np.isinf(base.omega):
                 assert np.isinf(tr.omega) and np.isinf(sc.omega)
             else:
@@ -497,26 +500,22 @@ class TestZeroSigns:
 
 
 class TestCsvOutput:
-    def test_omega_curve_flags(self):
+    def test_omega_curve_flags(self, tmp_path):
         results = omega_curve(EmpiricalDistribution([5.0, 5.0]), [4.0, 5.0, 6.0])
-        buffer = io.StringIO()
-        write_omega_curve_csv(results, buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "threshold,call,put,omega"
-        assert lines[1].endswith("inf")
-        assert lines[2].endswith("nan")
-        assert lines[3].endswith("0.0")
+        write_omega_curve_csv(results, tmp_path / "curve.csv")
+        lines = (tmp_path / "curve.csv").read_bytes().split(b"\n")
+        assert lines[0] == b"threshold,call,put,omega"
+        assert lines[1].endswith(b"inf")
+        assert lines[2].endswith(b"nan")
+        assert lines[3].endswith(b"0.0")
+        assert lines[4:] == [b""]
 
-    def test_summary_csv(self):
+    def test_summary_csv(self, tmp_path):
         stats = summarize(EmpiricalDistribution([7.0, 7.0]))
-        buffer = io.StringIO()
-        write_summary_csv({"npv": stats}, buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "metric,mean,median,std,skewness"
-        assert lines[1] == "npv,7.0,7.0,0.0,nan"
+        write_summary_csv({"npv": stats}, tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_bytes() == b"metric,mean,median,std,skewness\nnpv,7.0,7.0,0.0,nan\n"
 
-    def test_summary_csv_undefined_std(self):
+    def test_summary_csv_undefined_std(self, tmp_path):
         stats = summarize(EmpiricalDistribution([-1e200, 1e200]))
-        buffer = io.StringIO()
-        write_summary_csv({"npv": stats}, buffer)
-        assert buffer.getvalue().splitlines()[1] == "npv,0.0,-1e+200,nan,nan"
+        write_summary_csv({"npv": stats}, tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_bytes().split(b"\n")[1] == b"npv,0.0,-1e+200,nan,nan"

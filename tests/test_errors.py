@@ -2,14 +2,15 @@
 
 import pytest
 
-from invomega.errors import InputError, ReturnUndefinedError, located
+from invomega.errors import DomainError, InputError, located
 
 
 def test_engine_error_keeps_its_class_and_gains_the_name():
-    with pytest.raises(ReturnUndefinedError) as exc:
-        with located("p"):
-            raise ReturnUndefinedError("return undefined")
-    assert str(exc.value) == "p: return undefined"
+    for family in (InputError, DomainError):
+        with pytest.raises(family, match="^p: return undefined$") as exc:
+            with located("p"):
+                raise family("return undefined")
+        assert type(exc.value) is family
 
 
 def test_undecodable_text_is_an_input_error_naming_the_input():

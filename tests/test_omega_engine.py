@@ -134,11 +134,11 @@ def test_c5_gates_at_one_million_samples():
 
     # translation and positive scaling, one moved copy alive at a time
     shift, factor = 37.25, 3.5
-    moved = rows(omega_curve(EmpiricalDistribution(dist.values + shift, dist.weights),
+    moved = rows(omega_curve(EmpiricalDistribution(dist.sorted_values + shift, dist.sorted_weights),
                              [lam + shift for lam in grid]))
     for a, b in zip(base, moved):
         assert math.isclose(a.omega, b.omega, rel_tol=1e-9, abs_tol=1e-12)
-    moved = rows(omega_curve(EmpiricalDistribution(dist.values * factor, dist.weights),
+    moved = rows(omega_curve(EmpiricalDistribution(dist.sorted_values * factor, dist.sorted_weights),
                              [lam * factor for lam in grid]))
     for a, b in zip(base, moved):
         assert math.isclose(a.omega, b.omega, rel_tol=1e-9, abs_tol=1e-12)

@@ -72,6 +72,11 @@ def test_public_names_resolve_to_their_defining_objects():
     assert set(invomega.__all__) <= set(dir(invomega))
 
 
+def test_the_exported_errors_are_one_class_per_exit_status_and_their_base():
+    assert [name for name in invomega.__all__ if name.endswith("Error")] == [
+        "DomainError", "EngineError", "InputError"]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         invomega.no_such_name

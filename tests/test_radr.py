@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from invomega import (
+    DomainError,
     InputError,
-    NonCanonicalFlowError,
     ScenarioSet,
     YieldCurve,
     radr_valuation,
@@ -162,7 +162,7 @@ class TestRadrValuation:
         assert result.mirr_at_k == pytest.approx(0.2171, abs=1e-4)
 
     def test_canonical_mode_rejects_mixed_stream(self):
-        with pytest.raises(NonCanonicalFlowError, match=r"scenario 0 .* t=2"):
+        with pytest.raises(DomainError, match=r"^scenario 0 has negative flow -100.0 at t=2; only a t=0 outlay may be negative$"):
             radr_valuation(single((-200.0, 350.0, -100.0)), 0.05, 0.15)
 
     def test_rate_validation(self):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from invomega import (
+    DomainError,
     EmpiricalDistribution,
     EngineError,
     GeneratorSpec,
     HurdleSpec,
     InputError,
-    ReturnUndefinedError,
     ScenarioSet,
     YieldCurve,
     evaluate_project,
@@ -229,7 +229,7 @@ def test_npv_floor_needs_no_return_threshold(flat5, kind, value):
         if value > -100.0:
             assert lam == thresholds(hurdle, 100.0, flat5, 2).npv_star
         else:
-            with pytest.raises(ReturnUndefinedError):
+            with pytest.raises(DomainError, match=r"^return undefined: 1 \+ npv/outlay = .* is not positive$"):
                 thresholds(hurdle, 100.0, flat5, 2)
             assert lam == (value if kind == "npv_star" else (value + 100.0) / flat5.growth_factor(2) - 100.0)
     # one conversion: each metric's threshold is bitwise the field of ``thresholds``, and a
@@ -305,10 +305,13 @@ class TestOmegaVsHurdle:
         # mu* <= -1 has no NPV equivalent and (1+mu*)^T overflows at 1e200, on either metric
         a = project_from_dist("a", [0.0, 1.0], metric=metric)
         b = project_from_dist("b", [0.5, 0.6], metric=metric)
-        for grid, error in (([-2.0, 0.1], ReturnUndefinedError), ([0.1, 1e200], InputError)):
-            with pytest.raises(error):
+        for grid, error, says in (
+            ([-2.0, 0.1], DomainError, "annualized return must exceed -1, got -2.0$"),
+            ([0.1, 1e200], InputError, r"annualized return 1e\+200 overflows \(1\+mu\)\^2$"),
+        ):
+            with pytest.raises(error, match=says):
                 omega_vs_hurdle(a, grid)
-            with pytest.raises(error):
+            with pytest.raises(error, match=says):
                 hurdle_crossings(a, b, grid)
 
     @pytest.mark.parametrize("metric", ["mu", "npv"])

@@ -1,10 +1,11 @@
 """The test suite's own configuration and the package's lint checks: the warning filters
 keep a run going past a failure, no module imports a name it never uses, no module
 defines a function, class or method that nothing uses, only the CLI's commit step
-makes directories or moves files onto output names, and no module calls a numpy
-transcendental function."""
+makes directories or moves files onto output names, no module calls a numpy
+transcendental function, and only ``errors.py`` defines exception classes."""
 
 import ast
+import builtins
 import json
 import tomllib
 from pathlib import Path
@@ -175,3 +176,39 @@ def test_no_module_calls_a_numpy_transcendental():
     uses = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
             for line in _numpy_transcendentals(ast.parse(path.read_text()))]
     assert uses == []
+
+
+def _exception_classes(sources: dict[str, str]) -> list[str]:
+    """The classes of ``sources`` (module name to text) that derive from a builtin exception,
+    from a base named ``*Error`` or ``*Exception``, or from another such class there, as
+    ``module.Class``."""
+    bases = {
+        (module, node.name): {base.id if isinstance(base, ast.Name) else base.attr for base in node.bases
+                              if isinstance(base, (ast.Name, ast.Attribute))}
+        for module, text in sources.items() for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+    }
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    found: set[tuple[str, str]] = set()
+    while new := {key for key, names in bases.items() if key not in found
+                  and any(name in exceptions or name.endswith(("Error", "Exception")) for name in names)}:
+        found |= new
+        exceptions |= {name for _, name in new}
+    return sorted(f"{module}.{name}" for module, name in found)
+
+
+def test_exception_class_check_finds_each_class():
+    sources = {
+        "a": "class A(Exception): pass\nclass B(A): pass\nclass C: pass\nclass D(C, KeyError): pass\n",
+        "b": "import a, json\nclass E(a.B): pass\nclass F(json.JSONDecodeError): pass\nclass G(a.C): pass\n"
+        "def f():\n    class H(StopIteration): pass\n",
+    }
+    assert _exception_classes(sources) == ["a.A", "a.B", "a.D", "b.E", "b.F", "b.H"]
+
+
+def test_only_the_errors_module_defines_exception_classes():
+    """Every package error is an InputError (exit 2) or a DomainError (exit 1); its message,
+    not a subclass, says which case it is."""
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _exception_classes(sources) == ["errors.DomainError", "errors.EngineError", "errors.InputError"]
