@@ -1146,6 +1146,29 @@ class TestCommit:
         assert capsys.readouterr() == ("", f"error: {error.format(workspace / out_csv)}\n")
         assert sorted(workspace.rglob("*")) == before
 
+    def test_blocked_directory_removes_the_directories_it_made(self, workspace, capsys):
+        blocker = workspace / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        before = sorted(workspace.rglob("*"))
+        argv = self.rank_argv(workspace, "--out", str(workspace / "new/sub/r.json"),
+                              "--out-csv", str(blocker / "r.csv"))
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{blocker}'\n")
+        assert sorted(workspace.rglob("*")) == before
+
+    def test_failing_writer_removes_the_directories_it_made(self, workspace, monkeypatch, capsys):
+        def fail(report, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(cli, "write_ranking_csv", fail)
+        (workspace / "old").mkdir()
+        before = sorted(workspace.rglob("*"))
+        argv = self.rank_argv(workspace, "--out", str(workspace / "old/new/r.json"),
+                              "--out-csv", str(workspace / "old/new/deeper/r.csv"))
+        assert main(argv) == 2
+        assert capsys.readouterr()[0] == ""
+        assert sorted(workspace.rglob("*")) == before
+
     @pytest.mark.parametrize("kind", ["fifo", "symlink to a file", "symlink to /dev/null"])
     def test_symlink_device_or_fifo_target_is_written_in_place(self, workspace, capsys, kind):
         """Moving a temporary onto such a target would replace the entry itself."""
