@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .curves import YieldCurve
-from .distributions import record_row, validated_weights
+from .distributions import _two_sum, record_row, validated_weights
 from .errors import InputError
 
 
@@ -22,44 +22,46 @@ from .errors import InputError
 class ReplicationDecomposition:
     """Riskless portfolio replicating one flow row, or each row of a flow array.
 
-    ``additional_outlay`` is the cost of the zero-coupon bonds covering the
-    later outflows; ``total_outlay`` adds the initial outlay to it;
-    ``certainty_equivalent_outlay`` is the cost of the bonds paying the
-    inflows, the riskless investment that generates the same inflow pattern.
-    For one row they are floats; over N rows they are (N,) arrays.
+    ``additional_outlay`` is the cost of the zero-coupon bonds covering the later
+    outflows; ``total_outlay`` adds the initial outlay to it; ``certainty_equivalent_outlay``
+    is the cost of the bonds paying the inflows (the riskless investment with the same inflow
+    pattern); ``npv`` is F_0 plus every later flow's present value. For one row they are
+    floats; over N rows they are (N,) arrays.
     """
 
     additional_outlay: np.ndarray | float
     total_outlay: np.ndarray | float
     certainty_equivalent_outlay: np.ndarray | float
+    npv: np.ndarray | float
 
 
 def _replicate_rows(flows: np.ndarray, curve: YieldCurve) -> ReplicationDecomposition:
     """The replication of every flow row F_0..F_T of ``flows``, shape (N, T+1).
 
-    The later flows over the growth factors (1+r_t)^t split by sign: the positive
-    ones sum to the bond cost, the negated negative ones to the zero-coupon outlays.
+    One pass over the tenors adds each pv = F_t / (1+r_t)^t to three ``_two_sum`` sums:
+    the NPV F_0 + sum pv, the bond cost sum max(pv, 0) and the outlays sum max(-pv, 0).
     """
     horizon = flows.shape[1] - 1
     if curve.horizon < horizon:
         raise InputError(
             f"curve covers tenors 1..{curve.horizon} but the scenario needs tenor {horizon}"
         )
-    pv = flows[:, 1:] / np.array(curve.growth_factors[:horizon])
-    additional = np.maximum(-pv, 0.0).sum(axis=1)
-    return ReplicationDecomposition(
-        additional_outlay=additional,
-        total_outlay=-flows[:, 0] + additional,
-        certainty_equivalent_outlay=np.maximum(pv, 0.0).sum(axis=1),
-    )
+    sums, errors = [flows[:, 0], 0.0, 0.0], [0.0, 0.0, 0.0]  # NPV, bond cost, outlays
+    for t, growth in enumerate(curve.growth_factors[:horizon], start=1):
+        pv = flows[:, t] / growth
+        for k, term in enumerate((pv, np.maximum(pv, 0.0), np.maximum(-pv, 0.0))):
+            sums[k], error = _two_sum(sums[k], term)
+            errors[k] = errors[k] + error
+    npv, bond_cost, additional = map(np.add, sums, errors)
+    return ReplicationDecomposition(additional, -flows[:, 0] + additional, bond_cost, npv)
 
 
 def replicate(flows: Sequence[float], curve: YieldCurve) -> ReplicationDecomposition:
     """Price the riskless portfolio replicating one flow row F_0..F_T on ``curve``.
 
     It is the one-row case of the evaluation kernel's replication, checked as
-    ``ScenarioSet`` checks its row 0, so ``certainty_equivalent_outlay -
-    total_outlay`` is bitwise ``evaluate_set``'s NPV.
+    ``ScenarioSet`` checks its row 0, so its ``npv`` and ``total_outlay`` are
+    bitwise ``evaluate_set``'s.
     """
     return record_row(_replicate_rows(_flow_array([flows]), curve), 0)
 

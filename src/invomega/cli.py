@@ -8,7 +8,6 @@ precision; only stdout applies display rounding.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import json
 import math
@@ -181,24 +180,22 @@ def _commit(outputs: list[tuple[Path, Callable[[Path], None]]]) -> None:
     duplicate or a directory among them before making any parent directories; then write
     each to a temporary sibling, and move them onto their names only once all are written.
     A symlink, device or FIFO target, which a move would replace (``/dev/null`` included),
-    is instead written in place after every temporary. On any failure the temporaries go,
-    and so do the directories made here, deepest first."""
+    is written in place after every temporary. A failure removes the directories made."""
     for i, (path, _) in enumerate(outputs):
         if path.resolve() in [earlier.resolve() for earlier, _ in outputs[:i]]:
             raise InputError(f"two outputs name the file {str(path)!r}")
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    plan = sorted(  # in-place targets last
+        ((path, write, path.is_symlink() or path.exists() and not path.is_file())
+         for path, write in outputs), key=lambda step: step[2])
+    temporaries = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                   for path, _, in_place in plan if not in_place}
     made: list[Path] = []  # parents that did not exist, each before its subdirectories
-    temporaries: dict[Path, Path] = {}
     try:
         for path, _ in outputs:
             made += reversed([parent for parent in path.parents if not parent.exists()])
             path.parent.mkdir(parents=True, exist_ok=True)
-        plan = sorted(  # in-place targets last
-            ((path, write, path.is_symlink() or path.exists() and not path.is_file())
-             for path, write in outputs), key=lambda step: step[2])
-        temporaries = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp")
-                       for path, _, in_place in plan if not in_place}
         for path, write, _ in plan:
             target = temporaries.get(path, path)
             try:
@@ -209,11 +206,10 @@ def _commit(outputs: list[tuple[Path, Callable[[Path], None]]]) -> None:
         for path, temporary in temporaries.items():
             os.replace(temporary, path)
     except BaseException:
-        for temporary in temporaries.values():
-            temporary.unlink(missing_ok=True)
-        for directory in reversed(made):
-            with contextlib.suppress(OSError):  # one a failed mkdir never made, or not empty
-                directory.rmdir()
+        for temporary in filter(Path.exists, temporaries.values()):  # none under a failed mkdir
+            temporary.unlink()
+        for directory in filter(Path.exists, reversed(made)):  # a failed mkdir may make only some
+            directory.rmdir()
         raise
 
 

@@ -46,23 +46,32 @@ def validated_weights(
     bad = np.flatnonzero(~(np.isfinite(wts) & (wts >= 0.0)))
     if bad.size:
         raise InputError(f"{where(bad[0])} must be finite and >= 0, got {float(wts[bad[0]])}")
-    total = math.fsum(wts.tolist())
-    if abs(total - 1.0) > _WEIGHT_TOL:
+    total = _fsum(wts)
+    if not abs(total - 1.0) <= _WEIGHT_TOL:
         raise InputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
     return wts
 
 
-def _cumsum(terms: np.ndarray) -> np.ndarray:
-    """Running sums of ``terms``, each corrected by the rounding errors of its steps.
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b and its exact rounding error (Knuth's TwoSum): the one compensated-sum formula."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
 
-    ``np.cumsum`` adds in sequence, so TwoSum recovers every step's rounding
-    error exactly; the errors are summed alongside and added back.
-    """
+
+def _cumsum(terms: np.ndarray) -> np.ndarray:
+    """Running sums of ``terms``, each plus the running sum of the exact rounding errors
+    (``_two_sum``) of ``np.cumsum``'s steps, which add in sequence."""
     sums = np.cumsum(terms)
-    before = np.concatenate(([0.0], sums[:-1]))
-    added = sums - before
-    errors = (before - (sums - added)) + (terms - added)
-    return sums + np.cumsum(errors)
+    return sums + np.cumsum(_two_sum(np.concatenate(([0.0], sums[:-1])), terms)[1])
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """``math.fsum`` of ``terms``, exactly rounded so in any order the same; nan past the range."""
+    try:
+        return math.fsum(terms.tolist())
+    except (OverflowError, ValueError):  # a sum past the float range, or inf + -inf
+        return math.nan
 
 
 class EmpiricalDistribution:
@@ -106,7 +115,7 @@ class EmpiricalDistribution:
     def mean(self) -> float:
         # anchored at the smallest sample so a constant distribution is exact
         anchor = float(self.sorted_values[0])
-        return anchor + float(np.sum(self.sorted_weights * (self.sorted_values - anchor)))
+        return anchor + _fsum(self.sorted_weights * (self.sorted_values - anchor))
 
 
 @dataclass(frozen=True)
@@ -122,10 +131,10 @@ class SummaryStats:
 def summarize(dist: EmpiricalDistribution) -> SummaryStats:
     """Weighted summary statistics (population moments, lower weighted median).
 
-    The median is the first sample whose compensated cumulative weight W_{k+1}
-    reaches 1/2. Std is None where the variance leaves the float range;
-    skewness is None there too, at std 0, and where std**3 or the ratio
-    leaves the float range.
+    The mean and both moments are exact ``_fsum``s, the same in any row order. The median is
+    the first sample whose compensated cumulative weight W_{k+1} reaches 1/2. Std is None
+    where the variance leaves the float range; skewness is None there too, at std 0, and
+    where std**3 or the ratio leaves the float range.
     """
     sv = dist.sorted_values
     sw = dist.sorted_weights
@@ -135,8 +144,8 @@ def summarize(dist: EmpiricalDistribution) -> SummaryStats:
         return SummaryStats(mean, median, None, None)
     centered = sv - mean
     with np.errstate(over="ignore", invalid="ignore"):
-        variance = float(np.sum(sw * centered * centered))
-        m3 = float(np.sum(sw * centered * centered * centered))
+        squares = sw * centered * centered
+        variance, m3 = _fsum(squares), _fsum(squares * centered)
     if not math.isfinite(variance):
         return SummaryStats(mean, median, None, None)
     std = math.sqrt(variance) if variance > 0.0 else 0.0

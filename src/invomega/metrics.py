@@ -102,11 +102,10 @@ def evaluate_set(scenario_set: ScenarioSet, curve: YieldCurve) -> EvaluationResu
             )
         growth_T = curve.growth_factors[horizon - 1]
         fv_plus = pv_plus * growth_T
-        npv = pv_plus - total_outlay
         ratio = fv_plus / total_outlay
-        pi = npv / total_outlay
+        pi = replication.npv / total_outlay
         return EvaluationResult(
-            npv=npv,
+            npv=replication.npv,
             terminal_profit=fv_plus - total_outlay,
             terminal_return=ratio - 1.0,
             # ratio >= 0 (-1 with no inflows); numpy's ** 1.0 is a copy and its ** 0.5 a sqrt

@@ -2,7 +2,8 @@
 
 Replication: the sign split, the per-tenor discounting and the forward roll
 of one scenario in Python floats, each sum a correctly rounded ``math.fsum``.
-Only the curve's growth factors (1+r_t)^t are taken from ``YieldCurve``.
+Only the curve's growth factors (1+r_t)^t are taken from ``YieldCurve``. The
+NPV's float terms are also summed exactly, as a ``Fraction``.
 
 Crossing solver: one Omega lookup per point and per curve. The signs come
 from each ``OmegaResult``'s omega and its nan flag, the brackets from a
@@ -24,6 +25,7 @@ acceptance scale lambda and the factors alpha from the growth factors alone.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +50,11 @@ def replication(flows: Sequence[float], curve: YieldCurve) -> tuple[float, float
     plus the zero-coupon cost of every F-, and the bond cost of every F+."""
     outlay, positive, negative = split(flows)
     return outlay + math.fsum(discounted(negative, curve)), math.fsum(discounted(positive, curve))
+
+
+def exact_npv(flows: Sequence[float], curve: YieldCurve) -> Fraction:
+    """The exact sum of the NPV's float terms: F_0 and each later flow over its growth factor."""
+    return sum(map(Fraction, [flows[0], *discounted(flows[1:], curve)]), Fraction(0))
 
 
 def future_value(positive: Sequence[float], curve: YieldCurve) -> float:

@@ -251,7 +251,8 @@ class TestEvaluate:
             "total_outlay",
         ]
         cells = rows[1].split(",")
-        assert float(cells[1]) == 350.0 / 1.05 - (200.0 + 100.0 / 1.05**2)  # full precision
+        # full precision: the exactly rounded sum of F_0 and the discounted later flows
+        assert float(cells[1]) == math.fsum([-200.0, 350.0 / 1.05, -100.0 / 1.05**2])
         assert cells[header.index("premium_npv")] == cells[1]
         summary = (out_dir / "summary.csv").read_text().splitlines()
         assert summary[0] == "metric,mean,median,std,skewness"
@@ -758,6 +759,17 @@ class TestInputBounds:
         assert "Traceback" not in proc.stderr
         assert "grid" in proc.stderr
 
+    def test_weights_summing_past_the_float_range_exit_2(self, workspace, capsys):
+        # math.fsum raises OverflowError on these finite weights; it must not escape
+        (workspace / "huge.csv").write_text("weight,t0,t1,t2\n1e308,-200,350,-100\n1e308,-200,300,-100\n")
+        (workspace / "huge.json").write_text(
+            json.dumps({"id": "huge", "horizon": 2, "scenario_file": "huge.csv"}))
+        argv = ["evaluate", "--project", str(workspace / "huge.json"), "--curve",
+                str(workspace / "curve.csv"), "--out-dir", str(workspace / "r")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'huge.csv'}: weights must sum to 1 within 1e-12, got nan\n")
+
     def test_grid_point_cap(self):
         from invomega.cli import MAX_GRID_POINTS, _parse_grid
 
@@ -1194,6 +1206,48 @@ class TestCommit:
             assert os.readlink(target) == os.devnull and stat.S_ISCHR(os.stat(os.devnull).st_mode)
         assert (workspace / "rank.csv").exists() and not list(workspace.glob(".*.tmp"))
         capsys.readouterr()
+
+
+# fixed before the test was first run; each sample is new draws, not a search for a failure
+PERMUTATION_SEEDS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
+
+
+def test_row_order_does_not_change_any_weighted_report(tmp_path, capsys):
+    """Permuting the rows of a weighted scenario CSV leaves every report but the per-row
+    evaluation.csv byte-identical: summary.csv, rank.json on both metrics and radr.json. Of
+    the 50 rows, 4 values are each shared by 3 rows of unequal weights, so a sum over the
+    sorted samples meets tied rows in input order."""
+    (tmp_path / "curve.csv").write_text("tenor,rate\n1,0.05\n2,0.05\n3,0.05\n")
+    for seed in PERMUTATION_SEEDS:
+        rng = np.random.default_rng(seed)
+        flows = np.column_stack((
+            -rng.uniform(150.0, 250.0, 50), rng.normal(350.0, 40.0, 50),
+            rng.normal(0.0, 60.0, 50), -rng.uniform(0.0, 100.0, 50),
+        )).round(2)
+        for first in range(10, 22, 3):
+            flows[first:first + 3] = flows[first]
+        raw = rng.uniform(0.5, 1.5, 50)
+        table = np.column_stack((raw / math.fsum(raw.tolist()), flows))
+        reports = []
+        for rows in (table, table[rng.permutation(50)]):
+            run = tmp_path / f"{seed}-{len(reports)}"
+            run.mkdir()
+            (run / "p.csv").write_text("weight,t0,t1,t2,t3\n" + "".join(
+                ",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+            (run / "p.json").write_text(json.dumps({"id": "p", "horizon": 3, "scenario_file": "p.csv"}))
+            project, curve = str(run / "p.json"), str(tmp_path / "curve.csv")
+            for argv in (
+                ["evaluate", "--project", project, "--curve", curve, "--out-dir", str(run / "report")],
+                *(["rank", "--projects", project, "--curve", curve, "--delta-mu", "0.05",
+                   "--metric", metric, "--out", str(run / f"rank_{metric}.json")] for metric in ("mu", "npv")),
+                ["radr-compare", "--project", project, "--r", "0.05", "--k", "0.15",
+                 "--mode", "paper-table4", "--out", str(run / "radr.json")],
+            ):
+                assert main(argv) == 0, (seed, argv[0])
+            reports.append([(run / name).read_bytes() for name in (
+                "report/summary.csv", "rank_mu.json", "rank_npv.json", "radr.json")])
+        assert reports[0] == reports[1], seed
+    capsys.readouterr()
 
 
 def key_paths(node, path: str = ""):

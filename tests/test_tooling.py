@@ -178,6 +178,52 @@ def test_no_module_calls_a_numpy_transcendental():
     assert uses == []
 
 
+# numpy's float reductions: numpy chooses their summation order (pairwise, in SIMD blocks)
+NUMPY_REDUCTIONS = {"sum", "mean", "dot", "matmul"}
+
+
+def _numpy_reductions(tree: ast.AST) -> list[int]:
+    """The lines of ``tree`` that name a numpy float reduction: ``np.sum``, ``np.mean``,
+    ``np.dot``, ``np.matmul``, ``np.add.reduce``, an array's ``.sum(`` or ``.mean(``, or ``@``.
+    ``dist.mean()`` is ``EmpiricalDistribution.mean``, itself an exact ``math.fsum``."""
+    def is_numpy(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+            is_numpy(node.value) and node.attr in NUMPY_REDUCTIONS
+            or node.attr == "reduce" and isinstance(node.value, ast.Attribute)
+            and is_numpy(node.value.value) and node.value.attr == "add"
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr in ("sum", "mean")
+            and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "dist")
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_numpy_reduction_check_finds_each_use():
+    source = (
+        "np.sum(x)\nx.sum(axis=1)\nnumpy.add.reduce(x)\nnp.cumsum(x)\nmath.fsum(x)\n"
+        "a @ b\nnp.matmul(a, b)\n(x * y).mean()\ndist.mean()\nnp.dot(a, b)\nmap(np.mean, x)\n"
+    )
+    assert _numpy_reductions(ast.parse(source)) == [1, 2, 3, 6, 7, 8, 10, 11]
+
+
+def test_no_module_calls_a_numpy_reduction():
+    """Every array sum on the output path is a TwoSum-compensated sum
+    (``distributions._two_sum``) and every list sum an exact ``math.fsum``, so that no
+    output byte depends on the order numpy adds in, or on the input order of tied rows."""
+    uses = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _numpy_reductions(ast.parse(path.read_text()))]
+    assert uses == []
+
+
 def _exception_classes(sources: dict[str, str]) -> list[str]:
     """The classes of ``sources`` (module name to text) that derive from a builtin exception,
     from a base named ``*Error`` or ``*Exception``, or from another such class there, as
