@@ -206,7 +206,7 @@ def _commit(outputs: list[tuple[Path, Callable[[Path], None]]]) -> None:
         for path, temporary in temporaries.items():
             os.replace(temporary, path)
     except BaseException:
-        for temporary in filter(Path.exists, temporaries.values()):  # none under a failed mkdir
+        for temporary in filter(Path.exists, temporaries.values()):  # none past a blocked mkdir
             temporary.unlink()
         for directory in filter(Path.exists, reversed(made)):  # a failed mkdir may make only some
             directory.rmdir()

@@ -67,7 +67,7 @@ def _cumsum(terms: np.ndarray) -> np.ndarray:
 
 
 def _fsum(terms: np.ndarray) -> float:
-    """``math.fsum`` of ``terms``, exactly rounded so in any order the same; nan past the range."""
+    """``math.fsum`` of ``terms``: exactly rounded, so the same in any order; nan past the range."""
     try:
         return math.fsum(terms.tolist())
     except (OverflowError, ValueError):  # a sum past the float range, or inf + -inf
