@@ -16,10 +16,11 @@ sample: O(log N) instead of a pass over all samples.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -74,6 +75,25 @@ def _fsum(terms: np.ndarray) -> float:
         return math.nan
 
 
+@contextmanager
+def in_float_range(what: str) -> Iterator[None]:
+    """Raise numpy overflows inside the block, and report any overflow, numpy's or
+    Python's, as one InputError saying that ``what`` leave the float range."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise InputError(f"{what} leave the float range") from None
+
+
+def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    """The one weighted mean over rows: min + the exact fsum of w_i (x_i - min), so constant
+    ``values`` average to themselves in any row order; an InputError past the float range."""
+    anchor = values.min()
+    with in_float_range("the terms of a weighted mean"):
+        return float(anchor + math.fsum((weights * (values - anchor)).tolist()))
+
+
 class EmpiricalDistribution:
     """Immutable weighted sample set, held sorted, with its partial-moment sums.
 
@@ -104,8 +124,9 @@ class EmpiricalDistribution:
         self._below = np.concatenate(([0.0], _cumsum(w)))  # W
         self._above = np.concatenate((_cumsum(w[::-1])[::-1], [0.0]))  # V
         # P_k = P_{k-1} + W_k (x_k - x_{k-1}), C_k = C_{k+1} + V_{k+1} (x_{k+1} - x_k)
-        self._put_at = np.concatenate(([0.0], _cumsum(self._below[1:-1] * gaps)))
-        self._call_at = np.concatenate((_cumsum((self._above[1:-1] * gaps)[::-1])[::-1], [0.0]))
+        with in_float_range("the partial moments of these samples"):  # weights may sum past 1
+            self._put_at = np.concatenate(([0.0], _cumsum(self._below[1:-1] * gaps)))
+            self._call_at = np.concatenate((_cumsum((self._above[1:-1] * gaps)[::-1])[::-1], [0.0]))
         for name in self.__slots__:
             getattr(self, name).setflags(write=False)
 
@@ -113,9 +134,7 @@ class EmpiricalDistribution:
         return len(self.sorted_values)
 
     def mean(self) -> float:
-        # anchored at the smallest sample so a constant distribution is exact
-        anchor = float(self.sorted_values[0])
-        return anchor + _fsum(self.sorted_weights * (self.sorted_values - anchor))
+        return weighted_mean(self.sorted_values, self.sorted_weights)
 
 
 @dataclass(frozen=True)
@@ -131,10 +150,10 @@ class SummaryStats:
 def summarize(dist: EmpiricalDistribution) -> SummaryStats:
     """Weighted summary statistics (population moments, lower weighted median).
 
-    The mean and both moments are exact ``_fsum``s, the same in any row order. The median is
-    the first sample whose compensated cumulative weight W_{k+1} reaches 1/2. Std is None
-    where the variance leaves the float range; skewness is None there too, at std 0, and
-    where std**3 or the ratio leaves the float range.
+    The mean (``weighted_mean``) and both moments are exact fsums, the same in any row order.
+    The median is the first sample whose compensated cumulative weight W_{k+1} reaches 1/2.
+    Std is None where the variance leaves the float range; skewness is None there too, at
+    std 0, and where std**3 or the ratio leaves the float range.
     """
     sv = dist.sorted_values
     sw = dist.sorted_weights
@@ -216,7 +235,8 @@ def _omega_at(dist: EmpiricalDistribution, thresholds: Sequence[float]) -> Omega
     finite = np.isfinite(lam)
     if not finite.all():
         raise InputError(f"threshold must be finite, got {float(lam[~finite][0])!r}")
-    call, put = partial_moments(dist, lam)
+    with in_float_range("the partial moments at these thresholds"):
+        call, put = partial_moments(dist, lam)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(put > 0.0, call / put, np.where(call > 0.0, np.inf, np.nan))
     return OmegaResult(lam, call, put, ratio)

@@ -10,17 +10,16 @@ translate between an annualized-return floor and its NPV equivalent.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cashflows import ScenarioSet, _replicate_rows
 from .csvio import write_csv
 from .curves import YieldCurve
-from .distributions import _libm, record_row
+from .distributions import _libm, in_float_range, record_row
 from .errors import DomainError, InputError
 
 HURDLE_KINDS = ("delta_mu", "mu_star", "npv_star", "profit_star")
@@ -68,17 +67,6 @@ class ThresholdSet:
     mu_star: float
     npv_star: float
     basis_outlay: float
-
-
-@contextmanager
-def in_float_range(what: str) -> Iterator[None]:
-    """Raise numpy overflows inside the block, and report any overflow, numpy's or
-    Python's, as one InputError saying that ``what`` leave the float range."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except (FloatingPointError, OverflowError):
-        raise InputError(f"{what} leave the float range") from None
 
 
 def evaluate_set(scenario_set: ScenarioSet, curve: YieldCurve) -> EvaluationResult:
@@ -187,8 +175,3 @@ def write_evaluation_csv(results: EvaluationResult, path: str | Path) -> None:
         "premium_return": r.premium_return,
         "total_outlay": r.total_outlay,
     })
-
-
-def mean_basis_outlay(results: EvaluationResult, weights: np.ndarray) -> float:
-    """Weighted mean of the per-scenario total outlays (threshold basis)."""
-    return math.fsum((weights * results.total_outlay).tolist())

@@ -18,8 +18,9 @@ import numpy as np
 
 from .cashflows import ScenarioSet
 from .curves import YieldCurve
+from .distributions import in_float_range, weighted_mean
 from .errors import DomainError, InputError, located
-from .metrics import evaluate_set, in_float_range
+from .metrics import evaluate_set
 
 MODE_CANONICAL = "canonical-strict"
 MODE_TABLE4 = "paper-table4"
@@ -49,9 +50,9 @@ class RadrResult:
 
 
 def vertical_average(scenario_set: ScenarioSet) -> tuple[float, ...]:
-    """Weighted per-tenor mean of the flows, including the t=0 outlay."""
-    weighted = scenario_set.weights[:, None] * scenario_set.flows
-    return tuple(math.fsum(column) for column in weighted.T.tolist())
+    """Weighted per-tenor mean of the flows (``weighted_mean``), including the t=0 outlay."""
+    columns = np.ascontiguousarray(scenario_set.flows.T)
+    return tuple(weighted_mean(column, scenario_set.weights) for column in columns)
 
 
 def radr_valuation(

@@ -28,9 +28,10 @@ from .distributions import (
     crossing_on_grid,
     record_row,
     summarize,
+    weighted_mean,
 )
 from .errors import InputError, located
-from .metrics import HurdleSpec, evaluate_set, mean_basis_outlay, metric_thresholds
+from .metrics import HurdleSpec, evaluate_set, metric_thresholds
 
 METRICS = ("npv", "mu")
 
@@ -65,7 +66,7 @@ def evaluate_project(
         project_id=scenario_set.project_id,
         metric=metric,
         distribution=EmpiricalDistribution(samples, scenario_set.weights),
-        basis_outlay=mean_basis_outlay(results, scenario_set.weights),
+        basis_outlay=weighted_mean(results.total_outlay, scenario_set.weights),
         horizon=scenario_set.horizon,
         curve=curve,
     )
@@ -80,7 +81,7 @@ def _omega_on(project: ProjectEvaluation, kind: str, values: Sequence[float]) ->
             kind, np.asarray(values, dtype=float).tolist(), project.metric,
             project.basis_outlay, project.curve, project.horizon,
         )
-    return _omega_at(project.distribution, lam)
+        return _omega_at(project.distribution, lam)
 
 
 # The fields of the report types below, in order, are the rank.json layout.

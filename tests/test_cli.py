@@ -407,6 +407,18 @@ class TestRank:
         assert main([*argv, *flags]) == code
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_npv_threshold_of_the_right_demo_project_is_c2s(self, demo_dir, tmp_path):
+        # the demo's outlays are deterministic, so the basis, their weighted mean over 1e5
+        # rows, is the one outlay exactly and the threshold is C2's to the bit
+        out = tmp_path / "rank.json"
+        assert main(["rank", "--projects", str(demo_dir / "project_right.json"), "--curve",
+                     str(demo_dir / "curve_flat5.csv"), "--delta-mu", "0.10", "--metric", "npv",
+                     "--out", str(out)]) == 0
+        curve = YieldCurve.flat(0.05, 2)
+        basis = invomega.replicate((-200.0, 350.0, -100.0), curve).total_outlay
+        c2 = invomega.thresholds(invomega.HurdleSpec("delta_mu", 0.10), basis, curve, 2)
+        assert json.loads(out.read_text())["entries"][0]["threshold"] == c2.npv_star
+
     @pytest.mark.parametrize("grid", [(), ("--grid", "0.0:0.1:0.05")])
     def test_excluded_project_is_reported_once(self, workspace, grid):
         # NPV is 0 in every scenario: a point mass at the threshold, so Omega is indeterminate
@@ -770,6 +782,48 @@ class TestInputBounds:
         assert capsys.readouterr().err == (
             f"error: {workspace / 'huge.csv'}: weights must sum to 1 within 1e-12, got nan\n")
 
+    @pytest.mark.parametrize(
+        "rows, metric, code, err",
+        [
+            # two equal outlays at the float limit average to that limit exactly, whatever
+            # the weights; plain fsum of w * x overflowed here into a traceback
+            (("0.5000000000001", "0.5"), "mu", 0, ""),
+            (("0.5000000000001", "0.5"), "npv", 2,
+             "error: p: the partial moments at these thresholds leave the float range\n"),
+            # the NPV threshold of about 1.7e307 lies that far above both NPVs of -1.8e308
+            (("0.5", "0.5"), "npv", 2,
+             "error: p: the partial moments at these thresholds leave the float range\n"),
+        ],
+        ids=["unequal-weights-mu", "unequal-weights-npv", "equal-weights-npv"],
+    )
+    def test_outlays_at_the_float_limit_exit_0_or_2(self, tmp_path, capsys, rows, metric, code, err):
+        (tmp_path / "c.csv").write_text("tenor,rate\n1,0.05\n")
+        (tmp_path / "p.csv").write_text(
+            "weight,t0,t1\n" + "".join(f"{w},-1.7976931348623157e308,0.0\n" for w in rows))
+        (tmp_path / "p.json").write_text(json.dumps({"id": "p", "horizon": 1, "scenario_file": "p.csv"}))
+        out = tmp_path / "r.json"
+        argv = ["rank", "--projects", str(tmp_path / "p.json"), "--curve", str(tmp_path / "c.csv"),
+                "--delta-mu", "0.1", "--metric", metric, "--out", str(out)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("metric, message", [
+        ("mu", "the terms of a weighted mean leave the float range"),
+        ("npv", "the partial moments of these samples leave the float range"),
+    ])
+    def test_weights_past_one_at_the_float_limit_exit_2(self, tmp_path, capsys, metric, message):
+        # weights may sum to 1 + 1e-12, so the mean of two finite outlays can overflow, and so
+        # can W_k times a gap of the NPV samples
+        (tmp_path / "c.csv").write_text("tenor,rate\n1,0.05\n")
+        (tmp_path / "p.csv").write_text("weight,t0,t1\n0.0,-1.0,0.0\n1.0000000000005,-1.7976931348623157e308,0.0\n")
+        project = tmp_path / "p.json"
+        project.write_text(json.dumps({"id": "p", "horizon": 1, "scenario_file": "p.csv"}))
+        argv = ["rank", "--projects", str(project), "--curve", str(tmp_path / "c.csv"),
+                "--mu-star", "0.1", "--metric", metric, "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {project}: {message}\n"
+
     def test_grid_point_cap(self):
         from invomega.cli import MAX_GRID_POINTS, _parse_grid
 
@@ -1052,6 +1106,17 @@ class TestRadrCompare:
         assert capsys.readouterr().err == (
             f"error: {project}: the replication sums or returns of these flows leave the float range\n"
         )
+
+    def test_mean_flow_column_with_infinite_spread_exit_2(self, tmp_path, capsys):
+        # the mean flows are anchored at each column's smallest flow, so a column of +-1e308
+        # is refused with one error line, although its plain fsum of w * x is 0
+        (tmp_path / "wide.csv").write_text("t0,t1,t2\n-1,1e308,1\n-1,-1e308,1\n")
+        project = tmp_path / "wide.json"
+        project.write_text(json.dumps({"id": "wide", "horizon": 2, "scenario_file": "wide.csv"}))
+        argv = ["radr-compare", "--project", str(project), "--r", "0.05", "--k", "0.15",
+                "--mode", "paper-table4", "--out", str(tmp_path / "radr.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {project}: the terms of a weighted mean leave the float range\n"
 
     def test_every_field_matches_the_reference(self, tmp_path):
         # a weighted T = 30 CSV with construction outflows at t = 1..3, in paper-table4 mode

@@ -26,7 +26,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from invomega.cli import main
@@ -224,8 +224,22 @@ def run_case(files: dict, argv: list[str], outputs: list[str]) -> None:
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def _at_the_float_limit(weights: tuple[str, str], metric: str) -> tuple[dict, list[str], list[str]]:
+    """A ``rank`` case on two rows whose outlay F_0 is the largest float."""
+    rows = "".join(f"{w},-1.7976931348623157e308,0.0\n" for w in weights)
+    files = {"curve.csv": "tenor,rate\n1,0.05\n", "o.csv": "weight,t0,t1\n" + rows,
+             "o.json": json.dumps({"id": "o", "horizon": 1, "scenario_file": "o.csv"})}
+    argv = ["rank", "--projects", "{dir}/o.json", "--curve", "{dir}/curve.csv", "--delta-mu", "0.1",
+            "--metric", metric, "--out", "{dir}/out/rank.json"]
+    return files, argv, ["out/rank.json"]
+
+
 @settings(max_examples=500, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(cases())
+# the mean of two unequally weighted outlays at the float limit (once an OverflowError
+# traceback), and partial moments at a threshold far above both NPVs (once numpy warnings)
+@example(_at_the_float_limit(("0.5000000000001", "0.5"), "mu"))
+@example(_at_the_float_limit(("0.5", "0.5"), "npv"))
 def test_every_command_keeps_the_exit_code_contract(case):
     run_case(*case)

@@ -16,10 +16,15 @@ from invomega import (
     EmpiricalDistribution,
     InputError,
     OmegaResult,
+    ScenarioSet,
+    YieldCurve,
     crossing_on_grid,
+    evaluate_project,
+    evaluate_set,
     omega,
     omega_curve,
     summarize,
+    vertical_average,
 )
 from invomega.distributions import (
     _omega_at,
@@ -519,3 +524,16 @@ class TestCsvOutput:
         stats = summarize(EmpiricalDistribution([-1e200, 1e200]))
         write_summary_csv({"npv": stats}, tmp_path / "summary.csv")
         assert (tmp_path / "summary.csv").read_bytes().split(b"\n")[1] == b"npv,0.0,-1e+200,nan,nan"
+
+
+@pytest.mark.parametrize("n", [3, 11, 13, 97, 1000, 9999, 10000, 100000])
+def test_constant_columns_average_exactly(n):
+    # every weighted mean over rows is anchored at the column's smallest value, so uniform
+    # copies of one row average back to that row: the vertical average and the threshold
+    # basis. A plain fsum of w * x sums the rounded 1/n and missed by one ulp at each n here,
+    # the columns at six of them and the basis at 13 and 100000.
+    scenario_set = ScenarioSet.uniform("p", np.tile((-200.0, 350.0, -100.0), (n, 1)))
+    assert vertical_average(scenario_set) == (-200.0, 350.0, -100.0)
+    curve = YieldCurve.flat(0.05, 2)
+    outlay = float(evaluate_set(scenario_set, curve).total_outlay[0])
+    assert evaluate_project(scenario_set, curve, "npv").basis_outlay == outlay

@@ -12,7 +12,8 @@ from invomega import (
     evaluate_set,
     thresholds,
 )
-from invomega.metrics import HURDLE_KINDS, mean_basis_outlay, metric_thresholds
+from invomega.distributions import weighted_mean
+from invomega.metrics import HURDLE_KINDS, metric_thresholds
 from invomega.ranking import evaluate_project, rank
 
 from conftest import evaluate_row as evaluate
@@ -280,7 +281,7 @@ def test_mean_basis_hurdle_disagrees_on_rows_below_the_basis(flat5):
     scenario_set = ScenarioSet.uniform("stochastic-outlay", flows)
     hurdle = HurdleSpec("delta_mu", 0.10)
     results = evaluate_set(scenario_set, flat5)
-    ts = thresholds(hurdle, mean_basis_outlay(results, scenario_set.weights), flat5, 2)
+    ts = thresholds(hurdle, weighted_mean(results.total_outlay, scenario_set.weights), flat5, 2)
     own = thresholds(hurdle, results.total_outlay[1], flat5, 2)
     assert own.npv_star < 58.01 < ts.npv_star
     disagree = (results.annualized_return > ts.mu_star) & (results.npv < ts.npv_star)
