@@ -207,37 +207,28 @@ def _libm(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), np.float64, x.size)
 
 
-def partial_moments(
-    dist: EmpiricalDistribution, thresholds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """call(L) = E[max(X - L, 0)] and put(L) = E[max(L - X, 0)] at each threshold L.
-
-    With x_{k-1} < L <= x_k, put = P_{k-1} + (L - x_{k-1}) W_k (0 when k = 0);
-    with x_{j-1} <= L < x_j, call = C_j + (x_j - L) V_j (0 when j = N). Every
-    term is >= 0, so nothing cancels.
-    """
-    x = dist.sorted_values
-    last = x.size - 1
-    k = np.searchsorted(x, thresholds, side="left")
-    j = np.searchsorted(x, thresholds, side="right")
-    lo = np.maximum(k - 1, 0)
-    hi = np.minimum(j, last)
-    put = np.where(k > 0, dist._put_at[lo] + (thresholds - x[lo]) * dist._below[k], 0.0)
-    call = np.where(j <= last, dist._call_at[hi] + (x[hi] - thresholds) * dist._above[j], 0.0)
-    return call, put
-
-
 def _omega_at(dist: EmpiricalDistribution, thresholds: Sequence[float]) -> OmegaResult:
-    """Omega at each threshold (any order), from one partial-moment lookup: call / put,
-    +inf where only upside mass remains (or the ratio passes the float range), nan
-    where neither side has any."""
+    """call(L) = E[max(X - L, 0)], put(L) = E[max(L - X, 0)] and Omega = call / put at each
+    threshold L (any order): +inf where only upside mass remains, nan where neither side has any.
+
+    With x_{k-1} < L <= x_k, put = P_{k-1} + (L - x_{k-1}) W_k (0 when k = 0); with
+    x_{j-1} <= L < x_j, call = C_j + (x_j - L) V_j (0 when j = N). No term is negative. Inside
+    the samples put <= P_k and call <= C_{j-1}, both finite; beyond them the far side is 0
+    and the near side may be inf, so Omega is 0 above the samples and +inf below them.
+    """
     lam = np.array(thresholds, dtype=float)
     finite = np.isfinite(lam)
     if not finite.all():
         raise InputError(f"threshold must be finite, got {float(lam[~finite][0])!r}")
-    with in_float_range("the partial moments at these thresholds"):
-        call, put = partial_moments(dist, lam)
+    x = dist.sorted_values
+    last = x.size - 1
+    k = np.searchsorted(x, lam, side="left")
+    j = np.searchsorted(x, lam, side="right")
+    lo = np.maximum(k - 1, 0)
+    hi = np.minimum(j, last)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        put = np.where(k > 0, dist._put_at[lo] + (lam - x[lo]) * dist._below[k], 0.0)
+        call = np.where(j <= last, dist._call_at[hi] + (x[hi] - lam) * dist._above[j], 0.0)
         ratio = np.where(put > 0.0, call / put, np.where(call > 0.0, np.inf, np.nan))
     return OmegaResult(lam, call, put, ratio)
 

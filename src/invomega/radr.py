@@ -80,16 +80,16 @@ def radr_valuation(
         _check_canonical(scenario_set)
     with in_float_range("the valuations of these flows"):
         means = vertical_average(scenario_set)
-        horizon = len(means) - 1
-        alpha = tuple(((1.0 + r) / (1.0 + k)) ** t for t in range(1, horizon + 1))
-        lambda_radr = math.fsum(
-            (1.0 - a) * f / g for a, f, g in zip(alpha, means[1:], curve_r.growth_factors)
-        )
         # the kernel's rows of the mean flows: NPV is linear in the flows, so the NPV at r of
         # the mean flows is the mean NPV at r; mu at flat k is their MIRR(k, k)
         mean_set = ScenarioSet(scenario_set.project_id, [means], None, lambda i: "the mean flows")
         at_r = evaluate_set(mean_set, curve_r).row(0)
         at_k = evaluate_set(mean_set, curve_k).row(0)
+        # after the rows: each term is (1 - a) times a present value that the row at r kept finite
+        alpha = tuple(((1.0 + r) / (1.0 + k)) ** t for t in range(1, len(means)))
+        lambda_radr = math.fsum(
+            (1.0 - a) * f / g for a, f, g in zip(alpha, means[1:], curve_r.growth_factors)
+        )
     return RadrResult(
         npv_at_k=at_k.npv,
         mirr_at_k=at_k.annualized_return,

@@ -783,20 +783,19 @@ class TestInputBounds:
             f"error: {workspace / 'huge.csv'}: weights must sum to 1 within 1e-12, got nan\n")
 
     @pytest.mark.parametrize(
-        "rows, metric, code, err",
+        "rows, metric",
         [
             # two equal outlays at the float limit average to that limit exactly, whatever
             # the weights; plain fsum of w * x overflowed here into a traceback
-            (("0.5000000000001", "0.5"), "mu", 0, ""),
-            (("0.5000000000001", "0.5"), "npv", 2,
-             "error: p: the partial moments at these thresholds leave the float range\n"),
-            # the NPV threshold of about 1.7e307 lies that far above both NPVs of -1.8e308
-            (("0.5", "0.5"), "npv", 2,
-             "error: p: the partial moments at these thresholds leave the float range\n"),
+            (("0.5000000000001", "0.5"), "mu"),
+            # the NPV threshold of about 1.7e307 lies that far above both NPVs of -1.8e308, so
+            # call is 0 and Omega is 0, while the put (L - x) W passes the float range
+            (("0.5000000000001", "0.5"), "npv"),
+            (("0.5", "0.5"), "npv"),
         ],
         ids=["unequal-weights-mu", "unequal-weights-npv", "equal-weights-npv"],
     )
-    def test_outlays_at_the_float_limit_exit_0_or_2(self, tmp_path, capsys, rows, metric, code, err):
+    def test_outlays_at_the_float_limit_exit_0_or_2(self, tmp_path, capsys, rows, metric):
         (tmp_path / "c.csv").write_text("tenor,rate\n1,0.05\n")
         (tmp_path / "p.csv").write_text(
             "weight,t0,t1\n" + "".join(f"{w},-1.7976931348623157e308,0.0\n" for w in rows))
@@ -804,9 +803,13 @@ class TestInputBounds:
         out = tmp_path / "r.json"
         argv = ["rank", "--projects", str(tmp_path / "p.json"), "--curve", str(tmp_path / "c.csv"),
                 "--delta-mu", "0.1", "--metric", metric, "--out", str(out)]
-        assert main(argv) == code
-        assert capsys.readouterr().err == err
-        assert out.exists() == (code == 0)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        if metric == "npv":
+            entry = json.loads(out.read_text())["entries"][0]
+            assert {name: entry[name] for name in ("threshold", "omega", "call", "put", "accept")} == {
+                "threshold": 1.71208869986887e307, "omega": 0.0, "call": 0.0, "put": "inf",
+                "accept": False}
 
     @pytest.mark.parametrize("metric, message", [
         ("mu", "the terms of a weighted mean leave the float range"),
@@ -1117,6 +1120,19 @@ class TestRadrCompare:
                 "--mode", "paper-table4", "--out", str(tmp_path / "radr.json")]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {project}: the terms of a weighted mean leave the float range\n"
+
+    def test_mean_flows_past_the_float_range_at_r_exit_2(self, tmp_path, capsys):
+        # at r = -0.99 the present values of +-1e307 at t = 1 and 2 overflow to +-inf: the
+        # kernel row at r refuses them before lambda_radr would sum inf and -inf
+        (tmp_path / "big.csv").write_text("t0,t1,t2\n-1,1e307,-1e307\n")
+        project = tmp_path / "big.json"
+        project.write_text(json.dumps({"id": "big", "horizon": 2, "scenario_file": "big.csv"}))
+        argv = ["radr-compare", "--project", str(project), "--r", "-0.99", "--k", "0",
+                "--mode", "paper-table4", "--out", str(tmp_path / "radr.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {project}: the replication sums or returns of these flows leave the float range\n")
+        assert not (tmp_path / "radr.json").exists()
 
     def test_every_field_matches_the_reference(self, tmp_path):
         # a weighted T = 30 CSV with construction outflows at t = 1..3, in paper-table4 mode

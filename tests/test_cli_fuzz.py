@@ -238,8 +238,15 @@ def _at_the_float_limit(weights: tuple[str, str], metric: str) -> tuple[dict, li
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(cases())
 # the mean of two unequally weighted outlays at the float limit (once an OverflowError
-# traceback), and partial moments at a threshold far above both NPVs (once numpy warnings)
+# traceback), and Omega at a threshold far above both NPVs: 0, with an infinite put (once
+# numpy warnings, then exit 2)
 @example(_at_the_float_limit(("0.5000000000001", "0.5"), "mu"))
 @example(_at_the_float_limit(("0.5", "0.5"), "npv"))
+# present values of +-1e307 at r = -0.99 that overflow to +-inf (once a ValueError traceback
+# from lambda_radr's fsum)
+@example(({"p1.csv": "t0,t1,t2\n-1,1e307,-1e307\n",
+           "p1.json": json.dumps({"id": "p1", "horizon": 2, "scenario_file": "p1.csv"})},
+          ["radr-compare", "--project", "{dir}/p1.json", "--r=-0.99", "--k=0", "--mode", "paper-table4",
+           "--out", "{dir}/out/radr.json"], ["out/radr.json"]))
 def test_every_command_keeps_the_exit_code_contract(case):
     run_case(*case)

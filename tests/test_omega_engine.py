@@ -1,24 +1,32 @@
 """The cumulative-sum Omega engine against direct weighted sums.
 
-``partial_moments`` answers call/put at any threshold from sums accumulated
-once per distribution. The reference is ``math.fsum`` over every sample;
-the tolerance is K_SUM(N) * eps * sum_i w_i (|x_i| + |L|) with
+``_omega_at``, the one lookup, answers call/put at any threshold from sums
+accumulated once per distribution. The reference is ``math.fsum`` over every
+sample; the tolerance is K_SUM(N) * eps * sum_i w_i (|x_i| + |L|) with
 K_SUM(N) = 64 (log2 N + 4), the ulp-level bound used for weighted sums.
 No term of the engine's sums is negative, so nothing cancels and the error
 is also within a few eps of the value itself.
+
+The lookup has no error path. Construction refuses samples whose sums leave
+the float range, so inside the samples call and put are finite; beyond them
+the far side is exactly 0 and the near side may be inf, which makes Omega
+exactly 0 above the samples and +inf below them. A numpy warning is an error
+here, as everywhere in the suite.
 """
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invomega import EmpiricalDistribution, omega, omega_curve
-from invomega.distributions import partial_moments
+from invomega import EmpiricalDistribution, InputError, omega, omega_curve
+from invomega.distributions import _omega_at
 from reference import rows
 
 EPS = float(np.finfo(float).eps)
+MAX = sys.float_info.max
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
 # zero or a magnitude in [1e-6, 1e6] of either sign: no subnormal products
@@ -29,12 +37,29 @@ def k_sum(n: int) -> float:
     return 64.0 * (math.log2(n) + 4.0)
 
 
+def fsum_or_inf(terms) -> float:
+    """``math.fsum`` of the terms, or inf where it raises OverflowError (the terms are >= 0)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def reference(values, weights, lam) -> tuple[float, float, float]:
-    """fsum call, put and the tolerance scale sum w (|x| + |L|)."""
-    call = math.fsum(w * max(x - lam, 0.0) for x, w in zip(values, weights))
-    put = math.fsum(w * max(lam - x, 0.0) for x, w in zip(values, weights))
-    scale = math.fsum(w * (abs(x) + abs(lam)) for x, w in zip(values, weights))
+    """fsum call, put and the tolerance scale sum w (|x| + |L|), each inf past the float range."""
+    call = fsum_or_inf(w * max(x - lam, 0.0) for x, w in zip(values, weights))
+    put = fsum_or_inf(w * max(lam - x, 0.0) for x, w in zip(values, weights))
+    scale = fsum_or_inf(w * (abs(x) + abs(lam)) for x, w in zip(values, weights))
     return call, put, scale
+
+
+def draw_weights(draw, n: int) -> list[float]:
+    """``n`` non-uniform weights, some zero, summing to 1 or (a valid input) to 1 + 1e-12."""
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n))
+    if not any(raw):
+        raw[draw(st.integers(0, n - 1))] = 1.0
+    total = math.fsum(raw) / draw(st.sampled_from([1.0, 1.0 + 0.999e-12]))
+    return [r / total for r in raw]
 
 
 @st.composite
@@ -43,11 +68,7 @@ def weighted_samples(draw):
     pool = draw(st.lists(magnitude, min_size=1, max_size=6, unique=True))
     n = draw(st.integers(1, 40))
     values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n))
-    if not any(raw):
-        raw[draw(st.integers(0, n - 1))] = 1.0
-    total = math.fsum(raw)
-    weights = [r / total for r in raw]
+    weights = draw_weights(draw, n)
     lo, hi = min(values), max(values)
     thresholds = draw(
         st.lists(
@@ -63,30 +84,68 @@ def weighted_samples(draw):
             max_size=12,
         )
     )
-    # below and above the support
-    thresholds += [lo - 1.0 - abs(lo), hi + 1.0 + abs(hi)]
+    # below and above the support, and at the float limit on either side
+    thresholds += [lo - 1.0 - abs(lo), hi + 1.0 + abs(hi), -MAX, MAX]
     return values, weights, thresholds
 
 
 @PROPERTY
 @given(weighted_samples())
-def test_partial_moments_against_fsum(sample):
+def test_omega_lookup_against_fsum(sample):
     values, weights, thresholds = sample
     dist = EmpiricalDistribution(values, weights)
-    call, put = partial_moments(dist, np.array(thresholds))
+    result = _omega_at(dist, thresholds)
     tol_factor = k_sum(len(values)) * EPS
-    for lam, c, p in zip(thresholds, call.tolist(), put.tolist()):
+    for lam, c, p, o in zip(thresholds, *(a.tolist() for a in (result.call, result.put, result.omega))):
         want_call, want_put, scale = reference(values, weights, lam)
+        # an empty side is exactly 0, so the inf/nan flags of Omega are exact
+        assert (c == 0.0) == (want_call == 0.0)
+        assert (p == 0.0) == (want_put == 0.0)
+        if abs(lam) == MAX:  # beyond every sample: Omega is 0 above them and +inf below
+            assert o == (0.0 if lam > 0.0 else math.inf)
+        # the scalar call is the one-element case of the same kernel
+        single = omega(dist, lam)
+        assert (single.call, single.put) == (c, p)
+        # inf counts as the largest float: a side is inf only where its exact value is within
+        # rounding of the float limit, and finite wherever the fsum is more than that below it
+        c, p, want_call, want_put = (min(v, MAX) for v in (c, p, want_call, want_put))
         assert abs(c - want_call) <= tol_factor * scale
         assert abs(p - want_put) <= tol_factor * scale
         assert abs(c - want_call) <= 8 * EPS * want_call
         assert abs(p - want_put) <= 8 * EPS * want_put
-        # an empty side is exactly 0, so the inf/nan flags of Omega are exact
-        assert (c == 0.0) == (want_call == 0.0)
-        assert (p == 0.0) == (want_put == 0.0)
-        # the scalar call is the one-element case of the same kernel
-        single = omega(dist, lam)
-        assert (single.call, single.put) == (c, p)
+
+
+@st.composite
+def float_limit_samples(draw):
+    """Samples whose spread reaches the largest float, with weights summing to 1 or 1 + 1e-12."""
+    n = draw(st.integers(1, 30))
+    spread = draw(st.one_of(st.just(MAX), st.floats(1e300, MAX), st.floats(0.0, MAX)))
+    low = draw(st.floats(-MAX, MAX - spread))
+    fractions = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                              min_size=n, max_size=n))
+    return [low + spread * f for f in fractions], draw_weights(draw, n)
+
+
+@PROPERTY
+@given(float_limit_samples())
+def test_lookups_inside_the_samples_are_finite_at_the_float_limit(sample):
+    values, weights = sample
+    try:
+        dist = EmpiricalDistribution(values, weights)
+    except InputError:  # the spread, the weights or a partial-moment sum is refused
+        return
+    x = dist.sorted_values.tolist()
+    near = [math.nextafter(v, to) for v in x for to in (-math.inf, math.inf)]
+    midpoints = [0.5 * a + 0.5 * b for a, b in zip(x, x[1:])]
+    thresholds = [v for v in x + midpoints + near if math.isfinite(v)] + [-MAX, MAX]
+    result = _omega_at(dist, thresholds)
+    for lam, c, p, o in zip(thresholds, *(a.tolist() for a in (result.call, result.put, result.omega))):
+        if x[0] <= lam <= x[-1]:
+            assert math.isfinite(c) and math.isfinite(p)
+        elif lam < x[0]:
+            assert p == 0.0 and o == math.inf
+        else:
+            assert c == 0.0 and o == 0.0
 
 
 def test_point_mass_flags():
