@@ -76,8 +76,9 @@ def _flow_array(
     """Validated float flow rows F_0..F_T, shape (N, T+1): every flow finite and
     F_0 <= 0, with ``row_name(i)`` naming row i in the error.
 
-    An array already marked read-only is kept as it is, without a copy;
-    anything else is copied.
+    An array already marked read-only is kept as it is, without a copy; anything
+    else is copied. That trusts the caller: a read-only view still changes with a
+    writable base.
     """
     if isinstance(rows, np.ndarray):
         flows = rows.astype(float, copy=rows.flags.writeable)
@@ -111,11 +112,12 @@ class ScenarioSet:
     """Weighted scenarios sharing one horizon, stored as columns: the one check of
     scenario flows and weights.
 
-    ``flows`` is a read-only (N, T+1) array whose row i holds F_0..F_T of
-    scenario i; ``weights`` is a read-only (N,) array of probabilities
-    (uniform when given as None). ``row_name(i)`` names row i in every error
-    about it, here and in the layers that read the set: ``scenario i``,
-    unless its maker names rows otherwise (a loaded file's lines, RADR's mean flows).
+    ``flows`` is a read-only (N, T+1) array whose row i holds F_0..F_T of scenario i
+    (kept without a copy if given read-only, so the caller must not write to its base);
+    ``weights`` is a read-only (N,) array of probabilities (uniform when given as None).
+    ``row_name(i)`` names row i in every error about it, here and in the layers that read
+    the set: ``scenario i``, unless its maker names rows otherwise (a loaded file's lines,
+    RADR's mean flows).
     """
 
     project_id: str

@@ -1,4 +1,4 @@
-"""The CSV row grammar both readers share, and the one writer behind every table."""
+"""The CSV row and cell grammar both readers share, and the one writer behind every table."""
 
 from __future__ import annotations
 
@@ -26,6 +26,19 @@ def data_rows(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
             if len(row) != width:
                 raise InputError(f"row {lineno}: expected {width} columns, got {len(row)}")
             yield lineno, row
+
+
+def scan_table(path: str | Path, width: int) -> np.ndarray:
+    """The ``data_rows`` of ``path`` as an (N, width) float table; a cell is any number
+    ``float()`` reads. The first bad cell is named as ``row N: non-numeric value '...'``."""
+    cells: list[float] = []
+    for lineno, row in data_rows(path, width):
+        for cell in row:
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                raise InputError(f"row {lineno}: non-numeric value {cell!r}") from None
+    return np.array(cells, dtype=float).reshape(-1, width)
 
 
 def write_csv(path: str | Path, columns: Mapping[str, Sequence]) -> None:

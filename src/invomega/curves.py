@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .csvio import data_rows
+from .csvio import scan_table
 from .errors import InputError, located
 
 
@@ -54,24 +54,18 @@ class YieldCurve:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "YieldCurve":
-        """Load a curve from CSV with header ``tenor,rate`` and tenors 1..T."""
+        """Load a curve from CSV with header ``tenor,rate`` and whole tenors 1..T (``2.0`` is 2)."""
         with located(path), open(path, newline="") as handle:
             header = next(csv.reader(handle), None)
             if header is None or [h.strip().lower() for h in header] != ["tenor", "rate"]:
                 raise InputError(f"expected header 'tenor,rate', got {header!r}")
-            rows: list[tuple[int, float]] = []
-            for lineno, (tenor, rate) in data_rows(path, 2):
-                try:
-                    rows.append((int(tenor), float(rate)))
-                except ValueError as exc:
-                    raise InputError(f"row {lineno}: {exc}") from exc
-            if not rows:
+            table = scan_table(path, 2)
+            if not len(table):
                 raise InputError("no curve rows")
-            rows.sort(key=lambda item: item[0])
-            tenors = [t for t, _ in rows]
-            if tenors != list(range(1, len(rows) + 1)):
+            tenors, rates = table[table[:, 0].argsort(kind="stable")].T.tolist()
+            if tenors != list(range(1, len(tenors) + 1)):
                 raise InputError(f"tenors must be contiguous 1..T, got {tenors}")
-            return cls(tuple(r for _, r in rows))
+            return cls(tuple(rates))
 
     @property
     def horizon(self) -> int:

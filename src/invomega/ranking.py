@@ -137,6 +137,19 @@ def _sort_key(entry: RankingEntry):
     )
 
 
+def _one_metric(projects: Sequence[ProjectEvaluation]) -> str:
+    """The metric all of ``projects`` were evaluated on: Omegas on two metrics do not compare."""
+    if not projects:
+        raise InputError("need at least one project to rank")
+    for p in projects:
+        if p.metric != projects[0].metric:
+            raise InputError(
+                f"projects {projects[0].project_id!r} and {p.project_id!r} were evaluated on "
+                f"different metrics, {projects[0].metric!r} and {p.metric!r}"
+            )
+    return projects[0].metric
+
+
 def rank(projects: Sequence[ProjectEvaluation], hurdle: HurdleSpec) -> RankingReport:
     """Rank projects (one metric, distinct ids) by Omega at the hurdle, best first.
 
@@ -144,16 +157,9 @@ def rank(projects: Sequence[ProjectEvaluation], hurdle: HurdleSpec) -> RankingRe
     Omega is indeterminate at the threshold (no mass on either side) are left
     out of the order and listed in ``excluded``.
     """
-    if not projects:
-        raise InputError("need at least one project to rank")
-    metric = projects[0].metric
+    metric = _one_metric(projects)
     ids: set[str] = set()
     for p in projects:
-        if p.metric != metric:
-            raise InputError(
-                f"projects {projects[0].project_id!r} and {p.project_id!r} were evaluated on "
-                f"different metrics, {metric!r} and {p.metric!r}"
-            )
         if p.project_id in ids:
             raise InputError(f"two projects have the id {p.project_id!r}")
         ids.add(p.project_id)
@@ -198,6 +204,7 @@ def hurdle_crossings(
     project_a: ProjectEvaluation, project_b: ProjectEvaluation, mu_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Hurdle intervals (width <= grid step / 1024) where the pair's ranking flips."""
+    _one_metric([project_a, project_b])
     return crossing_on_grid(mu_grid, _mu_curves([project_a, project_b]))[0]
 
 

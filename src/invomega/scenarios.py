@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cashflows import ScenarioSet
-from .csvio import data_rows, write_csv
+from .csvio import data_rows, scan_table, write_csv
 from .distributions import _libm
 from .errors import InputError, located
 
@@ -345,7 +345,10 @@ def load_scenarios(
             if len(table) and table.shape[1] != n_cols:
                 raise ValueError  # the scan names the line with the wrong column count
         except ValueError:
-            table = _scan_table(path, n_cols)
+            # np.loadtxt refuses a few inputs that the csv grammar accepts (whitespace-only
+            # lines, all-empty rows such as ",,", quoted cells); the row-by-row scan parses
+            # those and names the line of the first bad row in any other refusal.
+            table = scan_table(path, n_cols)
         if not len(table):
             raise InputError("no scenario rows")
 
@@ -360,26 +363,6 @@ def load_scenarios(
         flows, weights = (table[:, 1:], table[:, 0]) if has_weights else (table, None)
         pid = project_id if project_id is not None else path.stem
         return ScenarioSet(pid, flows, weights, row_name)
-
-
-def _scan_table(path: Path, n_cols: int) -> np.ndarray:
-    # np.loadtxt refuses a few inputs that the csv grammar accepts (whitespace-only
-    # lines, all-empty rows such as ",,", quoted cells); this row-by-row scan parses
-    # those and names the line of the first bad row in any other refusal.
-    numbered = list(data_rows(path, n_cols))
-    try:
-        return np.array([row for _, row in numbered], dtype=float)
-    except ValueError:
-        lineno, bad = next((n, c) for n, row in numbered for c in row if not _is_float(c))
-        raise InputError(f"row {lineno}: non-numeric value {bad!r}") from None
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def write_scenarios(scenario_set: ScenarioSet, path: str | Path) -> None:

@@ -13,9 +13,9 @@ import pytest
 
 import invomega
 import reference
-from invomega import YieldCurve, cli
+from invomega import InputError, ScenarioSet, YieldCurve, cli
 from invomega.cli import build_parser, main
-from invomega.metrics import HURDLE_KINDS
+from invomega.metrics import HURDLE_KINDS, HurdleSpec
 
 
 @pytest.fixture
@@ -748,6 +748,41 @@ class TestOmegaCurve:
 
 
 class TestInputBounds:
+    @pytest.mark.parametrize("run,text", [
+        (lambda: ScenarioSet("p", [(-1.0, 2.0)], [0.5, 0.5]), "2 weights for 1 samples"),
+        (lambda: HurdleSpec("mu_star", math.inf), "hurdle value must be finite, got inf"),
+        (lambda: YieldCurve.flat(0.05, 0), "horizon must be >= 1, got 0"),
+        (["evaluate", "--project", "{dir}/mean_right.json", "--curve", "{dir}/no_rows.csv",
+          "--out-dir", "{dir}/out"], "{dir}/no_rows.csv: no curve rows"),
+        (["evaluate", "--project", "{dir}/generator_3.json", "--curve", "{dir}/curve.csv",
+          "--out-dir", "{dir}/out"], "{dir}/generator_3.json: generator block must be a JSON object"),
+        (["evaluate", "--project", "{dir}/file_3.json", "--curve", "{dir}/curve.csv",
+          "--out-dir", "{dir}/out"], "{dir}/file_3.json: field 'scenario_file' must be a string, got 3"),
+        (["evaluate", "--project", "{dir}/empty.json", "--curve", "{dir}/curve.csv",
+          "--out-dir", "{dir}/out"], "{dir}/empty.csv: empty file"),
+        (["omega-curve", "--project", "{dir}/mean_right.json", "--curve", "{dir}/curve.csv",
+          "--grid=a:b:c", "--out", "{dir}/c.csv"], "grid must be numeric lo:hi:step, got 'a:b:c'"),
+        (["omega-curve", "--project", "{dir}/mean_right.json", "--curve", "{dir}/curve.csv",
+          "--grid=0:inf:1", "--out", "{dir}/c.csv"],
+         "grid lo, hi, step and hi - lo must be finite, got '0:inf:1'"),
+    ], ids=["weights", "hurdle", "horizon", "curve-rows", "generator", "scenario-file",
+            "empty-csv", "grid-text", "grid-range"])
+    def test_refusal_text(self, workspace, capsys, run, text):
+        # a library call raises InputError with the text; a command exits 2 with one line
+        if callable(run):
+            with pytest.raises(InputError) as exc:
+                run()
+            assert type(exc.value) is InputError and str(exc.value) == text
+        else:
+            root = workspace.resolve()  # scenario_file paths are resolved
+            (root / "no_rows.csv").write_text("tenor,rate\n")
+            (root / "empty.csv").write_text("")
+            for name, descriptor in (("generator_3", {"generator": 3}), ("file_3", {"scenario_file": 3}),
+                                     ("empty", {"scenario_file": "empty.csv"})):
+                (root / f"{name}.json").write_text(json.dumps({"id": "p", "horizon": 2, **descriptor}))
+            assert main([arg.replace("{dir}", str(root)) for arg in run]) == 2
+            assert capsys.readouterr().err == f"error: {text.replace('{dir}', str(root))}\n"
+
     @pytest.mark.parametrize(
         "grid",
         ["0:inf:0.1", "0:nan:0.1", "-inf:1:0.1", "0:1:inf", "-1e308:1e308:1e306", "0:1:1e-12"],

@@ -199,8 +199,10 @@ def cases(draw) -> tuple[dict, list[str], list[str]]:
     return files, [command, *argv], outputs
 
 
-def run_case(files: dict, argv: list[str], outputs: list[str]) -> None:
-    """Run one case in a fresh directory and check it against the exit-code contract."""
+def run_case(files: dict, argv: list[str], outputs: list[str],
+             expected: tuple[int, str] | None = None) -> None:
+    """Run one case in a fresh directory and check it against the exit-code contract,
+    and against ``expected``, the exit code and stderr (``{dir}`` in it is the directory)."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, content in files.items():
@@ -222,6 +224,8 @@ def run_case(files: dict, argv: list[str], outputs: list[str]) -> None:
             assert sorted(files) == left
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+        if expected is not None:
+            assert (code, err) == (expected[0], expected[1].replace("{dir}", tmp))
 
 
 def _at_the_float_limit(weights: tuple[str, str], metric: str) -> tuple[dict, list[str], list[str]]:
@@ -232,6 +236,15 @@ def _at_the_float_limit(weights: tuple[str, str], metric: str) -> tuple[dict, li
     argv = ["rank", "--projects", "{dir}/o.json", "--curve", "{dir}/curve.csv", "--delta-mu", "0.1",
             "--metric", metric, "--out", "{dir}/out/rank.json"]
     return files, argv, ["out/rank.json"]
+
+
+def _on_the_curve(rows: str) -> tuple[dict, list[str], list[str]]:
+    """An ``evaluate`` case of a two-period generated project on a curve with ``rows``."""
+    block = {"family": "normal", "mean": 100.0, "std": 10.0, "skew": 0.0,
+             "template": [-100.0, None, 0.0], "n": 10, "seed": 1}
+    files = {"curve.csv": "tenor,rate\n" + rows, "p1.json": json.dumps(block)}
+    argv = ["evaluate", "--project", "{dir}/p1.json", "--curve", "{dir}/curve.csv", "--out-dir", "{dir}/out"]
+    return files, argv, ["out/evaluation.csv", "out/summary.csv"]
 
 
 @settings(max_examples=500, derandomize=True, deadline=None, database=None,
@@ -248,5 +261,9 @@ def _at_the_float_limit(weights: tuple[str, str], metric: str) -> tuple[dict, li
            "p1.json": json.dumps({"id": "p1", "horizon": 2, "scenario_file": "p1.csv"})},
           ["radr-compare", "--project", "{dir}/p1.json", "--r=-0.99", "--k=0", "--mode", "paper-table4",
            "--out", "{dir}/out/radr.json"], ["out/radr.json"]))
+# curve cells read as in the scenario CSV: a whole tenor in any float spelling, and a bad
+# rate named by its row and value (`curve_csvs` draws integer tenors only)
+@example((*_on_the_curve("1,0.05\n2.0,0.05\n"), (0, "")))
+@example((*_on_the_curve("1,0.05\n2,abc\n"), (2, "error: {dir}/curve.csv: row 3: non-numeric value 'abc'\n")))
 def test_every_command_keeps_the_exit_code_contract(case):
     run_case(*case)

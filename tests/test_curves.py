@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from invomega import InputError, YieldCurve
+from invomega import InputError, YieldCurve, load_scenarios
 
 from conftest import evaluate_row
 
@@ -220,6 +220,28 @@ class TestCsv:
         path.write_text("tenor,rate\n1,abc\n")
         with pytest.raises(InputError, match="row 2"):
             YieldCurve.from_csv(path)
+
+    def test_whole_tenors_read_in_any_float_spelling(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("tenor,rate\n2.0,0.05\n1,0.04\n3e0,0.055\n")
+        assert YieldCurve.from_csv(path).rates == (0.04, 0.05, 0.055)
+
+    def test_fractional_tenor_is_not_contiguous(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("tenor,rate\n1,0.04\n1.5,0.05\n")
+        with pytest.raises(InputError, match=r"^.*: tenors must be contiguous 1\.\.T, got \[1\.0, 1\.5\]$"):
+            YieldCurve.from_csv(path)
+
+    @pytest.mark.parametrize("cell,bad", [("abc", "abc"), ("", ""), ("0x10", "0x10"), ('"1,5"', "1,5")],
+                             ids=["word", "empty", "hex", "quoted-comma"])
+    def test_both_readers_name_a_bad_cell_alike(self, tmp_path, cell, bad):
+        curve, scenarios = tmp_path / "curve.csv", tmp_path / "s.csv"
+        curve.write_text(f"tenor,rate\n1,0.05\n2,{cell}\n")
+        scenarios.write_text(f"t0,t1\n-1,2\n-1,{cell}\n")
+        for read, path in ((YieldCurve.from_csv, curve), (load_scenarios, scenarios)):
+            with pytest.raises(InputError) as exc:
+                read(path)
+            assert str(exc.value) == f"{path}: row 3: non-numeric value {bad!r}"
 
     def test_refused_rate_names_the_file(self, tmp_path):
         path = tmp_path / "curve.csv"

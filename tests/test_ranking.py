@@ -332,6 +332,18 @@ class TestOmegaVsHurdle:
 
 
 class TestHurdleCrossings:
+    @pytest.mark.parametrize("id_b", ["a", "b"])
+    def test_refuses_two_metrics_as_rank_does(self, id_b):
+        # Omega on npv and Omega on mu do not compare, so their brackets would mean nothing
+        a = project_from_dist("a", [0.0, 1.0], metric="npv")
+        b = project_from_dist(id_b, [0.5, 0.6], metric="mu")
+        says = f"projects 'a' and '{id_b}' were evaluated on different metrics, 'npv' and 'mu'"
+        for refused in (lambda: rank([a, b], HurdleSpec("mu_star", 0.1)),
+                        lambda: hurdle_crossings(a, b, [0.0, 0.1, 0.2, 0.3])):
+            with pytest.raises(InputError) as exc:
+                refused()
+            assert type(exc.value) is InputError and str(exc.value) == says
+
     def test_synthetic_pair_single_flip(self):
         curve = YieldCurve.flat(0.05, 1)
         narrow = evaluate_project(

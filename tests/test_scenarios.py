@@ -31,7 +31,7 @@ from invomega import (
 import invomega
 from invomega import DomainError, csvio, radr_valuation
 from invomega.metrics import write_evaluation_csv
-from invomega.scenarios import _lognormal_w, _ndtri, _scan_table, generator_spec_from_dict
+from invomega.scenarios import _lognormal_w, _ndtri, generator_spec_from_dict
 from reference import analytic_moments
 
 
@@ -475,7 +475,7 @@ class TestScenarioCsv:
         path.write_bytes(text.encode())
         ss = load_scenarios(path)
         weighted = text.startswith("weight")
-        table = _scan_table(path, ss.horizon + 1 + weighted)
+        table = csvio.scan_table(path, ss.horizon + 1 + weighted)
         assert len(ss) == 2
         assert ss.flows.tolist() == table[:, weighted:].tolist()
         if weighted:
